@@ -26,7 +26,7 @@ This module searches that knob space per grid cell:
   ``TUNING.json`` by :func:`write_tuning_table` and consumed by
   :func:`load_tuning_table` / :func:`tuned_passes`.
 
-Each tuned cell also reports incremental what-if ceilings (what the
+Each tuned cell also reports what-if ceilings (what the
 tuned plan's makespan would be with compute or communication made free),
 so the frontier shows not just the knob win but the remaining headroom.
 """
@@ -126,7 +126,7 @@ def _cell_key(benchmark: str, configuration: str, variant: str) -> str:
 
 
 def _whatif_ceilings(plan, timing, ctx) -> dict:
-    """Incremental what-if makespans with each bucket's cost zeroed."""
+    """What-if makespans with each bucket's cost zeroed."""
     from ..telemetry.profile import what_if
 
     ceilings = {}

@@ -8,8 +8,9 @@ rendezvous shape, the same storage queue — only the numeric costs
 This module pays it **once per structure**:
 
 1. **Record.**  One *reference lane* of each structure group runs
-   through :class:`_TapeEngine` — a clone of the scalar fast-path engine
-   that, alongside the reference floats, emits a linear *tape*: one
+   through the scalar fast-path engine with a :class:`_Recorder`
+   attached, which, alongside the reference floats, emits a linear
+   *tape*: one
    register per event time, one instruction per arithmetic step
    (``end = max(ready, stream) + dur``, fluid-epoch byte advances,
    drain horizons), and one *guard* per control decision the schedule
@@ -45,34 +46,28 @@ lane against its scalar run at 1e-9 (the debug mode the tests run).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..fabric.flows import _EPSILON_BYTES as _EPS_BYTES
 from ..fabric.flows import _EPSILON_SECONDS as _EPS_SECONDS
-from ..fabric.maxmin import MaxMinSolver
 from .executor import ExecutionContext
 from .fastpath import (
-    _COMM_KIND,
-    _RING,
     FastPathUnsupported,
     PlanTiming,
     _assert_equal,
-    _executor_timing,
+    _Engine,
+    evaluate_plan,
     fastpath_schedule,
     fastpath_support,
 )
 from .ir import (
-    Barrier,
     Collective,
     Compute,
     D2HCopy,
-    Delay,
     H2DCopy,
     P2PCopy,
-    PlanError,
     StepPlan,
     StorageRead,
     StorageWrite,
@@ -198,54 +193,37 @@ class _Tape:
     compiled: Optional[list] = None
 
 
-# -- the recording engine ----------------------------------------------------
+# -- the recorder ------------------------------------------------------------
 
-class _TapeEngine:
-    """The scalar fast-path engine, instrumented to emit a tape.
+def _op_endpoints(op) -> tuple:
+    """Endpoint specs of a point-to-point transfer op."""
+    if isinstance(op, H2DCopy):
+        return ("host",), ("gpu", op.rank)
+    if isinstance(op, D2HCopy):
+        return ("gpu", op.rank), ("host",)
+    return ("gpu", op.rank), ("gpu", op.dst_rank)
 
-    This mirrors :class:`repro.plan.fastpath._Engine` method-for-method;
-    every scheduled event carries a *register* alongside its reference
-    float, and every arithmetic step appends the instruction that
-    reproduces it lane-wide.  The reference floats drive the event order
-    (identical to the scalar engine's); the instructions and guards let
-    the replay decide, per lane, whether that order still holds.
 
-    Consistency with ``_Engine`` is enforced by the equivalence tests
-    (and ``assert_equivalence``), which compare replayed lanes against
-    their own scalar runs bit-for-bit at 1e-9.
+class _Recorder:
+    """Writes a tape while :class:`~repro.plan.fastpath._Engine` runs.
+
+    The engine calls these hooks only when a recorder is attached: each
+    returns the register an event's time lands in, or appends the guard
+    a control decision needs.  Numeric inputs go in as column specs, so
+    every lane can resolve them against its own plan and context.
+    Register 0 holds t = 0, the time every root op is scheduled at.
     """
 
-    def __init__(self, plan: StepPlan, ctx: ExecutionContext):
-        self.plan = plan
-        self.ctx = ctx
+    def __init__(self):
         self.tape = _Tape()
-        self._heap: list = []
-        self._seq = 0
-        self.times: dict = {}
-        self._start: dict = {}          # uid -> (time, reg)
-        self._indegree: dict = {}
-        self._dependents: dict = {}
-        self._dep_end_regs: dict = {}   # uid -> [end regs of deps]
-        self._stream_free: dict = {}    # rank -> (time, reg)
-        self._last_compute_ready: dict = {}  # rank -> (time, reg)
-        self._op_seq: dict = {}
-        self._groups: dict = {}
-        self._last_join: dict = {}      # (rank, gkey) -> (time, reg)
-        self._io_active = 0
-        self._io_queue: list = []
-        self._last_io_event: Optional[int] = None
-        self._last_io_enqueue: Optional[int] = None
-        self._flows: dict = {}
-        self._flow_ids = 0
-        self._solver = MaxMinSolver()
-        self._last_update = 0.0
-        self._last_update_reg = 0
-        self._generation = 0
         self._columns: dict = {}        # spec -> column index
         self._route_uses: dict = {}     # (src_spec, dst_spec) -> index
-        self._zero_reg = 0
+        self._end_regs: dict = {}       # uid -> end reg
+        self._last_update = self._reg()
+        self._emit(_CONST, self._last_update, 0.0)
+        self._last_io_event: Optional[int] = None
+        self._last_io_enqueue: Optional[int] = None
 
-    # -- tape emission ----------------------------------------------------
     def _reg(self) -> int:
         r = self.tape.n_regs
         self.tape.n_regs += 1
@@ -261,429 +239,141 @@ class _TapeEngine:
             self.tape.columns.append(spec)
         return idx
 
-    def _route_use(self, src_spec, dst_spec, route) -> int:
-        key = (src_spec, dst_spec)
-        idx = self._route_uses.get(key)
-        if idx is None:
-            idx = self._route_uses[key] = len(self.tape.route_uses)
-            self.tape.route_uses.append(
-                (src_spec, dst_spec,
-                 tuple(seg.key for seg in route.segments),
-                 tuple(seg.capacity for seg in route.segments)))
-        return idx
-
-    # -- event plumbing ---------------------------------------------------
-    def _schedule(self, time: float, reg: int, fn) -> None:
-        self._seq += 1
-        heappush(self._heap, (time, self._seq, reg, fn))
-
-    def run(self) -> _Tape:
-        plan = self.plan
-        zero = self._reg()
-        self._zero_reg = zero
-        self._last_update_reg = zero
-        self._emit(_CONST, zero, 0.0)
-        for op in plan:
-            self._indegree[op.uid] = 0
-            self._dependents.setdefault(op.uid, [])
-            self._dep_end_regs[op.uid] = []
-        for op in plan:
-            for dep in op.deps:
-                if dep not in self._indegree:
-                    raise FastPathUnsupported(
-                        f"op {op.uid!r} depends on {dep!r} outside the plan")
-                self._indegree[op.uid] += 1
-                self._dependents[dep].append(op)
-        for rank in range(plan.world_size):
-            for op in plan.by_rank(rank):
-                if self._indegree[op.uid] == 0:
-                    self._schedule(0.0, zero, self._ready_fn(op))
-        while self._heap:
-            time, _seq, reg, fn = heappop(self._heap)
-            fn(time, reg)
-        if len(self.times) != len(plan.ops):
-            missing = [op.uid for op in plan if op.uid not in self.times]
-            raise FastPathUnsupported(
-                f"plan stalled; {len(missing)} op(s) never completed "
-                f"(first: {missing[0]!r})")
-        return self.tape
-
-    def _ready_fn(self, op):
-        return lambda t, reg: self._op_arrival(op, t, reg)
-
-    def _op_arrival(self, op, t: float, event_reg: int) -> None:
-        # Readiness is the max over dependency ends — commutative, so
-        # no ordering guard is needed; the reference's triggering event
-        # time equals that max by construction.
-        dep_regs = self._dep_end_regs[op.uid]
-        if not dep_regs:
-            reg = self._zero_reg
-        elif len(set(dep_regs)) == 1:
-            reg = dep_regs[0]
-        else:
-            reg = self._reg()
-            self._emit(_MAX, reg, tuple(dict.fromkeys(dep_regs)))
-        self._op_ready(op, t, reg)
-
-    def _op_ready(self, op, t: float, reg: int) -> None:
-        self._start[op.uid] = (t, reg)
-        if isinstance(op, Compute):
-            self._run_compute(op, t, reg)
-        elif isinstance(op, (Collective, Barrier)):
-            self._join_group(op, t, reg)
-        elif isinstance(op, Delay):
-            elapsed = t - 0.0
-            end = t + (op.seconds + op.elapsed_fraction * elapsed)
-            out = self._reg()
-            self._emit(_DELAY, out, reg,
-                       self._col(_C_DELAY_S, op.uid),
-                       self._col(_C_DELAY_F, op.uid))
-            self._finish_at(op, end, out)
-        elif isinstance(op, (H2DCopy, D2HCopy, P2PCopy)):
-            self._run_transfer(op, t, reg)
-        elif isinstance(op, (StorageRead, StorageWrite)):
-            self._enqueue_io(op, t, reg)
-        else:  # pragma: no cover - taxonomy is closed
-            raise PlanError(f"fast path cannot run op kind {op.kind!r}")
-
-    def _finish_at(self, op, end: float, reg: int) -> None:
-        self._schedule(end, reg, lambda t, r: self._op_done(op, t, r))
-
-    def _op_done(self, op, t: float, reg: int) -> None:
-        start_t, start_reg = self._start[op.uid]
-        self.times[op.uid] = (start_t, t)
-        self.tape.op_regs[op.uid] = (start_reg, reg)
-        for dependent in self._dependents[op.uid]:
-            self._dep_end_regs[dependent.uid].append(reg)
-            self._indegree[dependent.uid] -= 1
-            if self._indegree[dependent.uid] == 0:
-                self._schedule(t, reg, self._ready_fn(dependent))
-
-    # -- compute -----------------------------------------------------------
-    def _run_compute(self, op, t: float, reg: int) -> None:
-        rank = op.rank
-        last = self._last_compute_ready.get(rank)
-        if last is not None:
-            if last[0] == t:
-                raise FastPathUnsupported(
-                    f"two computes ready on rank {rank} at t={t}: "
-                    "stream FIFO order is ambiguous")
-            # Guard: the lane's FIFO admits this rank's computes in the
-            # reference order, with no tie (the scalar engine refuses
-            # ties, so a tying lane must fall back too — hence strict).
-            self._emit(_ORDER, last[1], reg, True)
-        self._last_compute_ready[rank] = (t, reg)
-        factor = self.ctx.jitter() if op.jittered else 1.0
-        duration = self.ctx.gpus[rank].kernel_time(
-            op.flops * factor, op.hbm_bytes, op.precision, op.efficiency)
-        stream = self._stream_free.get(rank)
-        begin = max(t, stream[0]) if stream is not None else max(t, 0.0)
-        end = begin + duration
+    # -- registers and orderings ------------------------------------------
+    def max(self, regs) -> int:
+        """Register of the max over ``regs`` (commutative: no guard)."""
+        regs = tuple(dict.fromkeys(regs))
+        if len(regs) == 1:
+            return regs[0]
         out = self._reg()
-        self._emit(_COMPUTE, out, reg,
-                   stream[1] if stream is not None else -1,
-                   self._col(_C_COMPUTE, op.uid))
-        self._stream_free[rank] = (end, out)
-        self._finish_at(op, end, out)
+        self._emit(_MAX, out, regs)
+        return out
 
-    # -- rendezvous --------------------------------------------------------
-    def _join_group(self, op, t: float, reg: int) -> None:
-        comm = self.ctx.comm
-        rank = op.rank
-        gkey = getattr(op, "group", None)
-        last = self._last_join.get((rank, gkey))
+    def after(self, last, reg: int) -> None:
+        """Guard that ``reg`` strictly follows the ``(time, reg)`` event
+        ``last`` on one FIFO: the scalar engine refuses ties, so a tying
+        lane must fall back too."""
         if last is not None:
-            if last[0] == t:
-                raise FastPathUnsupported(
-                    f"rank {rank} joins two collectives at t={t}: "
-                    "rendezvous order is ambiguous")
             self._emit(_ORDER, last[1], reg, True)
-        self._last_join[(rank, gkey)] = (t, reg)
-        members = list(range(self.plan.world_size)) if gkey is None \
-            else list(gkey)
-        nodes = [comm.ranks[i] for i in members]
-        if isinstance(op, Barrier):
-            spec = ("barrier", 0.0, None, None)
-        else:
-            kind = _COMM_KIND.get(op.comm)
-            if kind is None:
-                raise FastPathUnsupported(
-                    f"unknown collective kind {op.comm!r}")
-            if kind in ("broadcast", "reduce"):
-                root = members.index(op.root) if op.root is not None else 0
-            else:
-                root = None
-            spec = (kind, op.bytes, root, op.chunk_bytes)
-        opid = self._op_seq.get((gkey, rank), 0)
-        self._op_seq[(gkey, rank)] = opid + 1
-        group = self._groups.get((gkey, opid))
-        if group is None:
-            group = self._groups[(gkey, opid)] = _TapeGroup(
-                spec[0], spec[1], spec[2], spec[3], nodes, members)
-        elif (group.kind, group.nbytes, group.root, group.chunk) != spec:
-            raise FastPathUnsupported(
-                f"collective mismatch at op {opid}: rank {rank} called "
-                f"{spec} but op is "
-                f"{(group.kind, group.nbytes, group.root, group.chunk)}")
-        group.arrived[rank] = (t, reg)
-        group.uids[rank] = op.uid
-        if len(group.arrived) == len(members):
-            del self._groups[(gkey, opid)]
-            # Lane-wise the engine's spec check demands every member op
-            # carry the same (bytes, chunk); record the membership so
-            # column resolution can verify it per lane.
-            self.tape.group_members.append(tuple(group.uids.values()))
-            self._execute_group(group, t)
 
-    def _execute_group(self, group: "_TapeGroup", t: float) -> None:
-        world = len(group.nodes)
-        live = self._reg()
-        self._emit(_MAX, live,
-                   tuple(dict.fromkeys(r for _t, r in
-                                       group.arrived.values())))
-        if world == 1 or group.kind == "barrier" or group.nbytes == 0:
-            self._schedule(
-                t, live, lambda now, r: self._group_done(group, now, r))
-            return
-        phases = _RING.get(group.kind)
-        group.total_phases = phases(world) if phases else 1
-        group.phase = 0
-        self._spawn_phase(group, t, live)
+    def op_done(self, uid, start_reg: int, end_reg: int) -> None:
+        self.tape.op_regs[uid] = (start_reg, end_reg)
+        self._end_regs[uid] = end_reg
 
-    def _spawn_phase(self, group: "_TapeGroup", t: float,
-                     reg: int) -> None:
-        comm = self.ctx.comm
-        ranks = group.nodes
-        n = len(ranks)
-        if group.kind in _RING:
-            pairs = [(i, (i + 1) % n) for i in range(n)]
-            per_transfer = group.nbytes / n
-        else:
-            root = group.root
-            others = [i for i in range(n) if i != root]
-            if group.kind == "broadcast":
-                pairs = [(root, i) for i in others]
-            else:  # reduce
-                pairs = [(i, root) for i in others]
-            per_transfer = group.nbytes
-        group.inflight = len(pairs)
-        group.done_regs = []
-        uid = next(iter(group.uids.values()))
+    def ready(self, op) -> int:
+        return self.max(self._end_regs[dep] for dep in op.deps)
 
-        def flow_done(now, done_reg, group=group):
-            group.done_regs.append(done_reg)
-            group.inflight -= 1
-            if group.inflight:
-                return
-            # Lane-wise the slowest pair may differ; the phase ends at
-            # the max over every pair's completion (commutative).
-            end = self._reg()
-            self._emit(_MAX, end, tuple(dict.fromkeys(group.done_regs)))
-            group.phase += 1
-            if group.phase >= group.total_phases:
-                self._group_done(group, now, end)
-            else:
-                self._spawn_phase(group, now, end)
+    def delay(self, reg: int, uid) -> int:
+        out = self._reg()
+        self._emit(_DELAY, out, reg, self._col(_C_DELAY_S, uid),
+                   self._col(_C_DELAY_F, uid))
+        return out
 
-        topo = comm.topology
-        for i, j in pairs:
-            src, dst = ranks[i], ranks[j]
-            src_spec = ("comm", group.members[i])
-            dst_spec = ("comm", group.members[j])
-            route = topo.route(src, dst)
-            factor = comm._transport_factor(route, group.chunk)
-            nbytes = per_transfer * factor
-            streamed = nbytes > _EPS_BYTES and bool(route.segments)
-            col = self._col(_C_COLL, uid, n, src_spec, dst_spec, streamed)
-            self._launch_transfer(t, reg, route, nbytes, col,
-                                  (src_spec, dst_spec), flow_done)
+    def compute(self, reg: int, stream_reg: int, uid) -> int:
+        out = self._reg()
+        self._emit(_COMPUTE, out, reg, stream_reg, self._col(_C_COMPUTE, uid))
+        return out
 
-    def _group_done(self, group: "_TapeGroup", t: float,
-                    reg: int) -> None:
-        watchdog = getattr(self.ctx.comm, "watchdog", None)
-        for rank, uid in group.uids.items():
-            arrival_t, arrival_reg = group.arrived[rank]
-            if watchdog is not None:
-                if t - arrival_t >= watchdog:
-                    raise FastPathUnsupported(
-                        "collective completion races the watchdog timeout")
-                self._emit(_WATCHDOG, reg, arrival_reg, watchdog)
-            op = self.plan.op(uid)
-            self._start[uid] = (arrival_t, arrival_reg)
-            self._op_done(op, t, reg)
+    def rendezvous(self, group) -> int:
+        # Lane-wise the engine's spec check demands every member op
+        # carry the same (bytes, chunk); record the membership so column
+        # resolution can verify it per lane.
+        self.tape.group_members.append(tuple(group.uids.values()))
+        return self.max(r for _t, r in group.arrived.values())
+
+    def watchdog(self, end_reg: int, arrival_reg: int,
+                 seconds: float) -> None:
+        self._emit(_WATCHDOG, end_reg, arrival_reg, seconds)
 
     # -- transfers ---------------------------------------------------------
-    def _launch_transfer(self, t: float, reg: int, route, nbytes: float,
-                         size_col: Optional[int], endpoints,
-                         on_done) -> None:
-        topo = self.ctx.topology
-        fixed = topo.transfer_overhead + route.latency
-        arrival = t + fixed
-        arr = self._reg()
-        self._emit(_ADD, arr, reg, self._col(_C_FIXED, *endpoints))
-        segments = route.segments
-        if nbytes > 0 and segments:
-            use = self._route_use(endpoints[0], endpoints[1], route)
-            self._schedule(
-                arrival, arr,
-                lambda now, r: self._flow_arrives(
-                    segments, nbytes, size_col, use, on_done, now, r))
-        else:
-            self._schedule(arrival, arr, on_done)
+    def _tag(self, size_spec, src_spec, dst_spec, nbytes, route) -> tuple:
+        streamed = nbytes > _EPS_BYTES and bool(route.segments)
+        return (self._col(*size_spec, streamed), src_spec, dst_spec, route)
 
-    def _run_transfer(self, op, t: float, reg: int) -> None:
-        ctx = self.ctx
-        gpus = ctx.gpus
-        if isinstance(op, H2DCopy):
-            src, dst = ctx.host_node, gpus[op.rank].name
-            spec = (("host",), ("gpu", op.rank))
-        elif isinstance(op, D2HCopy):
-            src, dst = gpus[op.rank].name, ctx.host_node
-            spec = (("gpu", op.rank), ("host",))
-        else:
-            src, dst = gpus[op.rank].name, gpus[op.dst_rank].name
-            spec = (("gpu", op.rank), ("gpu", op.dst_rank))
-        route = ctx.topology.route(src, dst)
-        streamed = op.bytes > _EPS_BYTES and bool(route.segments)
-        col = self._col(_C_OP_BYTES, op.uid, streamed)
-        self._launch_transfer(
-            t, reg, route, op.bytes, col, spec,
-            lambda now, r: self._op_done(op, now, r))
+    def op_transfer(self, op, route) -> tuple:
+        src, dst = _op_endpoints(op)
+        return self._tag((_C_OP_BYTES, op.uid), src, dst, op.bytes, route)
 
-    # -- storage I/O -------------------------------------------------------
-    def _io_event(self, reg: int, enqueue: bool) -> None:
+    def coll_transfer(self, group, i: int, j: int, nbytes: float,
+                      route) -> tuple:
+        uid = next(iter(group.uids.values()))
+        src, dst = ("comm", group.members[i]), ("comm", group.members[j])
+        return self._tag((_C_COLL, uid, len(group.nodes), src, dst),
+                         src, dst, nbytes, route)
+
+    def admit_io(self, op, reg: int, nbytes: float, route) -> tuple:
+        src, dst = (("media",), ("host",)) if isinstance(op, StorageRead) \
+            else (("host",), ("media",))
+        launched = self._reg()
+        self._emit(_ADD, launched, reg, self._col(_C_IO_LAT, op.uid))
+        return launched, self._tag((_C_IO_BYTES, op.uid), src, dst,
+                                   nbytes, route)
+
+    def fixed(self, reg: int, tag) -> int:
+        _size, src, dst, _route = tag
+        out = self._reg()
+        self._emit(_ADD, out, reg, self._col(_C_FIXED, src, dst))
+        return out
+
+    def io_event(self, reg: int, enqueue: bool) -> None:
         # Admission control is order-driven: guard the whole interleaved
         # sequence of storage events non-strictly (a completion landing
         # on an enqueue's instant commutes — the op is admitted at that
         # instant either way), and additionally keep consecutive
         # *enqueues* strictly ordered: two commands racing for the same
-        # queue slot is exactly the ambiguity the scalar engine refuses.
+        # queue slot is exactly the ambiguity the engine refuses.
         last = self._last_io_event
         if last is not None and last != reg:
             self._emit(_ORDER, last, reg, False)
         self._last_io_event = reg
         if enqueue:
-            prev = self._last_io_enqueue
-            if prev is not None:
-                self._emit(_ORDER, prev, reg, True)
+            if self._last_io_enqueue is not None:
+                self._emit(_ORDER, self._last_io_enqueue, reg, True)
             self._last_io_enqueue = reg
 
-    def _enqueue_io(self, op, t: float, reg: int) -> None:
-        self._io_event(reg, True)
-        if self._io_active < self.ctx.storage.spec.queue_depth:
-            self._io_active += 1
-            self._admit_io(op, t, reg)
-        else:
-            self._io_queue.append(op)
-
-    def _admit_io(self, op, t: float, reg: int) -> None:
-        storage = self.ctx.storage
-        spec = storage.spec
-        if isinstance(op, StorageRead):
-            src, dst = storage.media_node, self.ctx.host_node
-            endpoints = (("media",), ("host",))
-            nbytes, latency = op.bytes, spec.read_latency
-        else:
-            inflation = spec.read_bandwidth / spec.write_bandwidth
-            src, dst = self.ctx.host_node, storage.media_node
-            endpoints = (("host",), ("media",))
-            nbytes, latency = op.bytes * inflation, spec.write_latency
-        route = self.ctx.topology.route(src, dst)
-        streamed = nbytes > _EPS_BYTES and bool(route.segments)
-        size_col = self._col(_C_IO_BYTES, op.uid, streamed)
-        launched = self._reg()
-        self._emit(_ADD, launched, reg, self._col(_C_IO_LAT, op.uid))
-
-        def done(now, done_reg):
-            self._io_event(done_reg, False)
-            self._io_active -= 1
-            if self._io_queue:
-                self._io_active += 1
-                self._admit_io(self._io_queue.pop(0), now, done_reg)
-            self._op_done(op, now, done_reg)
-
-        self._launch_transfer(t + latency, launched, route, nbytes,
-                              size_col, endpoints, done)
-
     # -- the global fluid timeline ----------------------------------------
-    def _flow_arrives(self, segments, nbytes: float, size_col: int,
-                      route_use: int, on_done, now: float,
-                      reg: int) -> None:
-        if nbytes <= _EPS_BYTES or not segments:
-            self._schedule(now, reg, on_done)
-            return
+    def flow_arrives(self, reg: int, flows: dict) -> None:
         # The arrival must land inside the current fluid epoch: after
         # the previous fluid event, and before any active flow would
         # have drained (otherwise the lane's rate history differs).
-        self._emit(_ORDER, self._last_update_reg, reg, False)
-        if self._flows:
-            self._emit(_BOUND, reg, self._last_update_reg,
-                       tuple((fid, f.rate)
-                             for fid, f in self._flows.items()))
-        flow = _TapeFlow(segments, nbytes, on_done)
-        self._advance_and_recompute(now, reg, add=flow,
-                                    size_col=size_col,
-                                    route_use=route_use)
+        self._emit(_ORDER, self._last_update, reg, False)
+        if flows:
+            self._emit(_BOUND, reg, self._last_update,
+                       tuple((fid, f.rate) for fid, f in flows.items()))
 
-    def _advance_and_recompute(self, now: float, reg: int, add=None,
-                               size_col: Optional[int] = None,
-                               route_use: Optional[int] = None) -> None:
-        """Mirror ``_advance`` + ``_recompute`` and emit one _RECOMP."""
-        active = tuple((fid, f.rate) for fid, f in self._flows.items())
-        # advance (the scalar engine skips dt <= 0; the instruction
-        # handles per-lane dt uniformly, including dt == 0)
-        dt = now - self._last_update
-        if dt > 0:
-            for f in self._flows.values():
-                delivered = min(f.remaining, f.rate * dt)
-                if delivered > 0:
-                    f.remaining -= delivered
-        if add is not None:
-            self._flow_ids += 1
-            fid = self._flow_ids
-            self.tape.n_flows = self._flow_ids
-            add.fid = fid
-            self._flows[fid] = add
-            self._solver.add(add)
-            self.tape.flow_routes.append((fid, route_use))
-            self._emit(_FLOW, fid, size_col)
-        drained = [fid for fid, f in self._flows.items()
-                   if _is_drained(f)]
-        survivors = tuple((fid, f.rate) for fid, f in self._flows.items()
+    def flow(self, fid: int, tag) -> None:
+        size_col, src, dst, route = tag
+        key = (src, dst)
+        use = self._route_uses.get(key)
+        if use is None:
+            use = self._route_uses[key] = len(self.tape.route_uses)
+            self.tape.route_uses.append(
+                (src, dst, tuple(seg.key for seg in route.segments),
+                 tuple(seg.capacity for seg in route.segments)))
+        self.tape.n_flows = fid
+        self.tape.flow_routes.append((fid, use))
+        self._emit(_FLOW, fid, size_col)
+
+    def recompute(self, reg: int, flows: dict, drained: list) -> None:
+        """Advance every active flow to ``reg``, then check the drain
+        membership the reference observed.  A flow added at this event
+        still has rate 0, so the advance leaves it untouched."""
+        active = tuple((fid, f.rate) for fid, f in flows.items())
+        survivors = tuple((fid, rate) for fid, rate in active
                           if fid not in drained)
-        self._emit(_RECOMP, self._last_update_reg, reg, active,
+        self._emit(_RECOMP, self._last_update, reg, active,
                    tuple(drained), survivors)
-        self._last_update = now
-        self._last_update_reg = reg
-        for fid in drained:
-            flow = self._flows.pop(fid)
-            self._solver.remove(flow)
-            self._schedule(now, reg, flow.on_done)
-        self._solver.solve()
-        self._arm_timer(now, reg)
+        self._last_update = reg
 
-    def _arm_timer(self, now: float, reg: int) -> None:
-        self._generation += 1
-        if not self._flows:
-            return
-        gen = self._generation
-        horizon = min(f.remaining / f.rate for f in self._flows.values()
-                      if f.rate > 0)
-        self._schedule(now + horizon, reg,
-                       lambda t, r, gen=gen: self._on_timer(t, gen))
-
-    def _on_timer(self, now: float, generation: int) -> None:
-        if generation != self._generation:
-            return  # superseded by a later recompute; never on the tape
+    def timer(self, flows: dict) -> int:
         # A fired timer directly follows the fluid event that armed it
         # (anything in between would have bumped the generation), so
         # the flow state here *is* the arming state: the horizon to
         # replay is the argmin flow's remaining/rate, guarded minimal
         # against every other active flow's horizon lane-wise.
-        out = self._reg()
         fmin, rmin, best = None, 0.0, None
         others = []
-        for fid, f in self._flows.items():
+        for fid, f in flows.items():
             if f.rate <= 0:
                 continue
             h = f.remaining / f.rate
@@ -693,51 +383,21 @@ class _TapeEngine:
                 fmin, rmin, best = fid, f.rate, h
             else:
                 others.append((fid, f.rate))
-        self._emit(_TIMER, out, self._last_update_reg, fmin, rmin,
+        out = self._reg()
+        self._emit(_TIMER, out, self._last_update, fmin, rmin,
                    tuple(others))
-        self._advance_and_recompute(now, out)
+        return out
 
 
-class _TapeFlow:
-    """Duck-typed flow for the solver, plus its tape identity."""
+def _record(plan: StepPlan, ctx: ExecutionContext) -> tuple:
+    """Run ``plan`` on the fast-path engine with a recorder attached.
 
-    __slots__ = ("segments", "remaining", "rate", "on_done", "fid")
-
-    def __init__(self, segments, nbytes: float, on_done):
-        self.segments = segments
-        self.remaining = float(nbytes)
-        self.rate = 0.0
-        self.on_done = on_done
-        self.fid = -1
-
-
-def _is_drained(flow) -> bool:
-    if flow.remaining <= _EPS_BYTES:
-        return True
-    return flow.rate > 0 and flow.remaining / flow.rate <= _EPS_SECONDS
-
-
-class _TapeGroup:
-    """Rendezvous state for the recorder (mirror of fastpath._Group)."""
-
-    __slots__ = ("kind", "nbytes", "root", "chunk", "nodes", "members",
-                 "arrived", "uids", "phase", "total_phases", "inflight",
-                 "done_regs")
-
-    def __init__(self, kind, nbytes, root, chunk, nodes, members):
-        self.kind = kind
-        self.nbytes = nbytes
-        self.root = root
-        self.chunk = chunk
-        self.nodes = nodes
-        #: World-rank indices, in communicator order (endpoint specs).
-        self.members = members
-        self.arrived = {}
-        self.uids = {}
-        self.phase = 0
-        self.total_phases = 0
-        self.inflight = 0
-        self.done_regs = []
+    Returns ``(tape, timing)``; the timing is the scalar engine's own
+    result, since recording only adds emission to the same run.
+    """
+    recorder = _Recorder()
+    timing = _Engine(plan, ctx, recorder).run()
+    return recorder.tape, timing
 
 
 # -- column resolution -------------------------------------------------------
@@ -807,7 +467,7 @@ class _LaneResolver:
             return ctx.topology.transfer_overhead + route.latency
         if tag == _C_OP_BYTES:
             op = plan.op(spec[1])
-            route = self._lane_route_for_op(op)
+            route = self._route(*_op_endpoints(op))
             self._streamed(op.bytes, route, spec[2], op.uid)
             return op.bytes
         if tag == _C_IO_BYTES:
@@ -841,13 +501,6 @@ class _LaneResolver:
             self._streamed(nbytes, route, streamed, uid)
             return nbytes
         raise LaneIncompatible(f"unknown column spec {spec!r}")
-
-    def _lane_route_for_op(self, op):
-        if isinstance(op, H2DCopy):
-            return self._route(("host",), ("gpu", op.rank))
-        if isinstance(op, D2HCopy):
-            return self._route(("gpu", op.rank), ("host",))
-        return self._route(("gpu", op.rank), ("gpu", op.dst_rank))
 
     def check_rates(self) -> None:
         """Verify the max-min rate history is lane-invariant.
@@ -985,7 +638,7 @@ def _membership(REM: np.ndarray, spec: Optional[tuple],
                 want_gone: bool) -> Optional[np.ndarray]:
     """Per-lane drain-membership check for one flow set.
 
-    Mirrors the scalar ``_is_drained``: a flow is gone when its bytes
+    Mirrors the engine's drain test: a flow is gone when its bytes
     are within epsilon, or its horizon ``rem / rate`` is (rate > 0).
     Returns the per-lane mask where the set matches the reference
     (all gone for drained sets, none gone for survivor sets).
@@ -1108,20 +761,6 @@ class BatchResult:
     diverged: list = field(default_factory=list)
 
 
-def _fallback(plan: StepPlan, ctx: ExecutionContext,
-              mode: str) -> PlanTiming:
-    if mode == "fastpath":
-        return fastpath_schedule(plan, ctx)
-    if mode == "executor":
-        return _executor_timing(plan, ctx)
-    if mode == "auto":
-        try:
-            return fastpath_schedule(plan, ctx)
-        except FastPathUnsupported:
-            return _executor_timing(plan, ctx)
-    raise ValueError(f"unknown fallback mode {mode!r}")
-
-
 def _lane_timing(tape: _Tape, T, lane: int) -> PlanTiming:
     op_times = {}
     makespan = 0.0
@@ -1184,7 +823,7 @@ def evaluate_batch(lanes: Sequence[tuple],
         ref_idx = members[0]
         ref_plan, ref_ctx = lanes[ref_idx]
         try:
-            tape = _TapeEngine(ref_plan, ref_ctx).run()
+            tape, _timing = _record(ref_plan, ref_ctx)
         except FastPathUnsupported:
             # The reference schedule itself is ambiguous; every lane
             # takes the scalar path (which applies its own refusals).
@@ -1219,7 +858,7 @@ def evaluate_batch(lanes: Sequence[tuple],
 
     for idx in fallback_idx:
         plan, ctx = lanes[idx]
-        timings[idx] = _fallback(plan, ctx, fallback)
+        timings[idx] = evaluate_plan(plan, ctx, mode=fallback)
     return BatchResult(timings=timings, groups=len(groups),
                        batched_lanes=batched,
                        fallback_lanes=len(fallback_idx),

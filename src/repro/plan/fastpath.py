@@ -40,6 +40,11 @@ The fast path is *pure*: it reads device specs, routes, and penalty
 tables but mutates no device state, link counter, or communicator
 sequence number, so it can be invoked any number of times on a live
 system without perturbing it.
+
+The same engine also drives :mod:`repro.plan.batched`: with a tape
+recorder attached, the run additionally emits the register program that
+replays its schedule over many lanes.  :func:`fastpath_schedule` runs it
+without one, and then none of that emission happens.
 """
 
 from __future__ import annotations
@@ -176,9 +181,10 @@ class _Group:
     """One rendezvoused collective/barrier across its communicator."""
 
     __slots__ = ("kind", "nbytes", "root", "chunk", "arrived", "uids",
-                 "phase", "total_phases", "inflight", "nodes")
+                 "phase", "total_phases", "inflight", "nodes", "members",
+                 "done_regs")
 
-    def __init__(self, kind, nbytes, root, chunk, nodes):
+    def __init__(self, kind, nbytes, root, chunk, nodes, members):
         self.kind = kind
         self.nbytes = nbytes
         #: Communicator-local root index (grouped ops translate).
@@ -186,33 +192,52 @@ class _Group:
         self.chunk = chunk
         #: Participating topology node names, in communicator order.
         self.nodes = nodes
-        self.arrived = {}       # world rank -> join time
+        #: Their world-rank indices, in the same order.
+        self.members = members
+        self.arrived = {}       # world rank -> (join time, reg)
         self.uids = {}          # world rank -> op uid
         self.phase = 0
         self.total_phases = 0
         self.inflight = 0
+        self.done_regs = []     # this phase's flow-completion regs
+
+
+#: Stream cursor of a rank that has not run a kernel yet.
+_IDLE_STREAM = (0.0, -1)
 
 
 class _Engine:
-    """Specialized scheduler replaying a plan's exact DES timeline."""
+    """Specialized scheduler replaying a plan's exact DES timeline.
 
-    def __init__(self, plan: StepPlan, ctx: ExecutionContext):
+    Every event carries ``(time, reg)``: the reference float that orders
+    the schedule, and the tape register holding that time lane-wise.
+    Without a ``recorder`` every reg is 0 and nothing but the floats is
+    computed.  With one (:class:`repro.plan.batched._Recorder`), each
+    arithmetic step and control decision also calls the recorder hook
+    that emits its instruction or guard, so the recorded reference lane
+    *is* the scalar run — the arithmetic, the refusals and the solver
+    calls exist once.
+    """
+
+    def __init__(self, plan: StepPlan, ctx: ExecutionContext,
+                 recorder=None):
         self.plan = plan
         self.ctx = ctx
+        self.rec = recorder
         self._heap: list = []
         self._seq = 0
         self.times: dict = {}
-        self._start: dict = {}
+        self._start: dict = {}          # uid -> (time, reg)
         # Dependency bookkeeping.
         self._indegree: dict = {}
         self._dependents: dict = {}
         # Per-rank GPU stream cursor (DES Resource capacity-1 FIFO).
-        self._stream_free: dict = {}
+        self._stream_free: dict = {}    # rank -> (time, reg)
         self._last_compute_ready: dict = {}
         # Rendezvous state mirroring Communicator._join.
         self._op_seq: dict = {}
         self._groups: dict = {}
-        self._last_join: dict = {}
+        self._last_join: dict = {}      # (rank, gkey) -> (time, reg)
         # Storage queue-depth admission.
         self._io_active = 0
         self._io_queue: list = []
@@ -226,12 +251,12 @@ class _Engine:
         self._generation = 0
 
     # -- event plumbing ---------------------------------------------------
-    def _schedule(self, time: float, fn) -> None:
+    def _schedule(self, time: float, reg: int, fn) -> None:
         self._seq += 1
-        heappush(self._heap, (time, self._seq, fn))
+        heappush(self._heap, (time, self._seq, reg, fn))
 
     def run(self) -> PlanTiming:
-        plan, ctx = self.plan, self.ctx
+        plan = self.plan
         for op in plan:
             self._indegree[op.uid] = 0
             self._dependents.setdefault(op.uid, [])
@@ -248,10 +273,10 @@ class _Engine:
         for rank in range(plan.world_size):
             for op in plan.by_rank(rank):
                 if self._indegree[op.uid] == 0:
-                    self._schedule(0.0, self._ready_fn(op))
+                    self._schedule(0.0, 0, self._ready_fn(op))
         while self._heap:
-            time, _seq, fn = heappop(self._heap)
-            fn(time)
+            time, _seq, reg, fn = heappop(self._heap)
+            fn(time, reg)
         if len(self.times) != len(plan.ops):
             missing = [op.uid for op in plan if op.uid not in self.times]
             raise FastPathUnsupported(
@@ -263,65 +288,79 @@ class _Engine:
                           makespan=makespan)
 
     def _ready_fn(self, op):
-        return lambda t: self._op_ready(op, t)
+        return lambda t, reg: self._op_ready(op, t, reg)
 
     # -- op lifecycle ------------------------------------------------------
-    def _op_ready(self, op, t: float) -> None:
-        self._start[op.uid] = t
+    def _op_ready(self, op, t: float, reg: int) -> None:
+        self._start[op.uid] = (t, reg)
         if isinstance(op, Compute):
-            self._run_compute(op, t)
+            self._run_compute(op, t, reg)
         elif isinstance(op, (Collective, Barrier)):
-            self._join_group(op, t)
+            self._join_group(op, t, reg)
         elif isinstance(op, Delay):
             elapsed = t - 0.0
+            if self.rec is not None:
+                reg = self.rec.delay(reg, op.uid)
             self._finish_at(
-                op, t + (op.seconds + op.elapsed_fraction * elapsed))
+                op, t + (op.seconds + op.elapsed_fraction * elapsed), reg)
         elif isinstance(op, (H2DCopy, D2HCopy, P2PCopy)):
-            self._run_transfer(op, t)
+            self._run_transfer(op, t, reg)
         elif isinstance(op, (StorageRead, StorageWrite)):
-            self._enqueue_io(op, t)
+            self._enqueue_io(op, t, reg)
         else:  # pragma: no cover - taxonomy is closed
             raise PlanError(f"fast path cannot run op kind {op.kind!r}")
 
-    def _finish_at(self, op, end: float) -> None:
-        self._schedule(end, lambda t: self._op_done(op, t))
+    def _finish_at(self, op, end: float, reg: int) -> None:
+        self._schedule(end, reg, lambda t, r: self._op_done(op, t, r))
 
-    def _op_done(self, op, t: float) -> None:
-        self.times[op.uid] = (self._start[op.uid], t)
+    def _op_done(self, op, t: float, reg: int) -> None:
+        start, start_reg = self._start[op.uid]
+        self.times[op.uid] = (start, t)
+        rec = self.rec
+        if rec is not None:
+            rec.op_done(op.uid, start_reg, reg)
         for dependent in self._dependents[op.uid]:
             self._indegree[dependent.uid] -= 1
             if self._indegree[dependent.uid] == 0:
-                self._schedule(t, self._ready_fn(dependent))
+                ready = reg if rec is None else rec.ready(dependent)
+                self._schedule(t, ready, self._ready_fn(dependent))
 
     # -- compute -----------------------------------------------------------
-    def _run_compute(self, op, t: float) -> None:
+    def _run_compute(self, op, t: float, reg: int) -> None:
         rank = op.rank
-        if self._last_compute_ready.get(rank) == t:
+        last = self._last_compute_ready.get(rank)
+        if last is not None and last[0] == t:
             raise FastPathUnsupported(
                 f"two computes ready on rank {rank} at t={t}: "
                 "stream FIFO order is ambiguous")
-        self._last_compute_ready[rank] = t
+        self._last_compute_ready[rank] = (t, reg)
         factor = self.ctx.jitter() if op.jittered else 1.0
         duration = self.ctx.gpus[rank].kernel_time(
             op.flops * factor, op.hbm_bytes, op.precision, op.efficiency)
-        begin = max(t, self._stream_free.get(rank, 0.0))
-        end = begin + duration
-        self._stream_free[rank] = end
-        self._finish_at(op, end)
+        stream_free, stream_reg = self._stream_free.get(rank, _IDLE_STREAM)
+        end = max(t, stream_free) + duration
+        if self.rec is not None:
+            self.rec.after(last, reg)
+            reg = self.rec.compute(reg, stream_reg, op.uid)
+        self._stream_free[rank] = (end, reg)
+        self._finish_at(op, end, reg)
 
     # -- rendezvous (Communicator._join mirror) ----------------------------
-    def _join_group(self, op, t: float) -> None:
+    def _join_group(self, op, t: float, reg: int) -> None:
         comm = self.ctx.comm
         rank = op.rank
         # Grouped collectives rendezvous on their own sub-communicator:
         # state is keyed by the group tuple (None = world), mirroring
         # Communicator.subgroup's per-child sequence numbers.
         gkey = getattr(op, "group", None)
-        if self._last_join.get((rank, gkey)) == t:
+        last = self._last_join.get((rank, gkey))
+        if last is not None and last[0] == t:
             raise FastPathUnsupported(
                 f"rank {rank} joins two collectives at t={t}: "
                 "rendezvous order is ambiguous")
-        self._last_join[(rank, gkey)] = t
+        if self.rec is not None:
+            self.rec.after(last, reg)
+        self._last_join[(rank, gkey)] = (t, reg)
         members = list(range(self.plan.world_size)) if gkey is None \
             else list(gkey)
         nodes = [comm.ranks[i] for i in members]
@@ -343,88 +382,108 @@ class _Engine:
         self._op_seq[(gkey, rank)] = opid + 1
         group = self._groups.get((gkey, opid))
         if group is None:
-            group = self._groups[(gkey, opid)] = _Group(*spec, nodes)
+            group = self._groups[(gkey, opid)] = _Group(*spec, nodes,
+                                                        members)
         elif (group.kind, group.nbytes, group.root, group.chunk) != spec:
             raise FastPathUnsupported(
                 f"collective mismatch at op {opid}: rank {rank} called "
                 f"{spec} but op is {(group.kind, group.nbytes, group.root, group.chunk)}")
-        group.arrived[rank] = t
+        group.arrived[rank] = (t, reg)
         group.uids[rank] = op.uid
         if len(group.arrived) == len(members):
             del self._groups[(gkey, opid)]
             self._execute_group(group, t)
 
     def _execute_group(self, group: _Group, t: float) -> None:
+        live = 0 if self.rec is None else self.rec.rendezvous(group)
         world = len(group.nodes)
         if world == 1 or group.kind == "barrier" or group.nbytes == 0:
-            self._schedule(t, lambda now: self._group_done(group, now))
+            self._schedule(t, live,
+                           lambda now, r: self._group_done(group, now, r))
             return
         phases = _RING.get(group.kind)
         group.total_phases = phases(world) if phases else 1
         group.phase = 0
-        self._spawn_phase(group, t)
+        self._spawn_phase(group, t, live)
 
-    def _spawn_phase(self, group: _Group, t: float) -> None:
+    def _spawn_phase(self, group: _Group, t: float, reg: int) -> None:
         comm = self.ctx.comm
+        rec = self.rec
         ranks = group.nodes
         n = len(ranks)
         if group.kind in _RING:
             per_transfer = group.nbytes / n
-            pairs = [(ranks[i], ranks[(i + 1) % n]) for i in range(n)]
+            pairs = [(i, (i + 1) % n) for i in range(n)]
         else:
             per_transfer = group.nbytes
             root = group.root
             others = [i for i in range(n) if i != root]
             if group.kind == "broadcast":
-                pairs = [(ranks[root], ranks[i]) for i in others]
+                pairs = [(root, i) for i in others]
             else:  # reduce
-                pairs = [(ranks[i], ranks[root]) for i in others]
+                pairs = [(i, root) for i in others]
         group.inflight = len(pairs)
+        group.done_regs = []
 
-        def flow_done(now, group=group):
+        def flow_done(now, done_reg, group=group):
             group.inflight -= 1
+            if rec is not None:
+                group.done_regs.append(done_reg)
             if group.inflight:
                 return
+            # Lane-wise the slowest pair may differ: the phase ends at
+            # the max over every pair's completion (commutative).
+            end = done_reg if rec is None else rec.max(group.done_regs)
             group.phase += 1
             if group.phase >= group.total_phases:
-                self._group_done(group, now)
+                self._group_done(group, now, end)
             else:
-                self._spawn_phase(group, now)
+                self._spawn_phase(group, now, end)
 
         topo = comm.topology
-        for src, dst in pairs:
-            route = topo.route(src, dst)
+        for i, j in pairs:
+            route = topo.route(ranks[i], ranks[j])
             factor = comm._transport_factor(route, group.chunk)
-            self._launch_transfer(t, route, per_transfer * factor,
-                                  flow_done)
+            nbytes = per_transfer * factor
+            tag = None if rec is None \
+                else rec.coll_transfer(group, i, j, nbytes, route)
+            self._launch_transfer(t, reg, route, nbytes, flow_done, tag)
 
-    def _group_done(self, group: _Group, t: float) -> None:
+    def _group_done(self, group: _Group, t: float, reg: int) -> None:
         watchdog = getattr(self.ctx.comm, "watchdog", None)
         for rank, uid in group.uids.items():
-            arrival = group.arrived[rank]
-            if watchdog is not None and t - arrival >= watchdog:
-                raise FastPathUnsupported(
-                    "collective completion races the watchdog timeout")
-            op = self.plan.op(uid)
-            self._start[uid] = arrival
-            self._op_done(op, t)
+            arrival, arrival_reg = group.arrived[rank]
+            if watchdog is not None:
+                if t - arrival >= watchdog:
+                    raise FastPathUnsupported(
+                        "collective completion races the watchdog timeout")
+                if self.rec is not None:
+                    self.rec.watchdog(reg, arrival_reg, watchdog)
+            self._start[uid] = (arrival, arrival_reg)
+            self._op_done(self.plan.op(uid), t, reg)
 
     # -- transfers (Topology.transfer mirror) ------------------------------
-    def _launch_transfer(self, t: float, route, nbytes: float,
-                         on_done) -> None:
-        """Mirror ``Topology._transfer``: fixed latency, then the flow."""
+    def _launch_transfer(self, t: float, reg: int, route, nbytes: float,
+                         on_done, tag=None) -> None:
+        """Mirror ``Topology._transfer``: fixed latency, then the flow.
+
+        ``tag`` is the recorder's handle on the transfer's columns
+        (``None`` when not recording).
+        """
         topo = self.ctx.topology
         arrival = t + (topo.transfer_overhead + route.latency)
+        if tag is not None:
+            reg = self.rec.fixed(reg, tag)
         segments = route.segments
         if nbytes > 0 and segments:
             self._schedule(
-                arrival,
-                lambda now: self._flow_arrives(segments, nbytes, on_done,
-                                               now))
+                arrival, reg,
+                lambda now, r: self._flow_arrives(segments, nbytes, on_done,
+                                                  tag, now, r))
         else:
-            self._schedule(arrival, on_done)
+            self._schedule(arrival, reg, on_done)
 
-    def _run_transfer(self, op, t: float) -> None:
+    def _run_transfer(self, op, t: float, reg: int) -> None:
         ctx = self.ctx
         gpus = ctx.gpus
         if isinstance(op, H2DCopy):
@@ -434,14 +493,18 @@ class _Engine:
         else:
             src, dst = gpus[op.rank].name, gpus[op.dst_rank].name
         route = ctx.topology.route(src, dst)
-        self._launch_transfer(t, route, op.bytes,
-                              lambda now: self._op_done(op, now))
+        tag = None if self.rec is None else self.rec.op_transfer(op, route)
+        self._launch_transfer(t, reg, route, op.bytes,
+                              lambda now, r: self._op_done(op, now, r),
+                              tag)
 
     # -- storage I/O (StorageDevice._io mirror) ----------------------------
-    def _enqueue_io(self, op, t: float) -> None:
+    def _enqueue_io(self, op, t: float, reg: int) -> None:
+        if self.rec is not None:
+            self.rec.io_event(reg, enqueue=True)
         if self._io_active < self.ctx.storage.spec.queue_depth:
             self._io_active += 1
-            self._admit_io(op, t)
+            self._admit_io(op, t, reg)
         else:
             if self._last_io_ready == t:
                 raise FastPathUnsupported(
@@ -450,7 +513,7 @@ class _Engine:
             self._last_io_ready = t
             self._io_queue.append(op)
 
-    def _admit_io(self, op, t: float) -> None:
+    def _admit_io(self, op, t: float, reg: int) -> None:
         storage = self.ctx.storage
         spec = storage.spec
         if isinstance(op, StorageRead):
@@ -461,29 +524,39 @@ class _Engine:
             src, dst = self.ctx.host_node, storage.media_node
             nbytes, latency = op.bytes * inflation, spec.write_latency
         route = self.ctx.topology.route(src, dst)
+        tag = None
+        if self.rec is not None:
+            reg, tag = self.rec.admit_io(op, reg, nbytes, route)
 
-        def done(now):
+        def done(now, done_reg):
+            if self.rec is not None:
+                self.rec.io_event(done_reg, enqueue=False)
             self._io_active -= 1
             if self._io_queue:
                 self._io_active += 1
-                self._admit_io(self._io_queue.pop(0), now)
-            self._op_done(op, now)
+                self._admit_io(self._io_queue.pop(0), now, done_reg)
+            self._op_done(op, now, done_reg)
 
-        self._launch_transfer(t + latency, route, nbytes, done)
+        self._launch_transfer(t + latency, reg, route, nbytes, done, tag)
 
     # -- the global fluid timeline (FlowScheduler mirror) ------------------
-    def _flow_arrives(self, segments, nbytes: float, on_done,
-                      now: float) -> None:
+    def _flow_arrives(self, segments, nbytes: float, on_done, tag,
+                      now: float, reg: int) -> None:
         """Mirror ``start_flow``: advance, add, recompute."""
         if nbytes <= _EPS_BYTES or not segments:
-            self._schedule(now, on_done)
+            self._schedule(now, reg, on_done)
             return
+        rec = self.rec
+        if rec is not None:
+            rec.flow_arrives(reg, self._flows)
         flow = _Flow(segments, nbytes, on_done)
         self._advance(now)
         self._flow_ids += 1
         self._flows[self._flow_ids] = flow
         self._solver.add(flow)
-        self._recompute(now)
+        if rec is not None:
+            rec.flow(self._flow_ids, tag)
+        self._recompute(now, reg)
 
     def _advance(self, now: float) -> None:
         dt = now - self._last_update
@@ -495,41 +568,40 @@ class _Engine:
             if delivered > 0:
                 flow.remaining -= delivered
 
-    def _recompute(self, now: float) -> None:
+    def _recompute(self, now: float, reg: int) -> None:
         # Complete drained flows under the *current* rates, then
         # water-fill the affected components — the FlowScheduler update
-        # order, with the same incremental solver.
+        # order, with the same incremental solver.  A flow is drained
+        # when its bytes, or its horizon at a positive rate, are within
+        # epsilon.
         drained = [fid for fid, f in self._flows.items()
-                   if self._is_drained(f)]
+                   if f.remaining <= _EPS_BYTES
+                   or (f.rate > 0 and f.remaining / f.rate <= _EPS_SECONDS)]
+        if self.rec is not None:
+            self.rec.recompute(reg, self._flows, drained)
         for fid in drained:
             flow = self._flows.pop(fid)
             self._solver.remove(flow)
-            self._schedule(now, flow.on_done)
+            self._schedule(now, reg, flow.on_done)
         self._solver.solve()
-        self._arm_timer(now)
+        self._arm_timer(now, reg)
 
-    @staticmethod
-    def _is_drained(flow: _Flow) -> bool:
-        if flow.remaining <= _EPS_BYTES:
-            return True
-        return flow.rate > 0 \
-            and flow.remaining / flow.rate <= _EPS_SECONDS
-
-    def _arm_timer(self, now: float) -> None:
+    def _arm_timer(self, now: float, reg: int) -> None:
         self._generation += 1
         if not self._flows:
             return
         gen = self._generation
         horizon = min(f.remaining / f.rate for f in self._flows.values()
                       if f.rate > 0)
-        self._schedule(now + horizon,
-                       lambda t: self._on_timer(t, gen))
+        self._schedule(now + horizon, reg,
+                       lambda t, _r: self._on_timer(t, gen))
 
     def _on_timer(self, now: float, generation: int) -> None:
         if generation != self._generation:
             return  # superseded by a later recompute
+        reg = 0 if self.rec is None else self.rec.timer(self._flows)
         self._advance(now)
-        self._recompute(now)
+        self._recompute(now, reg)
 
 
 def fastpath_schedule(plan: StepPlan, ctx: ExecutionContext) -> PlanTiming:

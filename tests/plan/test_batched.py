@@ -11,10 +11,12 @@ from repro.plan import (
     evaluate_plan,
     plan_structure_key,
 )
-from repro.plan.batched import _LaneResolver, _TapeEngine
+from repro.experiments.software_opts import VARIANTS
+from repro.plan.batched import _LaneResolver, _record
 from repro.telemetry import Tracer
 from repro.telemetry.profile import scale_plan
 
+from ..training.test_fastpath_golden import build_job
 from .test_fastpath import _compute, make_ctx, taxonomy_plan
 
 
@@ -138,6 +140,27 @@ def chain_plan(s1, s2):
     return b.build()
 
 
+#: Fig. 16 plans whose recording is cheap enough for tier-1 (the falcon
+#: DDP plans take about a second each to record).
+RECORDED_CELLS = [("localGPUs", v.name) for v in VARIANTS] + [
+    ("falconGPUs", "Sharded-FP16"), ("falconGPUs", "Pipeline-FP16")]
+
+
+class TestRecording:
+    @pytest.mark.parametrize("config,variant", RECORDED_CELLS,
+                             ids=[f"{c}/{v}" for c, v in RECORDED_CELLS])
+    def test_reference_times_equal_scalar(self, config, variant):
+        # Recording attaches emission to the scalar engine's own run, so
+        # the reference lane's times are the scalar times, bit for bit.
+        spec = next(v for v in VARIANTS if v.name == variant)
+        job = build_job(config, spec, None)
+        plan, ctx = job.step_plan, job._exec_ctx
+        tape, timing = _record(plan, ctx)
+        assert timing.op_times == evaluate_plan(plan, ctx,
+                                                mode="fastpath").op_times
+        assert tape.op_regs.keys() == timing.op_times.keys()
+
+
 class TestDivergence:
     def test_flipped_order_falls_back_scalar(self):
         ctx = make_ctx(world=1)
@@ -168,6 +191,38 @@ class TestDivergence:
         assert all(t.mode == "executor" for t in res.timings)
 
 
+    def test_storage_tie_while_recording_sends_group_scalar(self):
+        # The reference lane's writes queue against a depth-1 command
+        # queue at the same instant: the engine refuses that tie while
+        # recording, exactly as it does scalar, so no lane is replayed.
+        def ctx():
+            c = make_ctx(world=1)
+            c.storage.spec = dataclasses.replace(c.storage.spec,
+                                                 queue_depth=1)
+            return c
+
+        def plan(gaps):
+            b = PlanBuilder("ckpt", world_size=1)
+            for i, gap in enumerate(gaps):
+                d = b.delay(0, f"gap-{i}", seconds=gap)
+                b.storage_write(0, f"shard-{i}", 1e6, deps=[d])
+            return b.build()
+
+        tied, staggered = (0.0, 0.0, 0.0), (0.0, 1e-3, 2e-3)
+        lanes = [(plan(tied), ctx()), (plan(staggered), ctx())]
+        assert plan_structure_key(*lanes[0]) == \
+            plan_structure_key(*lanes[1])
+        res = evaluate_batch(lanes, fallback="auto")
+        assert res.batched_lanes == 0
+        assert res.fallback_lanes == 2
+        assert res.diverged == []
+        for gaps, timing in zip((tied, staggered), res.timings):
+            scalar = evaluate_plan(plan(gaps), ctx(), mode="auto")
+            assert timing.mode == scalar.mode
+            assert timing.op_times == scalar.op_times
+        assert [t.mode for t in res.timings] == ["executor", "fastpath"]
+
+
 class TestRatePrecondition:
     def test_capacity_mismatch_is_lane_incompatible(self):
         ctx_ref = make_ctx()
@@ -176,7 +231,7 @@ class TestRatePrecondition:
             link.spec = dataclasses.replace(
                 link.spec, bandwidth=link.spec.bandwidth * 0.5)
         plan = taxonomy_plan()
-        tape = _TapeEngine(plan, ctx_ref).run()
+        tape, _timing = _record(plan, ctx_ref)
         with pytest.raises(LaneIncompatible, match="capacit"):
             _LaneResolver(tape, plan, ctx_slow).resolve()
 

@@ -225,6 +225,20 @@ class TestWhatIf:
             assert end == pytest.approx(be, abs=1e-9)
 
 
+class TestWhatIfIntegration:
+    def test_what_if_relaxation_agrees_with_engine(self):
+        plan = storage_plan()
+        ctx = make_ctx(world=1)
+        base = evaluate_plan(plan, ctx, mode="fastpath")
+        result = what_if(plan, base, ctx, "storage", 0.5,
+                         evaluate=True, evaluate_ctx=make_ctx(world=1))
+        # Partial storage factors are not certified, so what_if may
+        # escalate past the relaxation to an engine probe.
+        assert result.method in ("relaxation", "fastpath-epsilon")
+        assert result.predicted_makespan <= base.makespan
+        assert result.evaluated_makespan <= base.makespan
+
+
 class TestProfileRun:
     def test_run_profile_reconciles_by_construction(self):
         from repro.experiments.profiling import _build_cell_job
