@@ -24,7 +24,7 @@ from repro.workloads import bert_large
 
 def test_fig16_software_optimizations(benchmark):
     study = benchmark.pedantic(
-        lambda: software_optimization_study(sim_steps=5),
+        lambda: software_optimization_study(),
         rounds=1, iterations=1)
 
     rows = []

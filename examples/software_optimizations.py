@@ -16,7 +16,7 @@ from repro.experiments import (
 
 
 def main() -> None:
-    study = software_optimization_study(sim_steps=5)
+    study = software_optimization_study()
 
     rows = []
     for variant in study["localGPUs"]:

@@ -110,8 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
                  "fig15", "fig16", "sharing", "scaleout", "scaling"):
         p = sub.add_parser(name, help=f"run the {name} experiment")
+        # fig16's grid evaluates one step plan per cell; only --matrix
+        # trains, so --steps sizes nothing else there.
         p.add_argument("--steps", type=int, default=8,
-                       help="simulated optimizer steps per run")
+                       help="simulated optimizer steps per --matrix cell"
+                       if name == "fig16"
+                       else "simulated optimizer steps per run")
         if name.startswith("fig1"):
             # The Figs. 10-16 sweeps run many independent cells; they
             # take the parallel/memoized harness knobs.
@@ -481,8 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "fig16":
-        study = software_optimization_study(
-            sim_steps=max(4, args.steps // 2), **sweep_kwargs())
+        study = software_optimization_study(**sweep_kwargs())
         rows = [(v, round(study["localGPUs"][v] * 1e3, 3),
                  round(study["falconGPUs"][v] * 1e3, 3))
                 for v in study["localGPUs"]]

@@ -147,9 +147,8 @@ def autotune_cell(configuration: str, variant, candidates,
     """
     from ..plan.batched import evaluate_batch
     from ..plan.passes import passes_to_spec
-    from .perfbench import _build_job
 
-    jobs = [_build_job(configuration, variant, list(c.passes))
+    jobs = [variant.build_job(configuration, list(c.passes))
             for c in candidates]
     lanes = [(job.step_plan, job._exec_ctx) for job in jobs]
     result = evaluate_batch(lanes, fallback="fastpath")

@@ -9,11 +9,12 @@ factors grid execution into three pieces:
   they can cross a process boundary, and canonically JSON-serializable,
   so they can be hashed).
 - **ResultCache** — a content-addressed on-disk cache.  The key is the
-  SHA-256 of the cell's canonical JSON plus the repro version, so a cell
-  is recomputed iff anything that could change its result changed:
-  benchmark, configuration, strategy (and its knobs), precision policy,
-  batch, step counts, plan passes, jitter seed, or the code version.
-  Corrupt or truncated entries read as misses and are recomputed.
+  SHA-256 of the cell's canonical JSON plus a digest of the model's
+  source (:func:`model_source_digest`), so a cell is recomputed iff
+  anything that could change its result changed: benchmark,
+  configuration, strategy (and its knobs), precision policy, batch, step
+  counts, plan passes, jitter seed, or the simulator code.  Corrupt or
+  truncated entries read as misses and are recomputed.
 - **run_cells** — the fan-out engine: serves hits from the cache,
   executes misses either in-process or across a
   ``concurrent.futures.ProcessPoolExecutor`` (``jobs > 1``), and stores
@@ -26,6 +27,7 @@ the CLI exposes ``--jobs N``, ``--no-cache``, and ``--cache-dir``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -39,10 +41,12 @@ __all__ = [
     "NullCache",
     "default_cache_dir",
     "experiment_cell",
+    "model_source_digest",
     "opt_profile_cell",
     "record_from_value",
     "record_to_value",
     "run_cells",
+    "step_cell",
 ]
 
 #: Environment override for the default on-disk cache location.
@@ -50,6 +54,32 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentRecord)
                        if f.name != "result")
+
+#: The ``repro`` subpackages whose source decides a simulated result.
+MODEL_PACKAGES = ("sim", "fabric", "devices", "plan", "training",
+                  "workloads", "core")
+#: Root of the ``repro`` package the cache-key digest reads.
+MODEL_SOURCE_ROOT = Path(__file__).parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def model_source_digest(root: Path) -> str:
+    """SHA-256 over the ``.py`` files of :data:`MODEL_PACKAGES` under
+    ``root`` (a ``repro`` package directory).
+
+    Each file contributes its path relative to ``root`` and its bytes,
+    in sorted order, so editing, adding, removing or renaming any model
+    source changes the digest.  Computed on first use and memoized per
+    root: never at import, and not once per cache key.
+    """
+    digest = hashlib.sha256()
+    for package in MODEL_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -90,8 +120,8 @@ class ResultCache:
         self.stores = 0
 
     def key(self, cell: dict) -> str:
-        import repro
-        payload = json.dumps({"cell": cell, "version": repro.__version__},
+        model = model_source_digest(MODEL_SOURCE_ROOT)
+        payload = json.dumps({"cell": cell, "model": model},
                              sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -164,6 +194,37 @@ def _passes_spec(plan_passes):
     return passes_to_spec(plan_passes)
 
 
+def _training_cell(kind: str, benchmark: str, configuration: str,
+                   strategy, policy, global_batch: Optional[int],
+                   train_kwargs: dict, **fields) -> Optional[dict]:
+    """The cell dict shared by ``experiment`` and ``step`` cells, or
+    ``None`` when the arguments are not serializable."""
+    train_kwargs = dict(sorted(train_kwargs.items()))
+    if "plan_passes" in train_kwargs:
+        try:
+            train_kwargs["plan_passes"] = _passes_spec(
+                train_kwargs["plan_passes"])
+        except Exception:
+            return None
+    cell = {
+        "kind": kind,
+        "benchmark": benchmark,
+        "configuration": configuration,
+        "strategy": _strategy_spec(strategy),
+        "policy": getattr(policy, "name", None),
+        "global_batch": global_batch,
+        **fields,
+        "train_kwargs": train_kwargs,
+    }
+    if strategy is not None and cell["strategy"] is None:
+        return None
+    try:
+        json.dumps(cell)
+    except (TypeError, ValueError):
+        return None
+    return cell
+
+
 def experiment_cell(benchmark: str, configuration: str,
                     strategy=None, policy=None,
                     global_batch: Optional[int] = None,
@@ -175,31 +236,26 @@ def experiment_cell(benchmark: str, configuration: str,
     serializable cell (exotic strategy or non-JSON kwargs) — callers
     fall back to running in-process without the cache.
     """
-    train_kwargs = dict(sorted(train_kwargs.items()))
-    if "plan_passes" in train_kwargs:
-        try:
-            train_kwargs["plan_passes"] = _passes_spec(
-                train_kwargs["plan_passes"])
-        except Exception:
-            return None
-    cell = {
-        "kind": "experiment",
-        "benchmark": benchmark,
-        "configuration": configuration,
-        "strategy": _strategy_spec(strategy),
-        "policy": getattr(policy, "name", None),
-        "global_batch": global_batch,
-        "sim_steps": sim_steps,
-        "sim_checkpoints": sim_checkpoints,
-        "train_kwargs": train_kwargs,
-    }
-    if strategy is not None and cell["strategy"] is None:
-        return None
-    try:
-        json.dumps(cell)
-    except (TypeError, ValueError):
-        return None
-    return cell
+    return _training_cell("experiment", benchmark, configuration,
+                          strategy, policy, global_batch, train_kwargs,
+                          sim_steps=sim_steps,
+                          sim_checkpoints=sim_checkpoints)
+
+
+def step_cell(benchmark: str, configuration: str,
+              strategy=None, policy=None,
+              global_batch: Optional[int] = None,
+              **train_kwargs) -> Optional[dict]:
+    """A cell for one evaluation of a training job's step plan.
+
+    Its value is ``{"step_time", "engine"}``: the steady-state seconds
+    per optimizer step and the engine that produced them (``fastpath``,
+    or ``executor`` when the fast path refused).  No step count: one
+    plan evaluation is the step time, so nothing is trained.  ``None``
+    under the same conditions as :func:`experiment_cell`.
+    """
+    return _training_cell("step", benchmark, configuration, strategy,
+                          policy, global_batch, train_kwargs)
 
 
 def opt_profile_cell(benchmark: str, configuration: str, sim_steps: int,
@@ -253,6 +309,16 @@ def _build_policy(name: Optional[str]):
         raise ValueError(f"unknown precision policy {name!r}") from None
 
 
+def _train_kwargs(cell: dict) -> dict:
+    """A training cell's extra TrainingConfig kwargs, passes rebuilt."""
+    train_kwargs = dict(cell["train_kwargs"])
+    if train_kwargs.get("plan_passes") is not None:
+        from ..plan.passes import passes_from_spec
+        train_kwargs["plan_passes"] = passes_from_spec(
+            train_kwargs["plan_passes"])
+    return train_kwargs
+
+
 def _execute_cell(cell: dict) -> dict:
     """Run one cell to completion and return its (JSONable) value.
 
@@ -262,11 +328,6 @@ def _execute_cell(cell: dict) -> dict:
     kind = cell["kind"]
     if kind == "experiment":
         from .runner import run_configuration
-        train_kwargs = dict(cell["train_kwargs"])
-        if train_kwargs.get("plan_passes") is not None:
-            from ..plan.passes import passes_from_spec
-            train_kwargs["plan_passes"] = passes_from_spec(
-                train_kwargs["plan_passes"])
         record = run_configuration(
             cell["benchmark"], cell["configuration"],
             strategy=_build_strategy(cell["strategy"]),
@@ -274,9 +335,20 @@ def _execute_cell(cell: dict) -> dict:
             global_batch=cell["global_batch"],
             sim_steps=cell["sim_steps"],
             sim_checkpoints=cell["sim_checkpoints"],
-            **train_kwargs,
+            **_train_kwargs(cell),
         )
         return record_to_value(record)
+    if kind == "step":
+        from ..plan.fastpath import evaluate_plan
+        from .profiling import _build_cell_job
+        job = _build_cell_job(
+            cell["benchmark"], cell["configuration"],
+            _build_strategy(cell["strategy"]),
+            policy=_build_policy(cell["policy"]),
+            global_batch=cell["global_batch"],
+            **_train_kwargs(cell))
+        timing = evaluate_plan(job.step_plan, job._exec_ctx)
+        return {"step_time": timing.makespan, "engine": timing.mode}
     if kind == "opt-profile":
         from ..training import AMP_POLICY, DistributedDataParallel
         from .software_opts import _exposed_sync_per_step

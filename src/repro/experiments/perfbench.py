@@ -7,12 +7,11 @@ Two scenarios track the perf trajectory of the reproduction:
   variant).  This is the microbenchmark for the
   :mod:`repro.plan.fastpath` engine.
 - **fig16_grid** — wall-clock seconds to produce the Fig. 16
-  seconds-per-sample grid: the serial event-loop study (the pre-fastpath
-  baseline, which trains every cell through the full DES) vs the
-  fast-path evaluation of each cell's step plan.  Training steps are
-  deterministic and identical, so one fast-path evaluation per cell
-  yields the same grid values to 1e-9 — the benchmark verifies that
-  while it measures.
+  seconds-per-sample grid: training every cell through the full DES
+  (the pre-fastpath study) vs the Fig. 16 study, which evaluates each
+  cell's step plan once.  Training steps are deterministic and
+  identical, so both give the same grid values — the benchmark
+  verifies that while it measures.
 
 ``python -m repro perfbench [--smoke] [--jobs N]`` runs both and writes
 ``BENCH_<date>.json`` at the current working directory (the repo root in
@@ -50,24 +49,6 @@ def _grid_configs(smoke: bool):
     return ("localGPUs",) if smoke else ("localGPUs", "falconGPUs")
 
 
-def _build_job(config_name: str, variant, plan_passes: Optional[str]):
-    from ..core import ComposableSystem
-    from ..training import TrainingConfig, TrainingJob
-    from ..workloads import get_benchmark
-
-    system = ComposableSystem()
-    active = system.configure(config_name)
-    cfg = TrainingConfig(
-        benchmark=get_benchmark("bert-large"),
-        strategy=variant.strategy_factory(),
-        policy=variant.policy,
-        global_batch=variant.global_batch,
-        plan_passes=plan_passes,
-    )
-    return TrainingJob(system.env, system.topology, system.host,
-                       list(active.gpus), active.storage, cfg)
-
-
 def bench_plan_eval(smoke: bool = False, reps: int = 3) -> list[dict]:
     """Steps/second per cell: fast path vs event-loop executor.
 
@@ -78,13 +59,13 @@ def bench_plan_eval(smoke: bool = False, reps: int = 3) -> list[dict]:
     rows = []
     for config in _grid_configs(smoke):
         for variant in _grid_variants(smoke):
-            job = _build_job(config, variant, None)
+            job = variant.build_job(config)
             t0 = time.perf_counter()
             for _ in range(reps):
                 timing = fastpath_schedule(job.step_plan, job._exec_ctx)
             fast_s = (time.perf_counter() - t0) / reps
 
-            job = _build_job(config, variant, None)
+            job = variant.build_job(config)
             t0 = time.perf_counter()
             for _ in range(reps):
                 _executor_timing(job.step_plan, job._exec_ctx)
@@ -102,66 +83,51 @@ def bench_plan_eval(smoke: bool = False, reps: int = 3) -> list[dict]:
     return rows
 
 
-def _fastpath_grid_value(args: tuple) -> float:
-    """Seconds-per-sample of one grid cell via the fast path.
-
-    Module-level so ``--jobs`` can map it across a process pool.
-    """
-    from .software_opts import VARIANTS
-
-    config, variant_name = args
-    variant = next(v for v in VARIANTS if v.name == variant_name)
-    job = _build_job(config, variant, None)
-    timing = fastpath_schedule(job.step_plan, job._exec_ctx)
-    return timing.makespan / variant.global_batch
-
-
 def bench_fig16_grid(smoke: bool = False, sim_steps: Optional[int] = None,
                      jobs: int = 1) -> dict:
-    """Wall-clock of the Fig. 16 grid: event-loop study vs fast path.
+    """Wall-clock of the Fig. 16 grid: event-loop training vs the study.
 
     The baseline is the pre-fastpath serial path — every cell trained
-    through the full DES (warmup + ``sim_steps`` steps + checkpoint).
-    The fast path computes the identical grid from one pure plan
-    evaluation per cell; both value sets are cross-checked at 1e-9.
+    through the full DES (warmup + ``sim_steps`` steps + checkpoint) by
+    :func:`~repro.experiments.run_configuration`.  The fast leg is
+    :func:`~repro.experiments.software_optimization_study` without a
+    cache, which evaluates each cell's step plan once; both value sets
+    are cross-checked.
     """
+    from .runner import run_configuration
     from .software_opts import software_optimization_study
 
     configs = _grid_configs(smoke)
     variants = _grid_variants(smoke)
     if sim_steps is None:
         sim_steps = 4 if smoke else 8
-    variant_names = [v.name for v in variants]
-    cells = [(config, name) for config in configs
-             for name in variant_names]
 
     # Serial event-loop baseline (no cache, no fan-out: PR-4 behavior).
     # Restricting the study to the same variant subset keeps smoke mode
     # honest — both legs cover exactly the same cells.
     t0 = time.perf_counter()
-    baseline_grid = software_optimization_study(
-        configurations=configs, sim_steps=sim_steps, variants=variants)
+    baseline_grid = {
+        config: {v.name: 1.0 / run_configuration(
+            "bert-large", config, strategy=v.strategy_factory(),
+            policy=v.policy, global_batch=v.global_batch,
+            sim_steps=sim_steps).throughput for v in variants}
+        for config in configs}
     baseline_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fast_values = [_fastpath_grid_value(cell) for cell in cells]
+    fast_grid = software_optimization_study(configs, variants=variants)
     fastpath_s = time.perf_counter() - t0
 
     fastpath_jobs_s = None
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
         t0 = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(_fastpath_grid_value, cells))
+        software_optimization_study(configs, variants=variants, jobs=jobs)
         fastpath_jobs_s = time.perf_counter() - t0
 
-    fast_grid: dict = {}
-    for (config, name), value in zip(cells, fast_values):
-        fast_grid.setdefault(config, {})[name] = value
     # Plan-level equivalence is 1e-9 (see the golden fastpath tests);
     # grid-vs-training tolerates 1e-5 because DataParallel cells see
-    # ~1e-6 relative drift — inside a training run, the master's
-    # broadcast contends slightly with the dataloader's staging
+    # ~1e-6 relative drift at longer runs — inside a training run, the
+    # master's broadcast contends slightly with the dataloader's staging
     # transfers, which a standalone step-plan evaluation excludes.
     max_rel_err = max(
         abs(fast_grid[c][n] - baseline_grid[c][n])
@@ -173,7 +139,7 @@ def bench_fig16_grid(smoke: bool = False, sim_steps: Optional[int] = None,
                     if x is not None)
     out = {
         "sim_steps": sim_steps,
-        "cells": len(cells),
+        "cells": len(configs) * len(variants),
         "baseline_eventloop_s": baseline_s,
         "fastpath_s": fastpath_s,
         "jobs": jobs,
@@ -221,13 +187,13 @@ def bench_batched_grid(smoke: bool = False,
     # smoke only trims the variant list.
     for config in _grid_configs(False):
         for variant in _grid_variants(smoke):
-            job = _build_job(config, variant, None)
+            job = variant.build_job(config)
             for f in factors:
                 lanes.append((scale_plan(job.step_plan, "compute", f),
                               job._exec_ctx))
             # Event-loop probe on a throwaway job: the executor mutates
             # env/device state, so it must not share the lanes' context.
-            probe = _build_job(config, variant, None)
+            probe = variant.build_job(config)
             t0 = time.perf_counter()
             _executor_timing(probe.step_plan, probe._exec_ctx)
             executor_per_eval += time.perf_counter() - t0

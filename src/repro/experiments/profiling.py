@@ -47,32 +47,30 @@ def _strategy_factory(name: str):
                          f"one of {tuple(STRATEGY_REGISTRY)}") from None
 
 
-def _build_cell_job(benchmark: str, configuration: str, strategy: str,
-                    sim_steps: Optional[int] = None,
-                    plan_passes: Optional[str] = None,
-                    global_batch: Optional[int] = None,
-                    accumulation_steps: int = 1):
-    """One cell's TrainingJob on a fresh ComposableSystem (never run)."""
+def _build_cell_job(benchmark: str, configuration: str, strategy=None,
+                    policy=None, **config):
+    """One cell's TrainingJob on a fresh ComposableSystem (never run).
+
+    ``strategy`` is a registry name or a strategy instance.  ``config``
+    entries are :class:`TrainingConfig` fields (``sim_steps``,
+    ``plan_passes``, ``global_batch``, ``accumulation_steps``, ...);
+    ``strategy``, ``policy`` and any field left ``None`` keep the
+    TrainingConfig default.
+    """
     from ..core import ComposableSystem
     from ..training import TrainingConfig, TrainingJob
     from ..workloads import get_benchmark
 
+    if isinstance(strategy, str):
+        strategy = _strategy_factory(strategy)()
+    config.update(strategy=strategy, policy=policy)
+    kwargs = {k: v for k, v in config.items() if v is not None}
     system = ComposableSystem()
     active = system.configure(configuration)
-    kwargs = {}
-    if sim_steps is not None:
-        kwargs["sim_steps"] = sim_steps
-    if global_batch is not None:
-        kwargs["global_batch"] = global_batch
-    config = TrainingConfig(
-        benchmark=get_benchmark(benchmark),
-        strategy=_strategy_factory(strategy)(),
-        plan_passes=plan_passes,
-        accumulation_steps=accumulation_steps,
-        **kwargs)
-    job = TrainingJob(system.env, system.topology, system.host,
-                      list(active.gpus), active.storage, config)
-    return job
+    return TrainingJob(system.env, system.topology, system.host,
+                       list(active.gpus), active.storage,
+                       TrainingConfig(benchmark=get_benchmark(benchmark),
+                                      **kwargs))
 
 
 def profile_plan_for_job(job):
@@ -149,10 +147,6 @@ def bottleneck_labels(configurations: Sequence[str] = ("localGPUs",
     simulation, so annotating the whole grid costs milliseconds.
     Returns ``{configuration: {variant: {"label", "shares"}}}``.
     """
-    from ..core import ComposableSystem
-    from ..training import TrainingConfig, TrainingJob
-    from ..workloads import get_benchmark
-
     if variants is None:
         from .software_opts import VARIANTS
         variants = VARIANTS
@@ -160,16 +154,8 @@ def bottleneck_labels(configurations: Sequence[str] = ("localGPUs",
     for configuration in configurations:
         row: dict = {}
         for variant in variants:
-            system = ComposableSystem()
-            active = system.configure(configuration)
-            config = TrainingConfig(
-                benchmark=get_benchmark(benchmark),
-                strategy=variant.strategy_factory(),
-                policy=variant.policy,
-                global_batch=variant.global_batch,
-                plan_passes=plan_passes)
-            job = TrainingJob(system.env, system.topology, system.host,
-                              list(active.gpus), active.storage, config)
+            job = variant.build_job(configuration, plan_passes,
+                                    benchmark=benchmark)
             prof = profile_plan(job.step_plan, ctx=job._exec_ctx)
             row[variant.name] = {
                 "label": prof.label,

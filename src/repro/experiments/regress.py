@@ -15,6 +15,9 @@ the newest committed ledger into a CI gate:
   ratio and only fails when it drops below ``(1 - tolerance)`` of the
   baseline.  The default band is wide (35%) because CI runners are
   noisy; an injected 2x slowdown still lands far outside it.
+- **study agreement** — the Fig. 16 study evaluates one step plan per
+  cell; the fresh run's ``fig16_grid`` must find those values equal to
+  training every cell through the event loop (``values_match``).
 
 Cells are compared on the *intersection* of (configuration, variant)
 keys — a smoke run gates against the subset the full baseline also
@@ -109,13 +112,16 @@ class RegressionReport:
     #: batched-grid gate verdict (None when the current report predates
     #: the scenario; old BENCH baselines never gate it).
     batched: Optional[dict] = None
+    #: Fig. 16 study-vs-event-loop verdict (None when the current report
+    #: has no ``fig16_grid``).
+    fig16: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
         cells_ok = bool(self.cells) and all(c.ok for c in self.cells)
-        churn_ok = self.churn is None or self.churn["ok"]
-        batched_ok = self.batched is None or self.batched["ok"]
-        return cells_ok and churn_ok and batched_ok
+        return cells_ok and all(
+            gate is None or gate["ok"]
+            for gate in (self.churn, self.batched, self.fig16))
 
     @property
     def failures(self) -> list:
@@ -130,6 +136,7 @@ class RegressionReport:
             "uncovered": [list(k) for k in self.uncovered],
             "flow_churn": self.churn,
             "batched_grid": self.batched,
+            "fig16_grid": self.fig16,
         }
 
     def render_text(self) -> str:
@@ -162,6 +169,12 @@ class RegressionReport:
                 + (f", baseline {base:.1f}x" if base else "")
                 + f", values_match={self.batched['values_match']}) "
                 + ("OK" if self.batched["ok"] else "FAIL"))
+        if self.fig16 is not None:
+            lines.append(
+                f"fig16 grid: {self.fig16['cells']} cells, study vs "
+                f"event loop max rel err {self.fig16['max_rel_err']:.2e} "
+                f"(values_match={self.fig16['values_match']}) "
+                + ("OK" if self.fig16["ok"] else "FAIL"))
         if self.churn is not None:
             base = self.churn.get("baseline_speedup")
             lines.append(
@@ -227,7 +240,8 @@ def compare_reports(baseline: dict, current: dict,
                             baseline_path=baseline_path,
                             uncovered=uncovered,
                             churn=_gate_churn(baseline, current),
-                            batched=_gate_batched(baseline, current))
+                            batched=_gate_batched(baseline, current),
+                            fig16=_gate_fig16(current))
 
 
 def _gate_churn(baseline: dict, current: dict) -> Optional[dict]:
@@ -281,6 +295,26 @@ def _gate_batched(baseline: dict, current: dict) -> Optional[dict]:
         "baseline_speedup": base.get("speedup_vs_scalar"),
         "floor": MIN_BATCHED_SPEEDUP,
         "ok": values_match and speedup >= MIN_BATCHED_SPEEDUP,
+    }
+
+
+def _gate_fig16(current: dict) -> Optional[dict]:
+    """Fail when the Fig. 16 study disagrees with event-loop training.
+
+    The study serves each cell from one step-plan evaluation; the fresh
+    report's ``fig16_grid`` times that against training every cell
+    through the DES and checks the two grids agree.  A disagreement
+    means the study prints numbers training would not produce.
+    """
+    scenario = current.get("fig16_grid")
+    if scenario is None:
+        return None
+    values_match = bool(scenario.get("values_match"))
+    return {
+        "cells": scenario.get("cells"),
+        "max_rel_err": scenario.get("max_rel_err", float("nan")),
+        "values_match": values_match,
+        "ok": values_match,
     }
 
 

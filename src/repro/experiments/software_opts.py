@@ -44,6 +44,15 @@ class OptVariant:
     policy: object
     global_batch: int
 
+    def build_job(self, configuration: str, plan_passes=None,
+                  benchmark: str = "bert-large"):
+        """This variant's un-run TrainingJob on a fresh system."""
+        from .profiling import _build_cell_job
+        return _build_cell_job(benchmark, configuration,
+                               self.strategy_factory(), policy=self.policy,
+                               global_batch=self.global_batch,
+                               plan_passes=plan_passes)
+
 
 #: FP32 batches are memory-capped (FP32 activations + 8-byte/param
 #: optimizer state); FP16 variants run the paper's 48; sharded runs 80
@@ -62,7 +71,6 @@ VARIANTS: tuple[OptVariant, ...] = (
 
 
 def software_optimization_study(configurations=("localGPUs", "falconGPUs"),
-                                sim_steps: int = 8,
                                 jobs: int = 1, cache=None,
                                 variants=None,
                                 ) -> dict[str, dict[str, float]]:
@@ -72,27 +80,30 @@ def software_optimization_study(configurations=("localGPUs", "falconGPUs"),
     time per sample is the epoch-time proxy (fine-tuning runs a fixed
     sample count, so per-sample time ratios equal training-time ratios).
 
-    ``jobs``/``cache`` fan the grid out across processes and memoize
-    cells on disk (see :mod:`repro.experiments.parallel`).
+    Each cell is one evaluation of the variant's step plan (a
+    :func:`~repro.experiments.parallel.step_cell`), not a training run:
+    the steady-state step time is the plan's makespan.  ``jobs``/
+    ``cache`` fan the grid out across processes and memoize cells on
+    disk (see :mod:`repro.experiments.parallel`).
     """
-    from .parallel import experiment_cell, run_cells
+    from .parallel import run_cells, step_cell
 
     configurations = list(configurations)
     variants = list(variants) if variants is not None else list(VARIANTS)
     cells = [
-        experiment_cell(
+        step_cell(
             "bert-large", config,
             strategy=variant.strategy_factory(),
             policy=variant.policy,
-            global_batch=variant.global_batch,
-            sim_steps=sim_steps)
+            global_batch=variant.global_batch)
         for config in configurations for variant in variants
     ]
     values = run_cells(cells, jobs=jobs, cache=cache)
     out: dict[str, dict[str, float]] = {}
     flat = iter(values)
     for config in configurations:
-        out[config] = {variant.name: 1.0 / next(flat)["throughput"]
+        out[config] = {variant.name:
+                       next(flat)["step_time"] / variant.global_batch
                        for variant in variants}
     return out
 

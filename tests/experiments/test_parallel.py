@@ -77,11 +77,25 @@ class TestKeying:
     def test_unresolvable_passes_disable_the_cell(self):
         assert cheap_cell(plan_passes="no-such-pass") is None
 
-    def test_key_changes_with_repro_version(self, monkeypatch):
-        import repro
+    def test_key_changes_with_model_source(self, tmp_path, monkeypatch):
+        # Editing one byte of a cost model must miss every old entry.
+        import shutil
+
+        from repro.experiments import parallel as parallel_mod
+        root = tmp_path / "repro"
+        shutil.copytree(parallel_mod.MODEL_SOURCE_ROOT, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
         cache = ResultCache("/tmp/unused")
+        monkeypatch.setattr(parallel_mod, "MODEL_SOURCE_ROOT", root)
         base = cache.key(cheap_cell())
-        monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+        assert cache.key(cheap_cell()) == base
+
+        edited = tmp_path / "edited"
+        shutil.copytree(root, edited)
+        gpu = edited / "devices" / "gpu.py"
+        source = gpu.read_bytes()
+        gpu.write_bytes(source[:-1] + bytes([source[-1] ^ 1]))
+        monkeypatch.setattr(parallel_mod, "MODEL_SOURCE_ROOT", edited)
         assert cache.key(cheap_cell()) != base
 
     def test_unserializable_strategy_disables_the_cell(self):

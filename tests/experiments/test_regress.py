@@ -255,3 +255,39 @@ class TestBatchedGate:
         current["batched_grid"] = self.batched()
         report = compare_reports(make_report(), current)
         assert report.as_dict()["batched_grid"]["ok"]
+
+
+class TestFig16Gate:
+    """The Fig. 16 study must agree with event-loop training."""
+
+    @staticmethod
+    def fig16(values_match=True):
+        return {"cells": 3, "sim_steps": 4, "baseline_eventloop_s": 6.0,
+                "fastpath_s": 0.5, "jobs": 1, "speedup": 12.0,
+                "values_match": values_match,
+                "max_rel_err": 2e-13 if values_match else 3e-2,
+                "grid": {}}
+
+    def test_matching_study_passes(self):
+        current = make_report()
+        current["fig16_grid"] = self.fig16()
+        report = compare_reports(make_report(), current)
+        assert report.ok
+        assert report.fig16["ok"]
+        assert "fig16 grid" in report.render_text()
+        assert report.as_dict()["fig16_grid"]["values_match"] is True
+
+    def test_study_disagreeing_with_event_loop_fails(self):
+        current = make_report()
+        current["fig16_grid"] = self.fig16(values_match=False)
+        report = compare_reports(make_report(), current)
+        assert not report.ok
+        assert not report.fig16["ok"]
+        # Every plan-eval cell is fine: the study verdict alone fails.
+        assert not report.failures
+        assert "gate: FAIL" in report.render_text()
+
+    def test_reports_without_the_grid_are_ungated(self):
+        report = compare_reports(make_report(), make_report())
+        assert report.fig16 is None
+        assert report.ok

@@ -295,15 +295,14 @@ class TestAcceptanceCell:
 def test_what_if_ceilings_all_fig16_variants(variant_name):
     """Zero-cost re-evaluation matches the predicted ceiling within 1%
     for every bucket, on each Fig. 16 strategy variant (falcon)."""
-    from repro.experiments.perfbench import _build_job
     from repro.experiments.software_opts import VARIANTS
 
     variant = next(v for v in VARIANTS if v.name == variant_name)
-    job = _build_job("falconGPUs", variant, None)
+    job = variant.build_job("falconGPUs")
     plan = job.step_plan
     base = fastpath_schedule(plan, job._exec_ctx)
     for bucket in SCALE_BUCKETS:
-        throwaway = _build_job("falconGPUs", variant, None)
+        throwaway = variant.build_job("falconGPUs")
         w = what_if(plan, base, job._exec_ctx, bucket, 0.0,
                     evaluate=True, evaluate_ctx=throwaway._exec_ctx)
         assert w.evaluated_makespan is not None
