@@ -14,9 +14,8 @@ only the affected connected component of the contention graph, so a
 fleet of independent jobs sharing one scheduler stays O(component), not
 O(all flows), per event.  The batch water-filler
 (:func:`~repro.fabric.maxmin.water_fill`) is kept as the reference
-oracle — construct the scheduler with ``incremental=False`` to force
-full re-solves, or call :meth:`FlowScheduler.assert_rates_equivalent`
-to cross-check the incremental state at 1e-9.
+oracle: call :meth:`FlowScheduler.assert_rates_equivalent` to
+cross-check the incremental state at 1e-9.
 
 This captures the two congestion phenomena the paper observes:
 
@@ -38,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..sim import Environment, Event
 from .link import Link
-from .maxmin import MaxMinSolver, apply_rates, water_fill
+from .maxmin import MaxMinSolver
 
 __all__ = ["FlowScheduler", "Flow", "Segment"]
 
@@ -116,15 +115,10 @@ class FlowScheduler:
 
         done = scheduler.start_flow(segments, nbytes)
         yield done          # fires when the last byte is delivered
-
-    ``incremental=False`` keeps the per-link indexes but re-solves every
-    flow at every recompute — the batch oracle mode the equivalence
-    tests and the churn microbench compare against.
     """
 
-    def __init__(self, env: Environment, incremental: bool = True):
+    def __init__(self, env: Environment):
         self.env = env
-        self.incremental = incremental
         self._flows: dict[int, Flow] = {}
         self._ids = itertools.count()
         self._solver = MaxMinSolver()
@@ -221,17 +215,8 @@ class FlowScheduler:
     def _recompute(self) -> None:
         """Complete drained flows, re-assign fair rates, re-arm the timer."""
         self._complete_drained()
-        if self.incremental:
-            self._solver.solve()
-        else:
-            self._solver.solve_full()
+        self._solver.solve()
         self._arm_timer()
-
-    @staticmethod
-    def _assign_rates(flows: Iterable[Flow]) -> None:
-        """Batch progressive filling (the reference oracle, kept for
-        direct callers; see :func:`repro.fabric.maxmin.water_fill`)."""
-        apply_rates(flows)
 
     def _complete_drained(self) -> None:
         done_ids = [fid for fid, f in self._flows.items()

@@ -65,12 +65,10 @@ from .fastpath import (
 from .ir import (
     Collective,
     Compute,
-    D2HCopy,
-    H2DCopy,
     P2PCopy,
     StepPlan,
-    StorageRead,
-    StorageWrite,
+    op_endpoints,
+    storage_leg,
 )
 
 __all__ = [
@@ -165,11 +163,11 @@ _C_FIXED = "fixed"          # (tag, src_spec, dst_spec)  overhead + latency
 _C_OP_BYTES = "op_bytes"    # (tag, uid, streamed)
 _C_IO_BYTES = "io_bytes"    # (tag, uid, streamed)
 _C_IO_LAT = "io_latency"    # (tag, uid)
-_C_COLL = "coll_flow"       # (tag, uid, n_members, src_spec, dst_spec,
+_C_COLL = "coll_flow"       # (tag, uid, divisor, src_spec, dst_spec,
                             #  streamed)
 
-# Endpoint specs: ("gpu", rank) / ("host",) / ("media",) / ("comm", i)
-# where i indexes Communicator.ranks (a topology node list).
+# src_spec/dst_spec are ir.op_endpoints specs; each lane resolves them
+# with ExecutionContext.node.
 
 
 @dataclass
@@ -194,15 +192,6 @@ class _Tape:
 
 
 # -- the recorder ------------------------------------------------------------
-
-def _op_endpoints(op) -> tuple:
-    """Endpoint specs of a point-to-point transfer op."""
-    if isinstance(op, H2DCopy):
-        return ("host",), ("gpu", op.rank)
-    if isinstance(op, D2HCopy):
-        return ("gpu", op.rank), ("host",)
-    return ("gpu", op.rank), ("gpu", op.dst_rank)
-
 
 class _Recorder:
     """Writes a tape while :class:`~repro.plan.fastpath._Engine` runs.
@@ -290,20 +279,19 @@ class _Recorder:
         streamed = nbytes > _EPS_BYTES and bool(route.segments)
         return (self._col(*size_spec, streamed), src_spec, dst_spec, route)
 
-    def op_transfer(self, op, route) -> tuple:
-        src, dst = _op_endpoints(op)
+    def op_transfer(self, op, ends, route) -> tuple:
+        src, dst = ends
         return self._tag((_C_OP_BYTES, op.uid), src, dst, op.bytes, route)
 
     def coll_transfer(self, group, i: int, j: int, nbytes: float,
                       route) -> tuple:
         uid = next(iter(group.uids.values()))
-        src, dst = ("comm", group.members[i]), ("comm", group.members[j])
-        return self._tag((_C_COLL, uid, len(group.nodes), src, dst),
+        src, dst = ("comm", i), ("comm", j)
+        return self._tag((_C_COLL, uid, group.divisor, src, dst),
                          src, dst, nbytes, route)
 
-    def admit_io(self, op, reg: int, nbytes: float, route) -> tuple:
-        src, dst = (("media",), ("host",)) if isinstance(op, StorageRead) \
-            else (("host",), ("media",))
+    def admit_io(self, op, reg: int, ends, nbytes: float, route) -> tuple:
+        src, dst = ends
         launched = self._reg()
         self._emit(_ADD, launched, reg, self._col(_C_IO_LAT, op.uid))
         return launched, self._tag((_C_IO_BYTES, op.uid), src, dst,
@@ -402,18 +390,6 @@ def _record(plan: StepPlan, ctx: ExecutionContext) -> tuple:
 
 # -- column resolution -------------------------------------------------------
 
-def _resolve_node(spec, plan: StepPlan, ctx: ExecutionContext) -> str:
-    if spec[0] == "gpu":
-        return ctx.gpus[spec[1]].name
-    if spec[0] == "host":
-        return ctx.host_node
-    if spec[0] == "media":
-        return ctx.storage.media_node
-    if spec[0] == "comm":
-        return ctx.comm.ranks[spec[1]]
-    raise LaneIncompatible(f"unknown endpoint spec {spec!r}")
-
-
 class _LaneResolver:
     """Resolves one lane's column values and rate preconditions."""
 
@@ -429,9 +405,7 @@ class _LaneResolver:
         key = (src_spec, dst_spec)
         route = self._routes.get(key)
         if route is None:
-            src = _resolve_node(src_spec, self.plan, self.ctx)
-            dst = _resolve_node(dst_spec, self.plan, self.ctx)
-            route = self._routes[key] = self.ctx.topology.route(src, dst)
+            route = self._routes[key] = self.ctx.route(src_spec, dst_spec)
         return route
 
     def _factor(self, src_spec, dst_spec, chunk) -> float:
@@ -467,34 +441,21 @@ class _LaneResolver:
             return ctx.topology.transfer_overhead + route.latency
         if tag == _C_OP_BYTES:
             op = plan.op(spec[1])
-            route = self._route(*_op_endpoints(op))
+            route = self._route(*op_endpoints(op))
             self._streamed(op.bytes, route, spec[2], op.uid)
             return op.bytes
         if tag == _C_IO_BYTES:
             op = plan.op(spec[1])
-            storage_spec = ctx.storage.spec
-            if isinstance(op, StorageWrite):
-                nbytes = op.bytes * (storage_spec.read_bandwidth
-                                     / storage_spec.write_bandwidth)
-                route = self._route(("host",), ("media",))
-            else:
-                nbytes = op.bytes
-                route = self._route(("media",), ("host",))
+            nbytes, _latency = storage_leg(op, ctx.storage.spec)
+            route = self._route(*op_endpoints(op))
             self._streamed(nbytes, route, spec[2], op.uid)
             return nbytes
         if tag == _C_IO_LAT:
-            op = plan.op(spec[1])
-            storage_spec = ctx.storage.spec
-            return (storage_spec.write_latency
-                    if isinstance(op, StorageWrite)
-                    else storage_spec.read_latency)
+            return storage_leg(plan.op(spec[1]), ctx.storage.spec)[1]
         if tag == _C_COLL:
-            _tag, uid, n, src_spec, dst_spec, streamed = spec
+            _tag, uid, divisor, src_spec, dst_spec, streamed = spec
             op = plan.op(uid)
-            if op.comm in ("allreduce", "reduce_scatter", "all_gather"):
-                per_transfer = op.bytes / n
-            else:
-                per_transfer = op.bytes
+            per_transfer = op.bytes / divisor
             factor = self._factor(src_spec, dst_spec, op.chunk_bytes)
             nbytes = per_transfer * factor
             route = self._route(src_spec, dst_spec)

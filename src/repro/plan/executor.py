@@ -75,6 +75,23 @@ class ExecutionContext:
     #: times (``None`` disables the callback).
     on_plan_done: Optional[Callable] = None
 
+    def node(self, spec) -> str:
+        """Topology node of an endpoint spec (see ``ir.op_endpoints``)."""
+        kind = spec[0]
+        if kind == "gpu":
+            return self.gpus[spec[1]].name
+        if kind == "comm":
+            return self.comm.ranks[spec[1]]
+        if kind == "host":
+            return self.host_node
+        if kind == "media":
+            return self.storage.media_node
+        raise PlanError(f"unknown endpoint spec {spec!r}")
+
+    def route(self, src, dst):
+        """Fabric route between two endpoint specs."""
+        return self.topology.route(self.node(src), self.node(dst))
+
 
 class PlanExecution:
     """One in-flight instance of a plan (one optimizer step, all ranks)."""

@@ -18,15 +18,17 @@ in the identical order:
 - compute kernels call the real ``GPU.kernel_time`` roofline and
   serialize on a per-rank stream cursor (the DES ``Resource`` FIFO);
 - collectives mirror the communicator's rendezvous (per-rank arrival
-  order assigns the op id), its ring/star phase schedules, and the real
+  order assigns the op id), run the ring/star phases of
+  :func:`~repro.plan.ir.collective_schedule`, and pay the real
   ``Communicator._transport_factor`` byte inflation per route;
 - every transfer pays ``transfer_overhead + route.latency`` and then
-  streams through a single global fluid timeline that calls the real
-  ``FlowScheduler._assign_rates`` water-filling solver, advancing
+  streams through a single global fluid timeline rated by the same
+  incremental ``MaxMinSolver`` as ``FlowScheduler``, advancing
   deliveries with the same ``min(remaining, rate * dt)`` updates at the
   same recompute points (every flow arrival, every completion horizon);
-- storage I/O mirrors the queue-depth admission, fixed latency, and
-  write-bandwidth byte inflation of ``StorageDevice``.
+- storage I/O mirrors the queue-depth admission of ``StorageDevice``
+  and pays the fixed latency and streamed bytes of
+  :func:`~repro.plan.ir.storage_leg`.
 
 Because the recompute points and the arithmetic are the same floats in
 the same order, the computed timeline *is* the event-loop timeline — not
@@ -59,6 +61,7 @@ from ..fabric.flows import _EPSILON_SECONDS as _EPS_SECONDS
 from ..fabric.maxmin import MaxMinSolver
 from .executor import ExecutionContext, PlanExecution
 from .ir import (
+    COLLECTIVE_KINDS,
     Barrier,
     Collective,
     Compute,
@@ -70,6 +73,9 @@ from .ir import (
     StepPlan,
     StorageRead,
     StorageWrite,
+    collective_schedule,
+    op_endpoints,
+    storage_leg,
 )
 
 __all__ = [
@@ -84,21 +90,6 @@ __all__ = [
 EQUIVALENCE_RTOL = 1e-9
 #: Absolute floor for comparisons of times at/near zero.
 EQUIVALENCE_ATOL = 1e-12
-
-#: Collective kind -> (schedule family, phase count fn of world size).
-_RING = {
-    "allreduce": lambda n: 2 * (n - 1),
-    "reduce_scatter": lambda n: n - 1,
-    "allgather": lambda n: n - 1,
-}
-#: Plan-IR collective names -> communicator kind strings.
-_COMM_KIND = {
-    "allreduce": "allreduce",
-    "reduce_scatter": "reduce_scatter",
-    "all_gather": "allgather",
-    "broadcast": "broadcast",
-    "reduce": "reduce",
-}
 
 
 class FastPathUnsupported(Exception):
@@ -166,7 +157,7 @@ def fastpath_support(plan: StepPlan, ctx: ExecutionContext
 # -- the engine --------------------------------------------------------------
 
 class _Flow:
-    """Duck-typed flow fed to the real ``FlowScheduler._assign_rates``."""
+    """Duck-typed flow rated by the same ``MaxMinSolver`` as the DES."""
 
     __slots__ = ("segments", "remaining", "rate", "on_done")
 
@@ -180,24 +171,24 @@ class _Flow:
 class _Group:
     """One rendezvoused collective/barrier across its communicator."""
 
-    __slots__ = ("kind", "nbytes", "root", "chunk", "arrived", "uids",
-                 "phase", "total_phases", "inflight", "nodes", "members",
+    __slots__ = ("kind", "nbytes", "root", "chunk", "members", "arrived",
+                 "uids", "phase", "phases", "divisor", "pairs", "inflight",
                  "done_regs")
 
-    def __init__(self, kind, nbytes, root, chunk, nodes, members):
+    def __init__(self, kind, nbytes, root, chunk, members):
+        #: IR collective kind, or ``"barrier"``.
         self.kind = kind
         self.nbytes = nbytes
-        #: Communicator-local root index (grouped ops translate).
+        #: World-rank root (``None`` = the first member).
         self.root = root
         self.chunk = chunk
-        #: Participating topology node names, in communicator order.
-        self.nodes = nodes
-        #: Their world-rank indices, in the same order.
+        #: Participating world ranks, in communicator order.
         self.members = members
         self.arrived = {}       # world rank -> (join time, reg)
         self.uids = {}          # world rank -> op uid
         self.phase = 0
-        self.total_phases = 0
+        #: ``collective_schedule`` of a group that moves bytes.
+        self.phases, self.divisor, self.pairs = 0, 1, ()
         self.inflight = 0
         self.done_regs = []     # this phase's flow-completion regs
 
@@ -235,6 +226,7 @@ class _Engine:
         self._stream_free: dict = {}    # rank -> (time, reg)
         self._last_compute_ready: dict = {}
         # Rendezvous state mirroring Communicator._join.
+        self._world = range(plan.world_size)
         self._op_seq: dict = {}
         self._groups: dict = {}
         self._last_join: dict = {}      # (rank, gkey) -> (time, reg)
@@ -347,7 +339,6 @@ class _Engine:
 
     # -- rendezvous (Communicator._join mirror) ----------------------------
     def _join_group(self, op, t: float, reg: int) -> None:
-        comm = self.ctx.comm
         rank = op.rank
         # Grouped collectives rendezvous on their own sub-communicator:
         # state is keyed by the group tuple (None = world), mirroring
@@ -361,29 +352,18 @@ class _Engine:
         if self.rec is not None:
             self.rec.after(last, reg)
         self._last_join[(rank, gkey)] = (t, reg)
-        members = list(range(self.plan.world_size)) if gkey is None \
-            else list(gkey)
-        nodes = [comm.ranks[i] for i in members]
+        members = self._world if gkey is None else gkey
         if isinstance(op, Barrier):
             spec = ("barrier", 0.0, None, None)
+        elif op.comm in COLLECTIVE_KINDS:
+            spec = (op.comm, op.bytes, op.root, op.chunk_bytes)
         else:
-            kind = _COMM_KIND.get(op.comm)
-            if kind is None:
-                raise FastPathUnsupported(
-                    f"unknown collective kind {op.comm!r}")
-            if kind in ("broadcast", "reduce"):
-                # Communicator-local root index, like the executor's
-                # subgroup translation.
-                root = members.index(op.root) if op.root is not None else 0
-            else:
-                root = None
-            spec = (kind, op.bytes, root, op.chunk_bytes)
+            raise FastPathUnsupported(f"unknown collective kind {op.comm!r}")
         opid = self._op_seq.get((gkey, rank), 0)
         self._op_seq[(gkey, rank)] = opid + 1
         group = self._groups.get((gkey, opid))
         if group is None:
-            group = self._groups[(gkey, opid)] = _Group(*spec, nodes,
-                                                        members)
+            group = self._groups[(gkey, opid)] = _Group(*spec, members)
         elif (group.kind, group.nbytes, group.root, group.chunk) != spec:
             raise FastPathUnsupported(
                 f"collective mismatch at op {opid}: rank {rank} called "
@@ -396,32 +376,21 @@ class _Engine:
 
     def _execute_group(self, group: _Group, t: float) -> None:
         live = 0 if self.rec is None else self.rec.rendezvous(group)
-        world = len(group.nodes)
-        if world == 1 or group.kind == "barrier" or group.nbytes == 0:
+        if group.kind != "barrier" and group.nbytes != 0:
+            group.phases, group.divisor, group.pairs = collective_schedule(
+                group.kind, group.members, group.root)
+        if not group.phases:
             self._schedule(t, live,
                            lambda now, r: self._group_done(group, now, r))
             return
-        phases = _RING.get(group.kind)
-        group.total_phases = phases(world) if phases else 1
-        group.phase = 0
         self._spawn_phase(group, t, live)
 
     def _spawn_phase(self, group: _Group, t: float, reg: int) -> None:
         comm = self.ctx.comm
         rec = self.rec
-        ranks = group.nodes
-        n = len(ranks)
-        if group.kind in _RING:
-            per_transfer = group.nbytes / n
-            pairs = [(i, (i + 1) % n) for i in range(n)]
-        else:
-            per_transfer = group.nbytes
-            root = group.root
-            others = [i for i in range(n) if i != root]
-            if group.kind == "broadcast":
-                pairs = [(root, i) for i in others]
-            else:  # reduce
-                pairs = [(i, root) for i in others]
+        ranks = comm.ranks
+        per_transfer = group.nbytes / group.divisor
+        pairs = group.pairs
         group.inflight = len(pairs)
         group.done_regs = []
 
@@ -435,7 +404,7 @@ class _Engine:
             # the max over every pair's completion (commutative).
             end = done_reg if rec is None else rec.max(group.done_regs)
             group.phase += 1
-            if group.phase >= group.total_phases:
+            if group.phase >= group.phases:
                 self._group_done(group, now, end)
             else:
                 self._spawn_phase(group, now, end)
@@ -484,16 +453,10 @@ class _Engine:
             self._schedule(arrival, reg, on_done)
 
     def _run_transfer(self, op, t: float, reg: int) -> None:
-        ctx = self.ctx
-        gpus = ctx.gpus
-        if isinstance(op, H2DCopy):
-            src, dst = ctx.host_node, gpus[op.rank].name
-        elif isinstance(op, D2HCopy):
-            src, dst = gpus[op.rank].name, ctx.host_node
-        else:
-            src, dst = gpus[op.rank].name, gpus[op.dst_rank].name
-        route = ctx.topology.route(src, dst)
-        tag = None if self.rec is None else self.rec.op_transfer(op, route)
+        ends = op_endpoints(op)
+        route = self.ctx.route(*ends)
+        tag = None if self.rec is None \
+            else self.rec.op_transfer(op, ends, route)
         self._launch_transfer(t, reg, route, op.bytes,
                               lambda now, r: self._op_done(op, now, r),
                               tag)
@@ -514,19 +477,12 @@ class _Engine:
             self._io_queue.append(op)
 
     def _admit_io(self, op, t: float, reg: int) -> None:
-        storage = self.ctx.storage
-        spec = storage.spec
-        if isinstance(op, StorageRead):
-            src, dst = storage.media_node, self.ctx.host_node
-            nbytes, latency = op.bytes, spec.read_latency
-        else:
-            inflation = spec.read_bandwidth / spec.write_bandwidth
-            src, dst = self.ctx.host_node, storage.media_node
-            nbytes, latency = op.bytes * inflation, spec.write_latency
-        route = self.ctx.topology.route(src, dst)
+        nbytes, latency = storage_leg(op, self.ctx.storage.spec)
+        ends = op_endpoints(op)
+        route = self.ctx.route(*ends)
         tag = None
         if self.rec is not None:
-            reg, tag = self.rec.admit_io(op, reg, nbytes, route)
+            reg, tag = self.rec.admit_io(op, reg, ends, nbytes, route)
 
         def done(now, done_reg):
             if self.rec is not None:

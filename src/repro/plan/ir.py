@@ -41,6 +41,9 @@ __all__ = [
     "Barrier",
     "Delay",
     "COLLECTIVE_KINDS",
+    "collective_schedule",
+    "op_endpoints",
+    "storage_leg",
     "StepPlan",
     "PlanBuilder",
     "format_plan",
@@ -49,6 +52,12 @@ __all__ = [
 #: Collective flavours the executor can drive on a Communicator.
 COLLECTIVE_KINDS = ("allreduce", "reduce_scatter", "all_gather",
                     "broadcast", "reduce")
+#: Ring-scheduled kinds -> phase count as a function of the member count.
+_RING_PHASES = {
+    "allreduce": lambda n: 2 * (n - 1),
+    "reduce_scatter": lambda n: n - 1,
+    "all_gather": lambda n: n - 1,
+}
 
 
 class PlanError(Exception):
@@ -177,6 +186,45 @@ class Collective(Op):
                if self.group is not None else "")
         return f" {self.comm}{root}{chunk}{grp}"
 
+    def schedule(self, world_size: int) -> tuple:
+        """This op's :func:`collective_schedule` in a plan of
+        ``world_size`` ranks."""
+        members = range(world_size) if self.group is None else self.group
+        return collective_schedule(self.comm, members, self.root)
+
+
+def collective_schedule(comm: str, members, root: Optional[int] = None
+                        ) -> tuple:
+    """The transfer schedule of one collective: ``(phases, divisor, pairs)``.
+
+    ``comm`` is the IR kind, ``members`` the participating world ranks in
+    communicator order (any sequence), and ``root`` a world rank
+    (``None`` = the first member).  Each of ``phases`` rounds sends
+    ``bytes / divisor`` over every ``(src, dst)`` world-rank pair of
+    ``pairs`` at once, and a round ends when its slowest pair does.  Ring
+    kinds send to the ring successor, ``broadcast`` fans out from the
+    root and ``reduce`` fans in to it.  Fewer than two members move
+    nothing: ``(0, 1, ())``.
+
+    This is the schedule ``Communicator`` runs; the communicator keeps
+    its own copy as the event-loop reference the fast engines are
+    tested against.
+    """
+    ring = _RING_PHASES.get(comm)
+    if ring is None and comm not in ("broadcast", "reduce"):
+        raise PlanError(f"unknown collective kind {comm!r}")
+    n = len(members)
+    if n < 2:
+        return 0, 1, ()
+    if ring is not None:
+        return ring(n), n, tuple((members[i], members[(i + 1) % n])
+                                 for i in range(n))
+    root = members[0] if root is None else root
+    others = [r for r in members if r != root]
+    if comm == "broadcast":
+        return 1, 1, tuple((root, r) for r in others)
+    return 1, 1, tuple((r, root) for r in others)
+
 
 @dataclass(frozen=True)
 class StorageRead(Op):
@@ -219,6 +267,43 @@ class Delay(Op):
         if self.elapsed_fraction:
             return f" {self.elapsed_fraction:.3f}*elapsed"
         return f" {self.seconds * 1e3:.3f}ms"
+
+
+#: Endpoint specs name a transfer's nodes independently of any one
+#: system: ``("gpu", r)`` is rank ``r``'s GPU, ``("host",)`` host DRAM,
+#: ``("media",)`` the storage media node and ``("comm", r)`` world rank
+#: ``r`` of the communicator.  ``ExecutionContext.node`` resolves them.
+_HOST = ("host",)
+_MEDIA = ("media",)
+
+
+def op_endpoints(op) -> tuple:
+    """``(src, dst)`` endpoint specs of a transfer or storage op."""
+    if isinstance(op, H2DCopy):
+        return _HOST, ("gpu", op.rank)
+    if isinstance(op, D2HCopy):
+        return ("gpu", op.rank), _HOST
+    if isinstance(op, P2PCopy):
+        return ("gpu", op.rank), ("gpu", op.dst_rank)
+    if isinstance(op, StorageRead):
+        return _MEDIA, _HOST
+    if isinstance(op, StorageWrite):
+        return _HOST, _MEDIA
+    raise PlanError(f"op kind {op.kind!r} has no transfer endpoints")
+
+
+def storage_leg(op, spec) -> tuple:
+    """``(streamed bytes, fixed latency)`` of a storage op on a drive
+    with :class:`~repro.devices.storage.StorageSpec` ``spec``.
+
+    Writes stream their bytes inflated by the read/write bandwidth ratio
+    (the media link is sized to the read rate), as ``StorageDevice``
+    models them.
+    """
+    if isinstance(op, StorageRead):
+        return op.bytes, spec.read_latency
+    return op.bytes * (spec.read_bandwidth / spec.write_bandwidth), \
+        spec.write_latency
 
 
 class StepPlan:

@@ -8,8 +8,9 @@ overhead (cf. ``NCCL_P2P_NET_CHUNKSIZE`` tuning on real fabrics).
 
 This pass annotates every sized collective with a ``chunk_bytes`` picked
 from the *measured* bottleneck bandwidth of the links the schedule will
-actually traverse: ring collectives look at consecutive ring-neighbour
-pairs of ``ctx.rank_nodes``, rooted collectives at root<->leaf paths.
+actually traverse: the ``(src, dst)`` pairs of
+:func:`~repro.plan.ir.collective_schedule`, mapped onto
+``ctx.rank_nodes``.
 The chunk covers ~1 ms of streaming on the bottleneck link, clamped to
 [1 MB, 64 MB] and never above the payload itself.  The executor forwards
 the annotation to the communicator, whose transport model scales its
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..ir import Barrier, Collective, StepPlan
+from ..ir import Collective, StepPlan
 from .manager import PassContext, PassError, PlanPass
 
 __all__ = ["CollectiveChunkSizing", "DEFAULT_CHUNK_BYTES"]
@@ -38,9 +39,6 @@ DEFAULT_CHUNK_BYTES = 8e6
 _TARGET_SECONDS = 1e-3
 _MIN_CHUNK = 1e6
 _MAX_CHUNK = 64e6
-
-#: Collectives scheduled as neighbour-to-neighbour rings.
-_RING_KINDS = frozenset({"allreduce", "reduce_scatter", "all_gather"})
 
 
 class CollectiveChunkSizing(PlanPass):
@@ -57,37 +55,25 @@ class CollectiveChunkSizing(PlanPass):
         return f"chunk-size(target={self.target_seconds * 1e3:g}ms)"
 
     # -- bandwidth probing -------------------------------------------------
-    def _bottleneck(self, ctx: PassContext, op: Collective) -> float:
+    def _bottleneck(self, ctx: PassContext, op: Collective,
+                    world: int) -> float:
         """Min measured bandwidth over the links this op's schedule uses
         (0.0 when the context has nothing to measure)."""
-        topo, nodes = ctx.topology, list(ctx.rank_nodes)
+        topo, nodes = ctx.topology, ctx.rank_nodes
         if topo is None:
             return 0.0
-        if op.group is not None:
-            # Grouped collectives ring/star over the group's nodes only.
-            nodes = [nodes[i] for i in op.group if i < len(nodes)]
-            root_idx = op.group.index(op.root) if op.root is not None \
-                else 0
-        else:
-            root_idx = op.root or 0
-        if len(nodes) < 2:
-            return 0.0
-        if op.comm in _RING_KINDS:
-            pairs = [(nodes[i], nodes[(i + 1) % len(nodes)])
-                     for i in range(len(nodes))]
-        else:
-            root = nodes[root_idx]
-            pairs = [(root, n) for n in nodes if n != root]
+        _phases, _divisor, pairs = op.schedule(world)
         bw = []
         for src, dst in pairs:
             try:
-                bw.append(topo.path_bandwidth(src, dst))
+                bw.append(topo.path_bandwidth(nodes[src], nodes[dst]))
             except Exception:
                 return 0.0
         return min(bw) if bw else 0.0
 
-    def _chunk_for(self, ctx: PassContext, op: Collective) -> float:
-        bw = self._bottleneck(ctx, op)
+    def _chunk_for(self, ctx: PassContext, op: Collective,
+                   world: int) -> float:
+        bw = self._bottleneck(ctx, op, world)
         chunk = bw * self.target_seconds if bw > 0 else DEFAULT_CHUNK_BYTES
         chunk = min(max(chunk, _MIN_CHUNK), _MAX_CHUNK)
         return min(chunk, op.bytes)
@@ -109,7 +95,8 @@ class CollectiveChunkSizing(PlanPass):
             for slot, op in enumerate(sync[0]):
                 if isinstance(op, Collective) and op.bytes > 0 \
                         and op.chunk_bytes is None:
-                    chunks[slot] = self._chunk_for(ctx, op)
+                    chunks[slot] = self._chunk_for(ctx, op,
+                                                   plan.world_size)
             for rank_slots in sync:
                 for slot, chunk in chunks.items():
                     op = rank_slots[slot]

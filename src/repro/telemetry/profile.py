@@ -47,13 +47,7 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from ..plan.executor import ExecutionContext
-from ..plan.fastpath import (
-    _COMM_KIND,
-    _RING,
-    FastPathUnsupported,
-    PlanTiming,
-    _Engine,
-)
+from ..plan.fastpath import FastPathUnsupported, PlanTiming, _Engine
 from ..plan.ir import (
     Barrier,
     Collective,
@@ -66,6 +60,8 @@ from ..plan.ir import (
     StepPlan,
     StorageRead,
     StorageWrite,
+    op_endpoints,
+    storage_leg,
 )
 
 __all__ = [
@@ -108,6 +104,8 @@ _TILE_ATOL = 1e-12
 #: (exactly-zero durations create FIFO ties the engines refuse to
 #: order; an epsilon keeps every event distinct).
 _EPSILON_FACTOR = 1e-6
+#: Ops that stream over the fabric between two endpoints.
+_LEG_OPS = (H2DCopy, D2HCopy, P2PCopy, StorageRead, StorageWrite)
 
 
 def _close(a: float, b: float) -> bool:
@@ -174,15 +172,15 @@ class _BaseGroup:
     """One reconstructed rendezvous: the k-th collective/barrier of every
     rank, with its measured live point (last arrival) and completion."""
 
-    __slots__ = ("uids", "arrivals", "live", "end", "kind", "nbytes",
-                 "root", "chunk", "barrier", "group")
+    __slots__ = ("uids", "arrivals", "live", "end", "rep", "kind",
+                 "nbytes", "root", "chunk", "barrier", "group")
 
     def __init__(self, members, times):
         self.uids = {op.rank: op.uid for op in members}
         self.arrivals = {op.rank: times[op.uid][0] for op in members}
         self.live = max(self.arrivals.values())
         self.end = max(times[op.uid][1] for op in members)
-        rep = members[0]
+        self.rep = rep = members[0]
         self.barrier = isinstance(rep, Barrier)
         self.group = getattr(rep, "group", None)
         if self.barrier:
@@ -243,42 +241,25 @@ def _rendezvous_groups(plan: StepPlan, times: dict):
 
 # -- solo-cost probes (contention baselines) ---------------------------------
 
-def _transfer_endpoints(op, ctx: ExecutionContext):
-    gpus = ctx.gpus
-    if isinstance(op, H2DCopy):
-        return ctx.host_node, gpus[op.rank].name
-    if isinstance(op, D2HCopy):
-        return gpus[op.rank].name, ctx.host_node
-    return gpus[op.rank].name, gpus[op.dst_rank].name
+def _leg(op, ctx: ExecutionContext) -> tuple:
+    """``(streamed bytes, fixed seconds, route)`` of a transfer or
+    storage op: the device latency (storage only), the transfer overhead
+    and the route latency are fixed; the bytes stream."""
+    nbytes, latency = op.bytes, 0.0
+    if isinstance(op, (StorageRead, StorageWrite)):
+        nbytes, latency = storage_leg(op, ctx.storage.spec)
+    route = ctx.route(*op_endpoints(op))
+    return nbytes, latency + ctx.topology.transfer_overhead \
+        + route.latency, route
 
 
-def _transfer_solo_seconds(op, ctx: ExecutionContext) -> Optional[float]:
-    """Uncontended duration of a point-to-point transfer op."""
-    if ctx.topology is None:
+def _solo_seconds(op, ctx: ExecutionContext) -> Optional[float]:
+    """Uncontended duration of a transfer or storage op (no queue wait,
+    idle fabric)."""
+    storage_op = isinstance(op, (StorageRead, StorageWrite))
+    if ctx.topology is None or (storage_op and ctx.storage is None):
         return None
-    src, dst = _transfer_endpoints(op, ctx)
-    route = ctx.topology.route(src, dst)
-    fixed = ctx.topology.transfer_overhead + route.latency
-    if op.bytes <= 0 or not route.segments:
-        return fixed
-    return fixed + op.bytes / route.bandwidth
-
-
-def _storage_solo_seconds(op, ctx: ExecutionContext) -> Optional[float]:
-    """Uncontended duration of a storage op (no queue wait, idle fabric)."""
-    storage = ctx.storage
-    if storage is None or ctx.topology is None:
-        return None
-    spec = storage.spec
-    if isinstance(op, StorageRead):
-        src, dst = storage.media_node, ctx.host_node
-        nbytes, latency = op.bytes, spec.read_latency
-    else:
-        src, dst = ctx.host_node, storage.media_node
-        nbytes = op.bytes * (spec.read_bandwidth / spec.write_bandwidth)
-        latency = spec.write_latency
-    route = ctx.topology.route(src, dst)
-    fixed = latency + ctx.topology.transfer_overhead + route.latency
+    nbytes, fixed, route = _leg(op, ctx)
     if nbytes <= 0 or not route.segments:
         return fixed
     return fixed + nbytes / route.bandwidth
@@ -429,15 +410,9 @@ def critical_path(plan: StepPlan, timing, ctx: Optional[ExecutionContext]
                     root_uid = op.uid
                     break
                 continue
-        elif isinstance(op, (H2DCopy, D2HCopy, P2PCopy)):
-            solo = _transfer_solo_seconds(op, ctx) \
-                if ctx is not None else None
+        elif isinstance(op, _LEG_OPS):
+            solo = _solo_seconds(op, ctx) if ctx is not None else None
             emit_split(start, boundary, _op_bucket(op), op.uid, solo)
-            boundary = start
-        elif isinstance(op, (StorageRead, StorageWrite)):
-            solo = _storage_solo_seconds(op, ctx) \
-                if ctx is not None else None
-            emit_split(start, boundary, "storage", op.uid, solo)
             boundary = start
         else:  # Delay
             emit(start, boundary, _op_bucket(op), op.uid)
@@ -592,30 +567,18 @@ def utilization(plan: StepPlan, timing, ctx: Optional[ExecutionContext]
             mark(f"gpu:r{op.rank}", begins.get(op.uid, start), end)
         elif isinstance(op, (H2DCopy, D2HCopy, P2PCopy)) \
                 and ctx is not None and ctx.topology is not None:
-            src, dst = _transfer_endpoints(op, ctx)
-            for seg in ctx.topology.route(src, dst).segments:
+            for seg in ctx.route(*op_endpoints(op)).segments:
                 mark(f"link:{seg.src}->{seg.dst}", start, end)
         elif isinstance(op, (StorageRead, StorageWrite)):
             mark("storage", start, end)
     if ctx is not None and ctx.comm is not None \
             and ctx.topology is not None:
-        ranks = ctx.comm.ranks
-        n = ctx.comm.world_size
         for group in groups:
-            if group.barrier or group.nbytes <= 0 or n < 2 \
+            if group.barrier or group.nbytes <= 0 \
                     or group.end <= group.live:
                 continue
-            kind = _COMM_KIND.get(group.kind, group.kind)
-            if kind in _RING:
-                pairs = [(ranks[i], ranks[(i + 1) % n]) for i in range(n)]
-            else:
-                root = group.root or 0
-                others = [i for i in range(n) if i != root]
-                pairs = [(ranks[root], ranks[i]) for i in others] \
-                    if kind == "broadcast" \
-                    else [(ranks[i], ranks[root]) for i in others]
-            for src, dst in pairs:
-                for seg in ctx.topology.route(src, dst).segments:
+            for i, j in group.rep.schedule(plan.world_size)[2]:
+                for seg in ctx.route(("comm", i), ("comm", j)).segments:
                     mark(f"link:{seg.src}->{seg.dst}",
                          group.live, group.end)
     return {name: _interval_stats(intervals, window)
@@ -773,8 +736,6 @@ class _DurationModel:
         base_groups, _by_uid = _rendezvous_groups(plan, self.times)
         self.group_by_members = {frozenset(g.uids.values()): g
                                  for g in base_groups}
-        self.world = ctx.comm.world_size if ctx.comm is not None \
-            else plan.world_size
 
     def exec_duration(self, op) -> float:
         start, end = self.times[op.uid]
@@ -787,34 +748,12 @@ class _DurationModel:
         fixed = min(fixed, measured)
         return fixed + self.factor * (measured - fixed)
 
-    def transfer_duration(self, op) -> float:
+    def leg_duration(self, op) -> float:
+        """A transfer or storage op: only the streamed part scales."""
         measured = self.times[op.uid][1] - self.times[op.uid][0]
-        if not _scalable(op, self.bucket) \
-                or self.bucket not in ("comm", "copy") \
-                or _op_bucket(op) != self.bucket:
+        if _op_bucket(op) != self.bucket or not _scalable(op, self.bucket):
             return measured
-        src, dst = _transfer_endpoints(op, self.ctx)
-        route = self.ctx.topology.route(src, dst)
-        return self._scaled_fixed(measured,
-                                  self.ctx.topology.transfer_overhead
-                                  + route.latency)
-
-    def storage_duration(self, op) -> float:
-        measured = self.times[op.uid][1] - self.times[op.uid][0]
-        if self.bucket != "storage" or not _scalable(op, "storage"):
-            return measured
-        ctx = self.ctx
-        spec = ctx.storage.spec
-        latency = spec.read_latency if isinstance(op, StorageRead) \
-            else spec.write_latency
-        src = ctx.storage.media_node if isinstance(op, StorageRead) \
-            else ctx.host_node
-        dst = ctx.host_node if isinstance(op, StorageRead) \
-            else ctx.storage.media_node
-        route = ctx.topology.route(src, dst)
-        return self._scaled_fixed(measured,
-                                  latency + ctx.topology.transfer_overhead
-                                  + route.latency)
+        return self._scaled_fixed(measured, _leg(op, self.ctx)[1])
 
     def delay_params(self, op) -> tuple:
         seconds, fraction = op.seconds, op.elapsed_fraction
@@ -826,37 +765,20 @@ class _DurationModel:
     def group_duration(self, members: frozenset, rep) -> float:
         group = self.group_by_members.get(members)
         measured = group.duration if group is not None else 0.0
-        gkey = getattr(rep, "group", None)
-        member_idx = list(range(self.world)) if gkey is None \
-            else list(gkey)
-        n = len(member_idx)
         if isinstance(rep, Barrier) or self.bucket != "comm" \
-                or not _scalable(rep, "comm") or n < 2:
+                or not _scalable(rep, "comm"):
+            return measured
+        phases, _divisor, pairs = rep.schedule(self.plan.world_size)
+        if not pairs:
             return measured
         if self.factor == 0.0:
             return 0.0  # the engines short-circuit zero-byte groups
-        topo = self.ctx.topology
-        kind = _COMM_KIND.get(rep.comm, rep.comm)
-        phases = _RING[kind](n) if kind in _RING else 1
-        all_ranks = self.ctx.comm.ranks if self.ctx.comm is not None \
-            else None
-        if all_ranks is None:
+        if self.ctx.comm is None:
             return measured
-        ranks = [all_ranks[i] for i in member_idx]
-        if kind in _RING:
-            pairs = [(ranks[i], ranks[(i + 1) % n])
-                     for i in range(n)]
-        else:
-            root = member_idx.index(rep.root) if rep.root is not None \
-                else 0
-            others = [i for i in range(n) if i != root]
-            pairs = [(ranks[root], ranks[i]) for i in others] \
-                if kind == "broadcast" \
-                else [(ranks[i], ranks[root]) for i in others]
-        lat = max((topo.route(s, d).latency for s, d in pairs),
-                  default=0.0)
-        return self._scaled_fixed(measured,
-                                  phases * (topo.transfer_overhead + lat))
+        lat = max(self.ctx.route(("comm", i), ("comm", j)).latency
+                  for i, j in pairs)
+        return self._scaled_fixed(
+            measured, phases * (self.ctx.topology.transfer_overhead + lat))
 
 
 def _retime(plan: StepPlan, model: _DurationModel) -> dict:
@@ -916,10 +838,8 @@ def _retime(plan: StepPlan, model: _DurationModel) -> dict:
                 end = live + model.group_duration(members, op)
                 for member, arrival in group.values():
                     finish(member, arrival, end)
-        elif isinstance(op, (H2DCopy, D2HCopy, P2PCopy)):
-            finish(op, t, t + model.transfer_duration(op))
-        elif isinstance(op, (StorageRead, StorageWrite)):
-            finish(op, t, t + model.storage_duration(op))
+        elif isinstance(op, _LEG_OPS):
+            finish(op, t, t + model.leg_duration(op))
         elif isinstance(op, Delay):
             seconds, fraction = model.delay_params(op)
             finish(op, t, t + seconds + fraction * t)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import ComposableSystem
 from repro.devices.gpu import Precision
+from repro.experiments.profiling import _build_cell_job
 from repro.plan import ExecutionContext, PlanBuilder, PlanError
 from repro.plan.fastpath import evaluate_plan, fastpath_schedule
 from repro.telemetry.profile import (
@@ -140,6 +141,21 @@ class TestUtilizationAndImbalance:
         for stats in util.values():
             assert 0.0 <= stats["busy_frac"] <= 1.0 + 1e-9
             assert stats["contended_s"] >= 0.0
+
+    def test_grouped_collective_marks_only_its_members_links(self):
+        # bert-large 2D on localGPUs: the tensor-parallel group (0, 1)
+        # broadcasts its input from rank 0 to rank 1 only, so it must
+        # occupy exactly that route, not links to every world peer.
+        job = _build_cell_job("bert-large", "localGPUs", "2d")
+        plan, ctx = job.step_plan, job._exec_ctx
+        timing = fastpath_schedule(plan, ctx)
+        uids = ("r0:input-bcast", "r1:input-bcast")
+        assert plan.op(uids[0]).group == (0, 1)
+        times = {uid: timing.op_times[uid] for uid in uids}
+        util = utilization(plan, times, ctx=ctx)
+        route = ctx.topology.route("host0/gpu0", "host0/gpu4")
+        assert set(util) == {f"link:{seg.src}->{seg.dst}"
+                             for seg in route.segments}
 
     def test_imbalance_symmetric_plan(self):
         plan = step_plan()
