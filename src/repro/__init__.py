@@ -12,6 +12,10 @@ Quickstart::
     system = ComposableSystem()
     result = system.train("resnet50", configuration="falconGPUs")
     print(result.summary())
+
+    # The same cell as an un-run job: compiled plans, nothing simulated.
+    job = ComposableSystem().job("resnet50", "falconGPUs", "ddp")
+    print(len(job.step_plan), "ops")
 """
 
 from .core import (

@@ -69,6 +69,7 @@ from .core import (
     ComposableSystem,
     SOFTWARE_STACK,
 )
+from .training import STRATEGY_REGISTRY
 from .workloads import benchmark_names, get_benchmark
 
 __all__ = ["main", "build_parser"]
@@ -79,11 +80,6 @@ TRACE_BACKENDS = {
     "falcon": "falconGPUs",
     "hybrid": "hybridGPUs",
 }
-
-#: ``plan --strategy`` choices; resolved via ``STRATEGY_REGISTRY``.
-PLAN_STRATEGIES = ("dp", "ddp", "sharded", "pipeline", "tp", "2d",
-                   "fsdp")
-
 
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     """``--jobs``/``--no-cache``/``--cache-dir`` for the sweep commands."""
@@ -246,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=sorted(TRACE_BACKENDS),
                          help="GPU attachment (default: falcon)")
     profile.add_argument("--strategy", default="ddp",
-                         choices=PLAN_STRATEGIES)
+                         choices=tuple(STRATEGY_REGISTRY))
     profile.add_argument("--steps", type=int, default=None,
                          help="simulated optimizer steps (default: the "
                               "training config's)")
@@ -338,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         "plan", help="compile one training step to the plan IR and "
                      "print it without simulating")
     plan.add_argument("benchmark", choices=benchmark_names())
-    plan.add_argument("--strategy", default="ddp", choices=PLAN_STRATEGIES)
+    plan.add_argument("--strategy", default="ddp",
+                      choices=tuple(STRATEGY_REGISTRY))
     plan.add_argument("--config", default="localGPUs",
                       choices=CONFIGURATION_ORDER)
     plan.add_argument("--global-batch", type=int, default=None,
@@ -349,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--validate", action="store_true",
                       help="run the cycle/rank-symmetry/bytes-conservation "
                            "passes; non-zero exit on problems")
-    plan.add_argument("--diff", default=None, choices=PLAN_STRATEGIES,
+    plan.add_argument("--diff", default=None,
+                      choices=tuple(STRATEGY_REGISTRY),
                       metavar="OTHER",
                       help="also compile OTHER strategy's plan and print "
                            "an op-level diff against it (the same --opt "
@@ -1037,13 +1035,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "plan":
         from .plan import diff_plans, format_diff, format_plan, validate_plan
-        from .training import (
-            STRATEGY_REGISTRY,
-            TrainingConfig,
-            TrainingJob,
-        )
-
-        strategy_classes = STRATEGY_REGISTRY
 
         if args.opt:
             from .plan.passes import PassError, resolve_passes
@@ -1053,25 +1044,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 out(f"error: {exc}\n")
                 return 2
 
-        def compile_plan(strategy_name):
-            # A fresh system per compile: TrainingJob's constructor does
-            # the whole compile (costs, memory checks, plan, passes)
-            # without advancing the simulation, so nothing is ever run.
-            system = ComposableSystem()
-            active = system.configure(args.config)
-            config = TrainingConfig(
-                benchmark=get_benchmark(args.benchmark),
-                strategy=strategy_classes[strategy_name](),
-                global_batch=args.global_batch,
-                accumulation_steps=args.accumulation,
-                plan_passes=args.opt,
-            )
-            job = TrainingJob(system.env, system.topology, system.host,
-                              list(active.gpus), active.storage, config)
-            return job
-
+        # A fresh system per compile: building the job does the whole
+        # compile (costs, memory checks, plan, passes) without advancing
+        # the simulation, so nothing is ever run.
+        config = dict(global_batch=args.global_batch,
+                      accumulation_steps=args.accumulation,
+                      plan_passes=args.opt)
         try:
-            job = compile_plan(args.strategy)
+            job = ComposableSystem().job(args.benchmark, args.config,
+                                         args.strategy, **config)
         except (ValueError, MemoryError) as exc:
             out(f"error: {exc}\n"
                 "hint: shrink --global-batch or raise --accumulation\n")
@@ -1092,7 +1073,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "cycle, rank-symmetry, and bytes-conservation "
                     "passes\n")
         if args.diff:
-            other = compile_plan(args.diff).step_plan
+            other = ComposableSystem().job(args.benchmark, args.config,
+                                           args.diff, **config).step_plan
             out("\n" + format_diff(diff_plans(plan, other), plan, other)
                 + "\n")
         return status

@@ -11,7 +11,8 @@
 The five Table III host configurations are exposed via
 :meth:`configure`, which returns the GPU set (in NCCL-friendly ring
 order) and the storage device a training job should use;
-:meth:`train` runs a benchmark end to end on a configuration.
+:meth:`job` builds a benchmark's un-run training job on a configuration
+and :meth:`train` runs it end to end.
 
 Systems are cheap to construct; experiments build a fresh one per run so
 traffic counters and telemetry start clean.
@@ -20,7 +21,7 @@ traffic counters and telemetry start clean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from ..devices import (
     GPU,
@@ -36,15 +37,14 @@ from ..management import Inventory, ManagementCenterServer
 from ..sim import Environment
 from ..telemetry import MetricsCollector
 from ..training import (
-    AMP_POLICY,
-    DistributedDataParallel,
+    STRATEGY_REGISTRY,
     ParallelStrategy,
     PrecisionPolicy,
     TrainingConfig,
     TrainingJob,
     TrainingResult,
 )
-from ..workloads import get_benchmark
+from ..workloads import Benchmark, get_benchmark
 from .presets import CONFIGURATION_DESCRIPTIONS, CONFIGURATION_ORDER
 
 __all__ = ["ComposableSystem", "ActiveConfiguration"]
@@ -157,34 +157,58 @@ class ComposableSystem:
         )
 
     # -- training ------------------------------------------------------------
-    def train(self, benchmark_key: str, configuration: str = "localGPUs",
-              strategy: Optional[ParallelStrategy] = None,
-              policy: PrecisionPolicy = AMP_POLICY,
-              global_batch: Optional[int] = None,
-              sim_steps: int = 24,
-              collector: Optional[MetricsCollector] = None,
-              tracer=None,
-              **config_overrides) -> TrainingResult:
-        """Run one benchmark on one configuration; returns the result.
+    def job(self, benchmark: Union[str, Benchmark],
+            configuration: str = "localGPUs",
+            strategy: Union[str, ParallelStrategy, None] = None,
+            policy: Optional[PrecisionPolicy] = None, *,
+            collector: Optional[MetricsCollector] = None,
+            tracer=None, **config) -> TrainingJob:
+        """One benchmark on one configuration, as an un-run job.
 
-        Passing a :class:`~repro.telemetry.Tracer` instruments the job
-        with spans and points the fabric/storage layers at it too.
+        ``benchmark`` is a registry key or a :class:`Benchmark`;
+        ``strategy`` is a :data:`STRATEGY_REGISTRY` key or an instance.
+        ``config`` entries are :class:`TrainingConfig` fields
+        (``sim_steps``, ``global_batch``, ``plan_passes``, ...); the
+        strategy, the policy and any field left ``None`` keep the
+        TrainingConfig default.  Constructing the job compiles its plans
+        without advancing the simulation, so plan and profiling callers
+        need never run it.  Passing a :class:`~repro.telemetry.Tracer`
+        instruments the job with spans and points the fabric/storage
+        layers at it too.
         """
+        if isinstance(strategy, str):
+            try:
+                strategy = STRATEGY_REGISTRY[strategy]()
+            except KeyError:
+                raise ValueError(
+                    f"unknown strategy {strategy!r}; "
+                    f"one of {tuple(STRATEGY_REGISTRY)}") from None
+        if isinstance(benchmark, str):
+            benchmark = get_benchmark(benchmark)
+        config.update(strategy=strategy, policy=policy)
         active = self.configure(configuration)
-        config = TrainingConfig(
-            benchmark=get_benchmark(benchmark_key),
-            strategy=strategy or DistributedDataParallel(),
-            policy=policy,
-            global_batch=global_batch,
-            sim_steps=sim_steps,
-            **config_overrides,
-        )
+        training = TrainingConfig(
+            benchmark=benchmark,
+            **{k: v for k, v in config.items() if v is not None})
         if tracer is not None:
             self.topology.tracer = tracer
-        job = TrainingJob(self.env, self.topology, self.host,
-                          list(active.gpus), active.storage, config,
-                          collector=collector, tracer=tracer)
-        return job.run()
+        return TrainingJob(self.env, self.topology, self.host,
+                           list(active.gpus), active.storage, training,
+                           collector=collector, tracer=tracer)
+
+    def train(self, benchmark: Union[str, Benchmark],
+              configuration: str = "localGPUs",
+              strategy: Union[str, ParallelStrategy, None] = None,
+              policy: Optional[PrecisionPolicy] = None, *,
+              collector: Optional[MetricsCollector] = None,
+              tracer=None, **config) -> TrainingResult:
+        """Run one benchmark on one configuration; returns the result.
+
+        Takes the arguments of :meth:`job`.
+        """
+        return self.job(benchmark, configuration, strategy, policy,
+                        collector=collector, tracer=tracer,
+                        **config).run()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<ComposableSystem host0 + falcon0 "

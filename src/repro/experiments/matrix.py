@@ -146,8 +146,8 @@ def _fit_operating_point(benchmark: str, configuration: str,
     Returns ``(job, global_batch, accumulation, None)`` on success or
     ``(None, None, None, reason)`` when no candidate fits.
     """
+    from ..core import ComposableSystem
     from ..workloads import get_benchmark
-    from .profiling import _build_cell_job
 
     native = get_benchmark(benchmark).global_batch
     batches = []
@@ -161,7 +161,7 @@ def _fit_operating_point(benchmark: str, configuration: str,
     for gb in batches:
         for acc in _ACCUMULATIONS:
             try:
-                job = _build_cell_job(
+                job = ComposableSystem().job(
                     benchmark, configuration, strategy,
                     sim_steps=sim_steps, plan_passes=plan_passes,
                     global_batch=gb, accumulation_steps=acc)
@@ -216,9 +216,9 @@ def run_matrix(models: Sequence[str] = MATRIX_MODELS,
     the figure studies do; ``progress`` is an optional callable fed one
     line per fitted/skipped cell.
     """
+    from ..telemetry.profile import profile_plan
     from ..training import STRATEGY_REGISTRY
     from .parallel import experiment_cell, record_from_value, run_cells
-    from .profiling import profile_plan_for_job
 
     if strategies is None:
         strategies = tuple(STRATEGY_REGISTRY)
@@ -244,7 +244,7 @@ def run_matrix(models: Sequence[str] = MATRIX_MODELS,
                         f"{reason}")
                     continue
                 plan = job.step_plan
-                prof = profile_plan_for_job(job)
+                prof = profile_plan(plan, ctx=job._exec_ctx)
                 cell = MatrixCell(
                     configuration=configuration, benchmark=model,
                     strategy=strategy, fitted=True,

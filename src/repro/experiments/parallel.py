@@ -162,20 +162,26 @@ class ResultCache:
 # -- cell construction -------------------------------------------------------
 
 def _strategy_spec(strategy) -> Optional[dict]:
-    """Canonical (class name, constructor kwargs) form of a strategy.
+    """Canonical (registry key, constructor kwargs) form of a strategy.
 
     Strategies are tiny value objects whose instance dict mirrors their
-    constructor signature; anything fancier is not cell-serializable and
-    returns ``None`` (callers then bypass the cache).
+    constructor signature.  A type :data:`STRATEGY_REGISTRY` does not
+    hold, or a non-JSON knob, is not cell-serializable and returns
+    ``None`` (callers then bypass the cache).
     """
     if strategy is None:
+        return None
+    from ..training import STRATEGY_REGISTRY
+    name = {cls: key for key, cls in STRATEGY_REGISTRY.items()}.get(
+        type(strategy))
+    if name is None:
         return None
     kwargs = dict(sorted(vars(strategy).items()))
     try:
         json.dumps(kwargs)
     except (TypeError, ValueError):
         return None
-    return {"type": type(strategy).__name__, "kwargs": kwargs}
+    return {"name": name, "kwargs": kwargs}
 
 
 def _passes_spec(plan_passes):
@@ -290,12 +296,7 @@ def _build_strategy(spec: Optional[dict]):
     if spec is None:
         return None
     from ..training import STRATEGY_REGISTRY
-    types = {cls.__name__: cls for cls in STRATEGY_REGISTRY.values()}
-    try:
-        cls = types[spec["type"]]
-    except KeyError:
-        raise ValueError(f"unknown strategy type {spec['type']!r}") from None
-    return cls(**spec["kwargs"])
+    return STRATEGY_REGISTRY[spec["name"]](**spec["kwargs"])
 
 
 def _build_policy(name: Optional[str]):
@@ -339,12 +340,12 @@ def _execute_cell(cell: dict) -> dict:
         )
         return record_to_value(record)
     if kind == "step":
+        from ..core import ComposableSystem
         from ..plan.fastpath import evaluate_plan
-        from .profiling import _build_cell_job
-        job = _build_cell_job(
+        job = ComposableSystem().job(
             cell["benchmark"], cell["configuration"],
             _build_strategy(cell["strategy"]),
-            policy=_build_policy(cell["policy"]),
+            _build_policy(cell["policy"]),
             global_batch=cell["global_batch"],
             **_train_kwargs(cell))
         timing = evaluate_plan(job.step_plan, job._exec_ctx)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..core import ComposableSystem
 from ..telemetry.profile import (
     SCALE_BUCKETS,
     BottleneckReport,
@@ -31,52 +32,7 @@ from ..telemetry.profile import (
     what_if,
 )
 
-__all__ = ["profile_cell", "profile_plan_for_job", "bottleneck_labels",
-           "STRATEGY_NAMES"]
-
-#: CLI strategy names -> training strategy factories (resolved lazily).
-STRATEGY_NAMES = ("dp", "ddp", "sharded", "pipeline", "tp", "2d", "fsdp")
-
-
-def _strategy_factory(name: str):
-    from ..training import STRATEGY_REGISTRY
-    try:
-        return STRATEGY_REGISTRY[name]
-    except KeyError:
-        raise ValueError(f"unknown strategy {name!r}; "
-                         f"one of {tuple(STRATEGY_REGISTRY)}") from None
-
-
-def _build_cell_job(benchmark: str, configuration: str, strategy=None,
-                    policy=None, **config):
-    """One cell's TrainingJob on a fresh ComposableSystem (never run).
-
-    ``strategy`` is a registry name or a strategy instance.  ``config``
-    entries are :class:`TrainingConfig` fields (``sim_steps``,
-    ``plan_passes``, ``global_batch``, ``accumulation_steps``, ...);
-    ``strategy``, ``policy`` and any field left ``None`` keep the
-    TrainingConfig default.
-    """
-    from ..core import ComposableSystem
-    from ..training import TrainingConfig, TrainingJob
-    from ..workloads import get_benchmark
-
-    if isinstance(strategy, str):
-        strategy = _strategy_factory(strategy)()
-    config.update(strategy=strategy, policy=policy)
-    kwargs = {k: v for k, v in config.items() if v is not None}
-    system = ComposableSystem()
-    active = system.configure(configuration)
-    return TrainingJob(system.env, system.topology, system.host,
-                       list(active.gpus), active.storage,
-                       TrainingConfig(benchmark=get_benchmark(benchmark),
-                                      **kwargs))
-
-
-def profile_plan_for_job(job):
-    """Plan-level profile of an un-run job's step plan (cheap: one
-    fast-path evaluation + critical-path walk, no event simulation)."""
-    return profile_plan(job.step_plan, ctx=job._exec_ctx)
+__all__ = ["profile_cell", "bottleneck_labels"]
 
 
 def profile_cell(benchmark: str, configuration: str, strategy: str = "ddp",
@@ -98,10 +54,11 @@ def profile_cell(benchmark: str, configuration: str, strategy: str = "ddp",
     """
     from ..plan.fastpath import fastpath_schedule
 
-    job = _build_cell_job(benchmark, configuration, strategy,
-                          sim_steps=sim_steps, plan_passes=plan_passes,
-                          global_batch=global_batch,
-                          accumulation_steps=accumulation_steps)
+    config = dict(sim_steps=sim_steps, plan_passes=plan_passes,
+                  global_batch=global_batch,
+                  accumulation_steps=accumulation_steps)
+    job = ComposableSystem().job(benchmark, configuration, strategy,
+                                 **config)
     plan = job.step_plan
     world = plan.world_size
     # The pure fast path never advances the environment, so the same
@@ -114,10 +71,8 @@ def profile_cell(benchmark: str, configuration: str, strategy: str = "ddp",
     for bucket in what_if_buckets:
         eval_ctx = None
         if evaluate_what_ifs:
-            throwaway = _build_cell_job(
-                benchmark, configuration, strategy, sim_steps=sim_steps,
-                plan_passes=plan_passes, global_batch=global_batch,
-                accumulation_steps=accumulation_steps)
+            throwaway = ComposableSystem().job(benchmark, configuration,
+                                               strategy, **config)
             eval_ctx = throwaway._exec_ctx
         what_ifs.append(what_if(plan, base, job._exec_ctx, bucket, 0.0,
                                 cp_attr=plan_prof.attr,

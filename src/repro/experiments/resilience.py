@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ComposableSystem
-from ..training import DistributedDataParallel
 
 __all__ = ["DegradationResult", "degraded_uplink_study"]
 
@@ -57,17 +56,8 @@ def degraded_uplink_study(benchmark: str = "bert-large",
     _, h1_link, _ = drawer0.hosts["host0"][0]
     original_spec = h1_link.spec
 
-    from ..training import TrainingConfig, TrainingJob
-    from ..workloads import get_benchmark
-    active = system.configure(configuration)
-    config = TrainingConfig(
-        benchmark=get_benchmark(benchmark),
-        strategy=DistributedDataParallel(),
-        sim_steps=sim_steps,
-        sim_checkpoints=0,
-    )
-    job = TrainingJob(env, system.topology, system.host,
-                      list(active.gpus), active.storage, config)
+    job = system.job(benchmark, configuration, "ddp",
+                     sim_steps=sim_steps, sim_checkpoints=0)
 
     half = sim_steps // 2
 

@@ -18,7 +18,6 @@ from ..core import ComposableSystem
 from ..fabric.link import GB
 from ..training import (
     AMP_POLICY,
-    DistributedDataParallel,
     ParallelStrategy,
     PrecisionPolicy,
     TrainingResult,
@@ -87,45 +86,18 @@ def run_configuration(benchmark: str, configuration: str,
                       sim_checkpoints: int = 1,
                       system: Optional[ComposableSystem] = None,
                       tracer=None,
-                      cache=None,
                       **train_kwargs) -> ExperimentRecord:
     """Run one benchmark on one configuration and collect all metrics.
 
     Extra keyword arguments (e.g. ``plan_passes``, ``accumulation_steps``)
-    are forwarded verbatim into the :class:`TrainingConfig`.
-
-    ``cache`` (a :class:`~repro.experiments.parallel.ResultCache`)
-    memoizes the run's scalar record on disk.  Runs that need live
-    objects (an explicit ``system`` or ``tracer``) or non-serializable
-    arguments bypass it; cached hits return a record whose ``result``
-    is ``None``.
+    are forwarded verbatim into the :class:`TrainingConfig`.  Memoized
+    grids go through :func:`~repro.experiments.parallel.run_cells`.
     """
-    if cache is not None and system is None and tracer is None:
-        from .parallel import (
-            experiment_cell,
-            record_from_value,
-            record_to_value,
-        )
-        cell = experiment_cell(
-            benchmark, configuration, strategy=strategy, policy=policy,
-            global_batch=global_batch, sim_steps=sim_steps,
-            sim_checkpoints=sim_checkpoints, **train_kwargs)
-        if cell is not None:
-            value = cache.load(cell)
-            if value is not None:
-                return record_from_value(value)
-            record = run_configuration(
-                benchmark, configuration, strategy=strategy,
-                policy=policy, global_batch=global_batch,
-                sim_steps=sim_steps, sim_checkpoints=sim_checkpoints,
-                **train_kwargs)
-            cache.store(cell, record_to_value(record))
-            return record
     system = system or ComposableSystem()
     result = system.train(
         benchmark,
         configuration=configuration,
-        strategy=strategy or DistributedDataParallel(),
+        strategy=strategy,
         policy=policy,
         global_batch=global_batch,
         sim_steps=sim_steps,

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from ..core import ComposableSystem
 from ..devices.gpu import Precision
-from ..training import DistributedDataParallel, TrainingConfig, TrainingJob
 from ..workloads import SQUAD_V11, bert
 from ..workloads.registry import Benchmark
 
@@ -68,19 +67,13 @@ def _bert_family_benchmark(num_layers: int, hidden: int,
     )
 
 
-def _measure(bench: Benchmark, sim_steps: int) -> dict[str, float]:
-    steps = {}
-    for configuration in ("localGPUs", "falconGPUs"):
-        system = ComposableSystem()
-        active = system.configure(configuration)
-        config = TrainingConfig(benchmark=bench,
-                                strategy=DistributedDataParallel(),
-                                sim_steps=sim_steps,
-                                sim_checkpoints=0)
-        job = TrainingJob(system.env, system.topology, system.host,
-                          list(active.gpus), active.storage, config)
-        steps[configuration] = job.run().step_time
-    return steps
+def _measure(bench, sim_steps: int, **config) -> dict[str, float]:
+    """DDP step time of ``bench`` (a registry key or a
+    :class:`Benchmark`) on localGPUs and on falconGPUs."""
+    return {configuration: ComposableSystem().train(
+                bench, configuration, "ddp", sim_steps=sim_steps,
+                sim_checkpoints=0, **config).step_time
+            for configuration in ("localGPUs", "falconGPUs")}
 
 
 def overhead_vs_model_size(layer_counts=(4, 8, 16, 24),
@@ -123,25 +116,11 @@ def overhead_vs_batch(batches=(2, 4, 6), benchmark_key: str = "bert-large",
     """Sweep the per-GPU batch on one model; gradient volume is constant
     so the communication-to-compute ratio (and the falcon overhead)
     falls as the batch grows."""
-    from ..workloads import get_benchmark
-    bench = get_benchmark(benchmark_key)
     points: list[BatchPoint] = []
     for per_gpu in batches:
-        steps = {}
-        for configuration in ("localGPUs", "falconGPUs"):
-            system = ComposableSystem()
-            active = system.configure(configuration)
-            config = TrainingConfig(
-                benchmark=bench,
-                strategy=DistributedDataParallel(),
-                global_batch=per_gpu * 8,
-                sim_steps=sim_steps,
-                sim_checkpoints=0,
-                accumulation_steps=2 if per_gpu in accumulation_for else 1,
-            )
-            job = TrainingJob(system.env, system.topology, system.host,
-                              list(active.gpus), active.storage, config)
-            steps[configuration] = job.run().step_time
+        steps = _measure(
+            benchmark_key, sim_steps, global_batch=per_gpu * 8,
+            accumulation_steps=2 if per_gpu in accumulation_for else 1)
         points.append(BatchPoint(
             batch_per_gpu=per_gpu,
             local_step_time=steps["localGPUs"],

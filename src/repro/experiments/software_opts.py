@@ -47,11 +47,11 @@ class OptVariant:
     def build_job(self, configuration: str, plan_passes=None,
                   benchmark: str = "bert-large"):
         """This variant's un-run TrainingJob on a fresh system."""
-        from .profiling import _build_cell_job
-        return _build_cell_job(benchmark, configuration,
-                               self.strategy_factory(), policy=self.policy,
-                               global_batch=self.global_batch,
-                               plan_passes=plan_passes)
+        from ..core import ComposableSystem
+        return ComposableSystem().job(benchmark, configuration,
+                                      self.strategy_factory(), self.policy,
+                                      global_batch=self.global_batch,
+                                      plan_passes=plan_passes)
 
 
 #: FP32 batches are memory-capped (FP32 activations + 8-byte/param

@@ -76,6 +76,15 @@ def activation_factor(model: ModelGraph) -> float:
     return _CNN_ACTIVATION_FACTOR
 
 
+def _optimizer_state_bytes(model: ModelGraph,
+                           policy: PrecisionPolicy) -> float:
+    """Unsharded Adam state: an FP32 master copy plus two moments under
+    FP16 with master weights, else (weights already FP32) two moments."""
+    if policy.compute is Precision.FP16 and policy.master_weights:
+        return model.params * 12.0
+    return model.params * 8.0
+
+
 @dataclass(frozen=True)
 class StepCosts:
     """Per-rank, per-step analytic costs handed to a strategy."""
@@ -185,12 +194,7 @@ class ParallelStrategy:
         """Bytes of device memory one replica needs."""
         weights = model.weight_bytes(policy.compute)
         grads = model.gradient_bytes(policy.compute)
-        if policy.compute is Precision.FP16 and policy.master_weights:
-            # FP32 master + two Adam moments.
-            opt = model.params * 12.0
-        else:
-            # Weights are already FP32; two Adam moments.
-            opt = model.params * 8.0
+        opt = _optimizer_state_bytes(model, policy)
         if self.sharded and world_size > 1:
             opt /= world_size
             grads /= world_size
@@ -441,24 +445,13 @@ class PipelineParallel(ParallelStrategy):
         stages = max(1, world_size)
         weights = model.weight_bytes(policy.compute)
         grads = model.gradient_bytes(policy.compute)
-        if policy.compute is Precision.FP16 and policy.master_weights:
-            opt = model.params * 12.0
-        else:
-            opt = model.params * 8.0
+        opt = _optimizer_state_bytes(model, policy)
         activations = (model.activation_bytes_per_sample(policy.compute)
                        * batch_per_gpu * activation_factor(model))
         return (FRAMEWORK_OVERHEAD_BYTES
                 + (weights + grads + opt + activations) / stages)
 
     # -- step compiler -----------------------------------------------------
-    def _boundary_bytes(self, costs: StepCosts, samples: float) -> float:
-        """Activation bytes crossing one stage boundary per micro-batch:
-        roughly one layer's output (per-sample activations / depth)."""
-        model = costs.model
-        per_layer = model.activation_bytes_per_sample(
-            costs.policy.compute) / max(1, model.depth)
-        return per_layer * samples
-
     def compile_step(self, ctx: CompileContext) -> StepPlan:
         costs = ctx.costs
         stages = ctx.world_size
@@ -473,7 +466,7 @@ class PipelineParallel(ParallelStrategy):
         b_flops = costs.backward_flops / (stages * self.microbatches)
         b_hbm = costs.backward_hbm_bytes / (stages * self.microbatches)
         samples_mb = (costs.batch_per_gpu * ctx.accumulation) / mb_total
-        boundary = self._boundary_bytes(costs, samples_mb)
+        boundary = _boundary_activation_bytes(costs, samples_mb)
 
         b = PlanBuilder(f"{self.name}-step", stages,
                         meta={"strategy": self.name,
@@ -526,8 +519,9 @@ class PipelineParallel(ParallelStrategy):
 
 def _boundary_activation_bytes(costs: StepCosts, samples: float) -> float:
     """Activation bytes of one layer's output for ``samples`` samples —
-    the tensor a TP all-gather assembles (and the input broadcast
-    moves): per-sample activations spread over the model's depth."""
+    what crosses a pipeline stage boundary per micro-batch, and the
+    tensor a TP all-gather assembles (and the input broadcast moves):
+    per-sample activations spread over the model's depth."""
     model = costs.model
     per_layer = model.activation_bytes_per_sample(
         costs.policy.compute) / max(1, model.depth)
@@ -576,10 +570,7 @@ class TensorParallel(ParallelStrategy):
                        batch_per_gpu: int, world_size: int) -> float:
         weights = model.weight_bytes(policy.compute) / world_size
         grads = model.gradient_bytes(policy.compute) / world_size
-        if policy.compute is Precision.FP16 and policy.master_weights:
-            opt = model.params * 12.0 / world_size
-        else:
-            opt = model.params * 8.0 / world_size
+        opt = _optimizer_state_bytes(model, policy) / world_size
         # Layer outputs are assembled on every rank (replicated); the
         # autograd extras beyond them shard with the weights.
         factor = 1.0 + (activation_factor(model) - 1.0) / world_size
@@ -703,10 +694,7 @@ class TwoDParallel(ParallelStrategy):
         tp = self.tp_degree
         weights = model.weight_bytes(policy.compute) / tp
         grads = model.gradient_bytes(policy.compute) / tp
-        if policy.compute is Precision.FP16 and policy.master_weights:
-            opt = model.params * 12.0 / tp
-        else:
-            opt = model.params * 8.0 / tp
+        opt = _optimizer_state_bytes(model, policy) / tp
         factor = 1.0 + (activation_factor(model) - 1.0) / tp
         activations = (model.activation_bytes_per_sample(policy.compute)
                        * batch_per_gpu * factor)
@@ -805,10 +793,7 @@ class FullyShardedDataParallel(ParallelStrategy):
                        batch_per_gpu: int, world_size: int) -> float:
         weights = model.weight_bytes(policy.compute) / world_size
         grads = model.gradient_bytes(policy.compute) / world_size
-        if policy.compute is Precision.FP16 and policy.master_weights:
-            opt = model.params * 12.0 / world_size
-        else:
-            opt = model.params * 8.0 / world_size
+        opt = _optimizer_state_bytes(model, policy) / world_size
         # Two transiently gathered units: in-use + prefetch.
         transient = 2.0 * model.weight_bytes(policy.compute) \
             / max(1, self.layer_groups)

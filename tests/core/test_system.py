@@ -10,6 +10,16 @@ from repro import (
     SOFTWARE_STACK,
 )
 from repro.fabric import FalconMode
+from repro.plan import format_plan
+from repro.telemetry import Tracer
+from repro.training import (
+    AMP_POLICY,
+    STRATEGY_REGISTRY,
+    DistributedDataParallel,
+    PipelineParallel,
+    ShardedDataParallel,
+)
+from repro.workloads import get_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +118,59 @@ class TestFalconNVMePath:
         nodes = route.nodes
         assert "falcon0/drawer1/switch" in nodes
         assert "host0/rc" in nodes
+
+
+class TestJobBuilder:
+    def test_unknown_strategy_key_names_every_registry_key(self):
+        with pytest.raises(ValueError) as exc:
+            ComposableSystem().job("resnet50", strategy="zero3")
+        message = str(exc.value)
+        assert "'zero3'" in message
+        for key in STRATEGY_REGISTRY:
+            assert repr(key) in message
+
+    def test_none_arguments_keep_training_config_defaults(self):
+        job = ComposableSystem().job("resnet50", strategy=None,
+                                     policy=None, sim_steps=None,
+                                     global_batch=None)
+        assert type(job.config.strategy) is DistributedDataParallel
+        assert job.config.policy is AMP_POLICY
+        assert job.config.sim_steps == 24
+        assert job.config.global_batch is None
+        assert job.env.now == 0.0  # built, never run
+
+    def test_strategy_key_or_instance(self):
+        sharded = ComposableSystem().job("resnet50", strategy="sharded")
+        assert type(sharded.config.strategy) is ShardedDataParallel
+        pipeline = PipelineParallel(microbatches=4)
+        job = ComposableSystem().job("resnet50", strategy=pipeline)
+        assert job.config.strategy is pipeline
+
+    def test_benchmark_instance_or_registry_key(self):
+        by_key = ComposableSystem().job("bert-base", "falconGPUs")
+        by_instance = ComposableSystem().job(get_benchmark("bert-base"),
+                                             "falconGPUs")
+        assert format_plan(by_instance.step_plan) == \
+            format_plan(by_key.step_plan)
+
+    def test_synthetic_benchmark_trains(self):
+        # The scaling study's ad-hoc BERT family is in no registry.
+        from repro.experiments.scaling_laws import _bert_family_benchmark
+        bench = _bert_family_benchmark(2, 256, 4)
+        system = ComposableSystem()
+        job = system.job(bench, "localGPUs", "ddp", sim_steps=2,
+                         sim_checkpoints=0)
+        assert job.config.benchmark is bench
+        assert job.run().step_time > 0.0
+
+    def test_configuration_places_the_gpus(self):
+        system = ComposableSystem()
+        job = system.job("resnet50", "falconGPUs")
+        assert tuple(g.name for g in job.gpus) == \
+            system.configure("falconGPUs").gpu_names
+
+    def test_tracer_reaches_the_topology(self):
+        system = ComposableSystem()
+        tracer = Tracer(system.env)
+        system.job("resnet50", tracer=tracer)
+        assert system.topology.tracer is tracer

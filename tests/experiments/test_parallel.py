@@ -8,13 +8,19 @@ from repro.experiments import run_configuration
 from repro.experiments.parallel import (
     NullCache,
     ResultCache,
+    _build_strategy,
+    _strategy_spec,
     experiment_cell,
     opt_profile_cell,
     record_from_value,
     record_to_value,
     run_cells,
 )
-from repro.training import DistributedDataParallel, ShardedDataParallel
+from repro.training import (
+    STRATEGY_REGISTRY,
+    DistributedDataParallel,
+    ShardedDataParallel,
+)
 
 STEPS = 3  # tiny runs: these tests exercise the harness, not the sim
 
@@ -110,6 +116,44 @@ class TestKeying:
         assert cache.key(a) != cache.key(b)
 
 
+#: A non-default constructor knob for every registry strategy.
+STRATEGY_KNOBS = {
+    "dp": {"master_rank": 3},
+    "ddp": {"bucket_bytes": 50e6},
+    "sharded": {"bucket_bytes": 10e6},
+    "pipeline": {"microbatches": 4},
+    "tp": {"layer_groups": 2},
+    "2d": {"tp_degree": 4, "layer_groups": 2},
+    "fsdp": {"layer_groups": 8},
+}
+
+
+class TestStrategySpec:
+    def test_knobs_cover_the_registry(self):
+        assert set(STRATEGY_KNOBS) == set(STRATEGY_REGISTRY)
+
+    @pytest.mark.parametrize("name", list(STRATEGY_REGISTRY))
+    @pytest.mark.parametrize("knobs", [False, True])
+    def test_spec_round_trips_every_registry_strategy(self, name, knobs):
+        kwargs = STRATEGY_KNOBS[name] if knobs else {}
+        strategy = STRATEGY_REGISTRY[name](**kwargs)
+        spec = _strategy_spec(strategy)
+        assert spec["name"] == name
+        json.dumps(spec)
+        rebuilt = _build_strategy(spec)
+        assert type(rebuilt) is STRATEGY_REGISTRY[name]
+        assert vars(rebuilt) == vars(strategy)
+        for knob, value in kwargs.items():
+            assert getattr(rebuilt, knob) == value
+
+    def test_unregistered_subclass_has_no_spec(self):
+        class CustomDDP(DistributedDataParallel):
+            pass
+
+        assert _strategy_spec(CustomDDP()) is None
+        assert cheap_cell(strategy=CustomDDP()) is None
+
+
 class TestCacheRoundTrip:
     def test_store_then_load(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -176,18 +220,6 @@ class TestRunCells:
         assert rebuilt.step_time == record.step_time
         assert rebuilt.throughput == record.throughput
         assert rebuilt.result is None
-
-
-class TestRunConfigurationCache:
-    def test_cached_run_matches_live_run(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        live = run_configuration("resnet50", "localGPUs",
-                                 sim_steps=STEPS, cache=cache)
-        cached = run_configuration("resnet50", "localGPUs",
-                                   sim_steps=STEPS, cache=cache)
-        assert cache.hits == 1
-        assert cached.step_time == live.step_time
-        assert cached.result is None and live.result is not None
 
 
 class TestWarmOptStudy:

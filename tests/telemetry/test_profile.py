@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import ComposableSystem
 from repro.devices.gpu import Precision
-from repro.experiments.profiling import _build_cell_job
 from repro.plan import ExecutionContext, PlanBuilder, PlanError
 from repro.plan.fastpath import evaluate_plan, fastpath_schedule
 from repro.telemetry.profile import (
@@ -146,7 +145,7 @@ class TestUtilizationAndImbalance:
         # bert-large 2D on localGPUs: the tensor-parallel group (0, 1)
         # broadcasts its input from rank 0 to rank 1 only, so it must
         # occupy exactly that route, not links to every world peer.
-        job = _build_cell_job("bert-large", "localGPUs", "2d")
+        job = ComposableSystem().job("bert-large", "localGPUs", "2d")
         plan, ctx = job.step_plan, job._exec_ctx
         timing = fastpath_schedule(plan, ctx)
         uids = ("r0:input-bcast", "r1:input-bcast")
@@ -257,9 +256,8 @@ class TestWhatIfIntegration:
 
 class TestProfileRun:
     def test_run_profile_reconciles_by_construction(self):
-        from repro.experiments.profiling import _build_cell_job
-        job = _build_cell_job("mobilenetv2", "localGPUs", "ddp",
-                              sim_steps=4)
+        job = ComposableSystem().job("mobilenetv2", "localGPUs", "ddp",
+                                     sim_steps=4)
         rp = profile_run(job)
         assert rp.reconciliation_rel_err <= 1e-9
         assert len(rp.steps) == 4
