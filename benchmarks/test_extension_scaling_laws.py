@@ -24,10 +24,9 @@ from repro.experiments import (
 
 def test_extension_overhead_scaling(benchmark):
     depth_points = benchmark.pedantic(
-        lambda: overhead_vs_model_size(layer_counts=(4, 12, 24),
-                                       sim_steps=5),
+        lambda: overhead_vs_model_size(layer_counts=(4, 12, 24)),
         rounds=1, iterations=1)
-    batch_points = overhead_vs_batch(batches=(2, 4, 6), sim_steps=5)
+    batch_points = overhead_vs_batch(batches=(2, 4, 6))
 
     emit(render_table(
         ["Encoder layers", "Params M", "Falcon overhead %"],

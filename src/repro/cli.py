@@ -93,6 +93,12 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
 
 
+#: ``--steps`` help where every cell is one step-plan evaluation
+#: (``fig16`` and its ``--matrix``, ``matrix``, ``scaling``).
+_COMPAT_STEPS_HELP = ("accepted for compatibility; sizes nothing, since "
+                      "each cell is one step-plan evaluation")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -106,11 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
                  "fig15", "fig16", "sharing", "scaleout", "scaling"):
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        # fig16's grid evaluates one step plan per cell; only --matrix
-        # trains, so --steps sizes nothing else there.
         p.add_argument("--steps", type=int, default=8,
-                       help="simulated optimizer steps per --matrix cell"
-                       if name == "fig16"
+                       help=_COMPAT_STEPS_HELP
+                       if name in ("fig16", "scaling")
                        else "simulated optimizer steps per run")
         if name.startswith("fig1"):
             # The Figs. 10-16 sweeps run many independent cells; they
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="two-model slice for CI; exits non-zero "
                              "unless a crossover model is found")
     matrix.add_argument("--steps", type=int, default=6,
-                        help="simulated optimizer steps per cell")
+                        help=_COMPAT_STEPS_HELP)
     matrix.add_argument("--models", default=None,
                         metavar="NAME[,NAME...]",
                         help="benchmark subset (default: all)")
@@ -505,9 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "(critical-path attribution)") + "\n")
         if getattr(args, "matrix", False):
             from .experiments import format_matrix, run_matrix
-            report = run_matrix(models=("bert-large",),
-                                sim_steps=max(4, args.steps // 2),
-                                **sweep_kwargs())
+            report = run_matrix(models=("bert-large",), **sweep_kwargs())
             out("\n" + format_matrix(report) + "\n")
         return 0
 
@@ -656,13 +658,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "scaling":
         from .experiments import overhead_vs_batch, overhead_vs_model_size
-        depth = overhead_vs_model_size(sim_steps=max(4, args.steps // 2))
+        depth = overhead_vs_model_size()
         out(render_table(
             ["Layers", "Params M", "Falcon overhead %"],
             [(p.num_layers, round(p.params_m, 1),
               round(p.overhead_pct, 1)) for p in depth],
             title="Overhead vs depth (batch fixed at 6/GPU)") + "\n\n")
-        batch = overhead_vs_batch(sim_steps=max(4, args.steps // 2))
+        batch = overhead_vs_batch()
         out(render_table(
             ["Batch/GPU", "Falcon overhead %"],
             [(p.batch_per_gpu, round(p.overhead_pct, 1)) for p in batch],
@@ -1015,10 +1017,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except PassError as exc:
                 out(f"error: {exc}\n")
                 return 2
-        steps = min(args.steps, 4) if args.smoke else args.steps
-        report = run_matrix(
-            models=models, strategies=strategies, sim_steps=steps,
-            plan_passes=args.opt, **sweep_kwargs())
+        report = run_matrix(models=models, strategies=strategies,
+                            plan_passes=args.opt, **sweep_kwargs())
         out(format_matrix(report) + "\n")
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

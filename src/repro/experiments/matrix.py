@@ -16,9 +16,11 @@ micro-batch passes the strategy's device-memory model — and cells are
 then compared on **time per sample**, which normalizes away the batch
 differences.
 
-Cells run through the memoized parallel harness
-(:mod:`repro.experiments.parallel`), so re-running the matrix after a
-code change only recomputes what changed.  Each cell also carries its
+Each cell is one unit of work for the memoized parallel harness
+(:mod:`repro.experiments.parallel`): fit the operating point, evaluate
+the step plan once, and profile that same timing.  The step time is the
+plan's makespan, so nothing is trained; re-running the matrix reads
+every unchanged cell from the cache.  Each cell also carries its
 plan-level story: total collective/P2P payload per step, and the
 critical-path attribution (exposed sync seconds, bottleneck label) from
 the plan profiler.
@@ -73,7 +75,9 @@ class MatrixCell:
     throughput: Optional[float] = None
     #: The frontier metric: seconds of training per sample.
     time_per_sample: Optional[float] = None
-    gpu_utilization: Optional[float] = None
+    #: Mean over ranks of the fraction of the step each GPU's compute
+    #: stream is busy (profiler ``utilization``), in [0, 1].
+    gpu_busy_frac: Optional[float] = None
     #: Total collective + P2P payload in one step plan (all micro-steps).
     comm_bytes_per_step: Optional[float] = None
     #: Critical-path comm seconds (sync time not hidden under compute).
@@ -81,6 +85,8 @@ class MatrixCell:
     label: Optional[str] = None
     shares: dict = field(default_factory=dict)
     plan_ops: Optional[int] = None
+    #: Engine that timed the step plan: ``fastpath`` or ``executor``.
+    engine: Optional[str] = None
 
     def as_dict(self) -> dict:
         return dict(vars(self))
@@ -93,7 +99,6 @@ class MatrixReport:
     configurations: tuple
     models: tuple
     strategies: tuple
-    sim_steps: int
     plan_passes: Optional[str]
     cells: list
     #: ``{configuration: {model: winning strategy name}}``.
@@ -115,7 +120,6 @@ class MatrixReport:
             "configurations": list(self.configurations),
             "models": list(self.models),
             "strategies": list(self.strategies),
-            "sim_steps": self.sim_steps,
             "plan_passes": self.plan_passes,
             "cells": [c.as_dict() for c in self.cells],
             "frontier": self.frontier,
@@ -132,8 +136,7 @@ def plan_comm_bytes(plan) -> float:
 
 
 def _fit_operating_point(benchmark: str, configuration: str,
-                         strategy: str, sim_steps: int,
-                         plan_passes: Optional[str]):
+                         strategy: str, plan_passes):
     """Largest feasible (global_batch, accumulation) for one cell.
 
     Walks candidate operating points from the benchmark's native global
@@ -141,7 +144,7 @@ def _fit_operating_point(benchmark: str, configuration: str,
     accepts the first whose :class:`TrainingJob` actually constructs —
     job construction runs the strategy's divisibility and device-memory
     checks and compiles the step plan, so a returned job is known-good
-    and its plan feeds the cell's comm/critical-path statistics.
+    and its plan feeds the cell's timing and profile.
 
     Returns ``(job, global_batch, accumulation, None)`` on success or
     ``(None, None, None, reason)`` when no candidate fits.
@@ -150,20 +153,16 @@ def _fit_operating_point(benchmark: str, configuration: str,
     from ..workloads import get_benchmark
 
     native = get_benchmark(benchmark).global_batch
-    batches = []
-    gb = native
-    while gb >= 1:
-        batches.append(gb)
-        if gb == 1:
-            break
-        gb = max(1, gb // 2)
+    batches = [native]
+    while batches[-1] > 1:
+        batches.append(batches[-1] // 2)
     reason = None
     for gb in batches:
         for acc in _ACCUMULATIONS:
             try:
                 job = ComposableSystem().job(
                     benchmark, configuration, strategy,
-                    sim_steps=sim_steps, plan_passes=plan_passes,
+                    plan_passes=plan_passes,
                     global_batch=gb, accumulation_steps=acc)
             except (ValueError, MemoryError) as exc:
                 if reason is None:
@@ -171,6 +170,43 @@ def _fit_operating_point(benchmark: str, configuration: str,
                 continue
             return job, gb, acc, None
     return None, None, None, reason or "no feasible operating point"
+
+
+def evaluate_cell(benchmark: str, configuration: str, strategy: str,
+                  plan_passes) -> dict:
+    """One matrix cell as JSON scalars: the :class:`MatrixCell` fields.
+
+    Fits the operating point, evaluates the step plan once and profiles
+    that timing.  The executor of the harness's ``matrix`` cells.
+    """
+    from ..plan.fastpath import evaluate_plan
+    from ..telemetry.profile import profile_plan
+
+    value = {"configuration": configuration, "benchmark": benchmark,
+             "strategy": strategy}
+    job, gb, acc, reason = _fit_operating_point(
+        benchmark, configuration, strategy, plan_passes)
+    if job is None:
+        return {**value, "fitted": False, "reason": reason}
+    plan = job.step_plan
+    timing = evaluate_plan(plan, job._exec_ctx)
+    prof = profile_plan(plan, timing, ctx=job._exec_ctx)
+    throughput = gb / timing.makespan
+    busy = [prof.utilization[f"gpu:r{rank}"]["busy_frac"]
+            for rank in range(plan.world_size)]
+    return {
+        **value, "fitted": True,
+        "global_batch": gb, "accumulation_steps": acc,
+        "step_time": timing.makespan, "throughput": throughput,
+        "time_per_sample": 1.0 / throughput,
+        "gpu_busy_frac": sum(busy) / len(busy),
+        "comm_bytes_per_step": plan_comm_bytes(plan),
+        "exposed_comm_s": prof.attr.seconds.get("comm", 0.0),
+        "label": prof.label,
+        "shares": {k: round(v, 4) for k, v in prof.shares.items()},
+        "plan_ops": len(plan.ops),
+        "engine": timing.mode,
+    }
 
 
 def crossover_frontier(cells: Sequence[MatrixCell],
@@ -204,21 +240,18 @@ def crossover_frontier(cells: Sequence[MatrixCell],
 def run_matrix(models: Sequence[str] = MATRIX_MODELS,
                strategies: Optional[Sequence[str]] = None,
                configurations: Sequence[str] = MATRIX_CONFIGURATIONS,
-               sim_steps: int = 6,
                plan_passes: Optional[str] = None,
                jobs: int = 1,
-               cache=None,
-               progress=None) -> MatrixReport:
+               cache=None) -> MatrixReport:
     """Evaluate the strategy x model grid on each backend.
 
     ``strategies`` defaults to every registered strategy.  ``cache`` and
     ``jobs`` plug into :func:`repro.experiments.run_cells` exactly as
-    the figure studies do; ``progress`` is an optional callable fed one
-    line per fitted/skipped cell.
+    the figure studies do: each (backend, model, strategy) is one
+    ``matrix`` cell.
     """
-    from ..telemetry.profile import profile_plan
     from ..training import STRATEGY_REGISTRY
-    from .parallel import experiment_cell, record_from_value, run_cells
+    from .parallel import matrix_cell, run_cells
 
     if strategies is None:
         strategies = tuple(STRATEGY_REGISTRY)
@@ -227,60 +260,17 @@ def run_matrix(models: Sequence[str] = MATRIX_MODELS,
         raise ValueError(f"unknown strategies {unknown!r}; "
                          f"one of {tuple(STRATEGY_REGISTRY)}")
 
-    say = progress if progress is not None else (lambda line: None)
-    cells: list = []
-    runnable: list = []   # (index into cells, harness cell dict)
-    for configuration in configurations:
-        for model in models:
-            for strategy in strategies:
-                job, gb, acc, reason = _fit_operating_point(
-                    model, configuration, strategy, sim_steps,
-                    plan_passes)
-                if job is None:
-                    cells.append(MatrixCell(
-                        configuration=configuration, benchmark=model,
-                        strategy=strategy, fitted=False, reason=reason))
-                    say(f"skip {configuration}/{model}/{strategy}: "
-                        f"{reason}")
-                    continue
-                plan = job.step_plan
-                prof = profile_plan(plan, ctx=job._exec_ctx)
-                cell = MatrixCell(
-                    configuration=configuration, benchmark=model,
-                    strategy=strategy, fitted=True,
-                    global_batch=gb, accumulation_steps=acc,
-                    comm_bytes_per_step=plan_comm_bytes(plan),
-                    exposed_comm_s=prof.attr.seconds.get("comm", 0.0),
-                    label=prof.label,
-                    shares={k: round(v, 4)
-                            for k, v in prof.shares.items()},
-                    plan_ops=len(plan.ops))
-                cells.append(cell)
-                harness_cell = experiment_cell(
-                    model, configuration,
-                    strategy=STRATEGY_REGISTRY[strategy](),
-                    global_batch=gb, sim_steps=sim_steps,
-                    accumulation_steps=acc, plan_passes=plan_passes)
-                runnable.append((len(cells) - 1, harness_cell))
-                say(f"fit  {configuration}/{model}/{strategy}: "
-                    f"batch {gb} x acc {acc}")
-
-    values = run_cells([c for _i, c in runnable], jobs=jobs, cache=cache)
-    for (index, _cell), value in zip(runnable, values):
-        record = record_from_value(value)
-        cell = cells[index]
-        cell.step_time = record.step_time
-        cell.throughput = record.throughput
-        cell.time_per_sample = (1.0 / record.throughput
-                                if record.throughput else None)
-        cell.gpu_utilization = record.gpu_utilization
-
+    grid = [matrix_cell(model, configuration, strategy, plan_passes)
+            for configuration in configurations
+            for model in models
+            for strategy in strategies]
+    cells = [MatrixCell(**value)
+             for value in run_cells(grid, jobs=jobs, cache=cache)]
     frontier, crossover = crossover_frontier(cells, configurations)
     return MatrixReport(
         configurations=tuple(configurations), models=tuple(models),
-        strategies=tuple(strategies), sim_steps=sim_steps,
-        plan_passes=plan_passes, cells=cells, frontier=frontier,
-        crossover_models=crossover)
+        strategies=tuple(strategies), plan_passes=plan_passes,
+        cells=cells, frontier=frontier, crossover_models=crossover)
 
 
 def format_matrix(report: MatrixReport) -> str:
@@ -302,17 +292,13 @@ def format_matrix(report: MatrixReport) -> str:
                                  f"{'—':>6} {'—':>3}   (skipped: "
                                  f"{cell.reason})")
                     continue
-                step = (f"{cell.step_time:.4f}"
-                        if cell.step_time is not None else "—")
-                tps = (f"{cell.time_per_sample * 1e3:.3f}ms"
-                       if cell.time_per_sample is not None else "—")
-                comm = f"{cell.comm_bytes_per_step / 1e9:.2f}"
-                sync = f"{cell.exposed_comm_s:.4f}"
+                tps = f"{cell.time_per_sample * 1e3:.3f}ms"
                 lines.append(
                     f"{model:<13} {strategy:<9} "
                     f"{cell.global_batch:>6} {cell.accumulation_steps:>3} "
-                    f"{step:>9} {tps:>10} {comm:>8} {sync:>8}  "
-                    f"{cell.label}")
+                    f"{cell.step_time:>9.4f} {tps:>10} "
+                    f"{cell.comm_bytes_per_step / 1e9:>8.2f} "
+                    f"{cell.exposed_comm_s:>8.4f}  {cell.label}")
         lines.append("")
     lines.append("-- crossover frontier (winner by time/sample) --")
     for model in report.models:

@@ -41,6 +41,7 @@ __all__ = [
     "NullCache",
     "default_cache_dir",
     "experiment_cell",
+    "matrix_cell",
     "model_source_digest",
     "opt_profile_cell",
     "record_from_value",
@@ -55,9 +56,12 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentRecord)
                        if f.name != "result")
 
-#: The ``repro`` subpackages whose source decides a simulated result.
+#: The ``repro`` subpackages whose source decides a cached value: the
+#: simulator, the management layer composing it, and the telemetry and
+#: experiment code that turn a run or a plan timing into a cell value.
 MODEL_PACKAGES = ("sim", "fabric", "devices", "plan", "training",
-                  "workloads", "core")
+                  "workloads", "core", "management", "telemetry",
+                  "experiments")
 #: Root of the ``repro`` package the cache-key digest reads.
 MODEL_SOURCE_ROOT = Path(__file__).parent.parent
 
@@ -264,6 +268,16 @@ def step_cell(benchmark: str, configuration: str,
                           policy, global_batch, train_kwargs)
 
 
+def matrix_cell(benchmark: str, configuration: str, strategy: str,
+                plan_passes) -> dict:
+    """A cell for one (backend, model, strategy :data:`STRATEGY_REGISTRY`
+    key) of ``repro matrix``; its value is the
+    :class:`~repro.experiments.matrix.MatrixCell` fields."""
+    return {"kind": "matrix", "benchmark": benchmark,
+            "configuration": configuration, "strategy": strategy,
+            "plan_passes": _passes_spec(plan_passes)}
+
+
 def opt_profile_cell(benchmark: str, configuration: str, sim_steps: int,
                      pipeline: str, plan_passes: Optional[str]) -> dict:
     """A cell for one pipeline of the optimized-DDP study (fig16-opt)."""
@@ -310,12 +324,17 @@ def _build_policy(name: Optional[str]):
         raise ValueError(f"unknown precision policy {name!r}") from None
 
 
+def _build_passes(spec):
+    """Pass instances from a cell's canonical ``plan_passes`` spec."""
+    from ..plan.passes import passes_from_spec
+    return None if spec is None else passes_from_spec(spec)
+
+
 def _train_kwargs(cell: dict) -> dict:
     """A training cell's extra TrainingConfig kwargs, passes rebuilt."""
     train_kwargs = dict(cell["train_kwargs"])
-    if train_kwargs.get("plan_passes") is not None:
-        from ..plan.passes import passes_from_spec
-        train_kwargs["plan_passes"] = passes_from_spec(
+    if "plan_passes" in train_kwargs:
+        train_kwargs["plan_passes"] = _build_passes(
             train_kwargs["plan_passes"])
     return train_kwargs
 
@@ -350,19 +369,20 @@ def _execute_cell(cell: dict) -> dict:
             **_train_kwargs(cell))
         timing = evaluate_plan(job.step_plan, job._exec_ctx)
         return {"step_time": timing.makespan, "engine": timing.mode}
+    if kind == "matrix":
+        from .matrix import evaluate_cell
+        return evaluate_cell(cell["benchmark"], cell["configuration"],
+                             cell["strategy"],
+                             _build_passes(cell["plan_passes"]))
     if kind == "opt-profile":
         from ..training import AMP_POLICY, DistributedDataParallel
         from .software_opts import _exposed_sync_per_step
         from .tracing import traced_run
-        plan_passes = cell["plan_passes"]
-        if plan_passes is not None:
-            from ..plan.passes import passes_from_spec
-            plan_passes = passes_from_spec(plan_passes)
         run = traced_run(
             cell["benchmark"], cell["configuration"],
             sim_steps=cell["sim_steps"],
             strategy=DistributedDataParallel(), policy=AMP_POLICY,
-            plan_passes=plan_passes)
+            plan_passes=_build_passes(cell["plan_passes"]))
         return {
             "step_time": run.record.step_time,
             "exposed_sync": _exposed_sync_per_step(run),

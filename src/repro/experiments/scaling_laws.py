@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from ..core import ComposableSystem
 from ..devices.gpu import Precision
+from ..plan.fastpath import evaluate_plan
 from ..workloads import SQUAD_V11, bert
 from ..workloads.registry import Benchmark
 
@@ -67,34 +68,39 @@ def _bert_family_benchmark(num_layers: int, hidden: int,
     )
 
 
-def _measure(bench, sim_steps: int, **config) -> dict[str, float]:
-    """DDP step time of ``bench`` (a registry key or a
-    :class:`Benchmark`) on localGPUs and on falconGPUs."""
-    return {configuration: ComposableSystem().train(
-                bench, configuration, "ddp", sim_steps=sim_steps,
-                sim_checkpoints=0, **config).step_time
-            for configuration in ("localGPUs", "falconGPUs")}
+#: The two backends every point compares, in ``_measure``'s order.
+BACKENDS = ("localGPUs", "falconGPUs")
+
+
+def _measure(bench, **config) -> tuple[float, ...]:
+    """DDP step times of ``bench`` (a registry key or a
+    :class:`Benchmark`) on :data:`BACKENDS`: the makespan of one
+    evaluation of each job's step plan (nothing is trained)."""
+    times = []
+    for configuration in BACKENDS:
+        job = ComposableSystem().job(bench, configuration, "ddp", **config)
+        times.append(evaluate_plan(job.step_plan, job._exec_ctx).makespan)
+    return tuple(times)
+
+
+def _family_point(num_layers: int, hidden: int,
+                  heads: int) -> ScalingPoint:
+    """One BERT-family member's DDP step time on both backends."""
+    bench = _bert_family_benchmark(num_layers, hidden, heads)
+    return ScalingPoint(num_layers, bench.build().params / 1e6,
+                        *_measure(bench))
 
 
 def overhead_vs_model_size(layer_counts=(4, 8, 16, 24),
-                           hidden: int = 1024, heads: int = 16,
-                           sim_steps: int = 6) -> list[ScalingPoint]:
+                           hidden: int = 1024,
+                           heads: int = 16) -> list[ScalingPoint]:
     """Sweep encoder *depth*; measure falcon overhead at each size.
 
     The per-GPU batch is held at BERT-large's 6 so only the gradient
     volume (i.e. parameter count) varies across points.
     """
-    points: list[ScalingPoint] = []
-    for num_layers in layer_counts:
-        bench = _bert_family_benchmark(num_layers, hidden, heads)
-        steps = _measure(bench, sim_steps)
-        points.append(ScalingPoint(
-            num_layers=num_layers,
-            params_m=bench.build().params / 1e6,
-            local_step_time=steps["localGPUs"],
-            falcon_step_time=steps["falconGPUs"],
-        ))
-    return points
+    return [_family_point(num_layers, hidden, heads)
+            for num_layers in layer_counts]
 
 
 @dataclass(frozen=True)
@@ -111,38 +117,20 @@ class BatchPoint:
 
 
 def overhead_vs_batch(batches=(2, 4, 6), benchmark_key: str = "bert-large",
-                      sim_steps: int = 6,
                       accumulation_for=frozenset()) -> list[BatchPoint]:
     """Sweep the per-GPU batch on one model; gradient volume is constant
     so the communication-to-compute ratio (and the falcon overhead)
     falls as the batch grows."""
-    points: list[BatchPoint] = []
-    for per_gpu in batches:
-        steps = _measure(
-            benchmark_key, sim_steps, global_batch=per_gpu * 8,
-            accumulation_steps=2 if per_gpu in accumulation_for else 1)
-        points.append(BatchPoint(
-            batch_per_gpu=per_gpu,
-            local_step_time=steps["localGPUs"],
-            falcon_step_time=steps["falconGPUs"],
-        ))
-    return points
+    return [BatchPoint(per_gpu, *_measure(
+                benchmark_key, global_batch=per_gpu * 8,
+                accumulation_steps=2 if per_gpu in accumulation_for else 1))
+            for per_gpu in batches]
 
 
-def overhead_vs_width(widths=(256, 512, 768, 1024), num_layers: int = 12,
-                      sim_steps: int = 6) -> list[ScalingPoint]:
+def overhead_vs_width(widths=(256, 512, 768, 1024),
+                      num_layers: int = 12) -> list[ScalingPoint]:
     """Sweep hidden *width* at fixed depth (the BERT-base -> BERT-large
     axis); overhead grows with width as GEMM parameters dilute the
     attention FLOPs."""
-    points: list[ScalingPoint] = []
-    for hidden in widths:
-        heads = max(4, hidden // 64)
-        bench = _bert_family_benchmark(num_layers, hidden, heads)
-        steps = _measure(bench, sim_steps)
-        points.append(ScalingPoint(
-            num_layers=num_layers,
-            params_m=bench.build().params / 1e6,
-            local_step_time=steps["localGPUs"],
-            falcon_step_time=steps["falconGPUs"],
-        ))
-    return points
+    return [_family_point(num_layers, hidden, max(4, hidden // 64))
+            for hidden in widths]

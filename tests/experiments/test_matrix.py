@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.devices.gpu import Precision
+from repro.experiments import ResultCache, run_configuration
+from repro.experiments import matrix as matrix_mod
 from repro.experiments.matrix import (
     MATRIX_CONFIGURATIONS,
     MATRIX_MODELS,
@@ -11,11 +13,21 @@ from repro.experiments.matrix import (
     MatrixCell,
     _fit_operating_point,
     crossover_frontier,
+    evaluate_cell,
     format_matrix,
     plan_comm_bytes,
     run_matrix,
 )
 from repro.plan import PlanBuilder
+from repro.training import STRATEGY_REGISTRY
+
+#: Every registry strategy on both backends, at ~2 s of DES training:
+#: resnet50 for the cheap cells, bert-large for TP (resnet50 TP trains
+#: for 1-2 s a cell, as do falcon bert-large DDP/sharded).
+DES_SLICES = (
+    ("resnet50", ("dp", "ddp", "sharded", "pipeline", "2d", "fsdp")),
+    ("bert-large", ("tp",)),
+)
 
 
 def test_smoke_models_are_a_subset_of_the_full_suite():
@@ -37,12 +49,12 @@ def test_fit_operating_point_respects_memory_and_divisibility():
     # TP replicates the global batch on every rank: bert-large at its
     # native batch only fits once accumulation shrinks the micro-batch.
     job, gb, acc, reason = _fit_operating_point(
-        "bert-large", "localGPUs", "tp", sim_steps=2, plan_passes=None)
+        "bert-large", "localGPUs", "tp", plan_passes=None)
     assert job is not None and reason is None
     assert gb == 48 and acc > 1
     # DDP fits the native batch outright.
     _job, gb, acc, _reason = _fit_operating_point(
-        "bert-large", "localGPUs", "ddp", sim_steps=2, plan_passes=None)
+        "bert-large", "localGPUs", "ddp", plan_passes=None)
     assert (gb, acc) == (48, 1)
 
 
@@ -72,13 +84,15 @@ def test_crossover_frontier_flags_flipped_winners():
 
 def test_run_matrix_tiny_slice_end_to_end():
     report = run_matrix(models=("bert-large",),
-                        strategies=("ddp", "pipeline"), sim_steps=2)
+                        strategies=("ddp", "pipeline"))
     assert len(report.cells) == 4   # 2 configs x 1 model x 2 strategies
     for cell in report.cells:
         assert cell.fitted
         assert cell.step_time > 0
         assert cell.time_per_sample > 0
         assert cell.comm_bytes_per_step > 0
+        assert 0.0 < cell.gpu_busy_frac <= 1.0
+        assert cell.engine == "fastpath"
         assert cell.label in ("compute-bound", "comm-bound",
                               "copy-bound", "storage-bound",
                               "framework-bound")
@@ -90,8 +104,67 @@ def test_run_matrix_tiny_slice_end_to_end():
 
 def test_run_matrix_rejects_unknown_strategy():
     with pytest.raises(ValueError, match="unknown strategies"):
-        run_matrix(models=("bert-large",), strategies=("warp",),
-                   sim_steps=2)
+        run_matrix(models=("bert-large",), strategies=("warp",))
+
+
+def test_des_slices_cover_every_registry_strategy():
+    covered = {s for _model, strategies in DES_SLICES for s in strategies}
+    assert covered == set(STRATEGY_REGISTRY)
+
+
+@pytest.mark.parametrize("model,strategies", DES_SLICES,
+                         ids=[model for model, _s in DES_SLICES])
+def test_run_matrix_step_times_match_des_training(model, strategies):
+    # A cell's step time is one plan evaluation; training the same job
+    # through the event loop must give the same steady-state step.  At
+    # 4 steps the input pipeline's read-ahead ends inside the two
+    # warm-up steps; in longer runs it slows some measured DP/FSDP
+    # steps, which the plan leaves out.
+    report = run_matrix(models=(model,), strategies=strategies)
+    assert len(report.cells) == 2 * len(strategies)
+    for cell in report.cells:
+        assert cell.fitted
+        record = run_configuration(
+            model, cell.configuration,
+            strategy=STRATEGY_REGISTRY[cell.strategy](),
+            global_batch=cell.global_batch,
+            accumulation_steps=cell.accumulation_steps, sim_steps=4)
+        assert cell.step_time == pytest.approx(record.step_time,
+                                               rel=1e-9)
+        assert cell.throughput == pytest.approx(record.throughput,
+                                                rel=1e-9)
+
+
+def test_warm_run_matrix_reads_only_the_cache(tmp_path):
+    kwargs = dict(models=("bert-large",),
+                  strategies=("dp", "pipeline", "2d"))
+    cold = run_matrix(cache=ResultCache(tmp_path), **kwargs)
+    cache = ResultCache(tmp_path)
+    warm = run_matrix(cache=cache, **kwargs)
+    assert cache.hits == len(warm.cells) == 6
+    assert cache.misses == 0
+    assert warm.as_dict() == cold.as_dict()
+    assert format_matrix(warm) == format_matrix(cold)
+
+
+def test_unfitted_cell_carries_its_reason(monkeypatch):
+    monkeypatch.setattr(matrix_mod, "_fit_operating_point",
+                        lambda *a: (None, None, None, "out of memory"))
+    cell = MatrixCell(**evaluate_cell("bert-large", "localGPUs", "tp",
+                                      None))
+    assert not cell.fitted and cell.reason == "out of memory"
+    assert cell.step_time is None and cell.engine is None
+
+
+def test_cli_matrix_fan_out_prints_the_serial_bytes(capsys):
+    argv = ["matrix", "--models", "bert-large", "--strategies",
+            "dp,pipeline,2d", "--no-cache"]
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main([*argv, "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "crossover frontier" in outputs[0]
 
 
 def test_cli_parses_matrix_flags():

@@ -83,8 +83,15 @@ class TestKeying:
     def test_unresolvable_passes_disable_the_cell(self):
         assert cheap_cell(plan_passes="no-such-pass") is None
 
-    def test_key_changes_with_model_source(self, tmp_path, monkeypatch):
-        # Editing one byte of a cost model must miss every old entry.
+    @pytest.mark.parametrize(
+        "source",
+        ["devices/gpu.py", "telemetry/profile.py", "experiments/runner.py"],
+        ids=["devices-gpu", "telemetry-profile", "experiments-runner"])
+    def test_key_changes_with_model_source(self, tmp_path, monkeypatch,
+                                           source):
+        # Editing one byte of a cost model, or of the telemetry and
+        # experiment code that turns a run into a cached value, must
+        # miss every old entry.
         import shutil
 
         from repro.experiments import parallel as parallel_mod
@@ -98,9 +105,9 @@ class TestKeying:
 
         edited = tmp_path / "edited"
         shutil.copytree(root, edited)
-        gpu = edited / "devices" / "gpu.py"
-        source = gpu.read_bytes()
-        gpu.write_bytes(source[:-1] + bytes([source[-1] ^ 1]))
+        path = edited / source
+        data = path.read_bytes()
+        path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
         monkeypatch.setattr(parallel_mod, "MODEL_SOURCE_ROOT", edited)
         assert cache.key(cheap_cell()) != base
 

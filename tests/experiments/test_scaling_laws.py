@@ -2,17 +2,38 @@
 
 import pytest
 
+from repro.core import ComposableSystem
 from repro.experiments import (
     overhead_vs_batch,
     overhead_vs_model_size,
     overhead_vs_width,
 )
+from repro.experiments.scaling_laws import (
+    BACKENDS,
+    _bert_family_benchmark,
+    _measure,
+)
+
+
+@pytest.mark.parametrize("config", [
+    {}, {"global_batch": 16, "accumulation_steps": 2}],
+    ids=["native", "batch-16-acc-2"])
+def test_step_times_match_des_training(config):
+    # Each point is one step-plan evaluation per backend; training the
+    # same job through the event loop gives the same steady step.
+    bench = _bert_family_benchmark(4, 1024, 16)
+    for configuration, step_time in zip(BACKENDS, _measure(bench,
+                                                           **config)):
+        trained = ComposableSystem().train(
+            bench, configuration, "ddp", sim_steps=4, sim_checkpoints=0,
+            **config).step_time
+        assert step_time == pytest.approx(trained, rel=1e-9)
 
 
 class TestDepthSweep:
     @pytest.fixture(scope="class")
     def points(self):
-        return overhead_vs_model_size(layer_counts=(4, 24), sim_steps=4)
+        return overhead_vs_model_size(layer_counts=(4, 24))
 
     def test_params_grow_with_depth(self, points):
         assert points[0].params_m < points[1].params_m
@@ -33,7 +54,7 @@ class TestDepthSweep:
 
 class TestWidthSweep:
     def test_width_sweep_runs(self):
-        points = overhead_vs_width(widths=(256, 1024), sim_steps=4)
+        points = overhead_vs_width(widths=(256, 1024))
         assert points[0].params_m < points[1].params_m
         assert all(p.overhead_pct > 50.0 for p in points)
 
@@ -41,7 +62,7 @@ class TestWidthSweep:
 class TestBatchSweep:
     @pytest.fixture(scope="class")
     def points(self):
-        return overhead_vs_batch(batches=(2, 6), sim_steps=4)
+        return overhead_vs_batch(batches=(2, 6))
 
     def test_overhead_falls_with_batch(self, points):
         """The real mediator of the paper's size-overhead correlation:
