@@ -13,7 +13,6 @@ fast-path engine was built for:
 import json
 
 from repro.experiments.perfbench import (
-    bench_batched_grid,
     bench_fig16_grid,
     bench_plan_eval,
     run_perfbench,
@@ -45,19 +44,6 @@ def test_fig16_grid_speedup_and_equivalence():
         f"fig16 grid speedup {grid['speedup']:.2f}x below the 5x floor")
 
 
-def test_batched_grid_speedup_and_equivalence():
-    grid = bench_batched_grid(smoke=True)
-    assert grid["values_match"], (
-        f"batched replay diverged from the scalar fast path: "
-        f"max relative error {grid['max_rel_err']:.2e}")
-    assert grid["speedup_vs_scalar"] >= 3.0, (
-        f"batched grid speedup {grid['speedup_vs_scalar']:.2f}x "
-        f"below the 3x floor")
-    assert grid["lanes"] == grid["cells"] * len(grid["factors"])
-    assert grid["batched_lanes"] + grid["fallback_lanes"] \
-        == grid["lanes"]
-
-
 def test_serial_run_omits_the_jobs_column():
     # --jobs 1 measures no pooled leg; the key is omitted (never a JSON
     # null) so the committed BENCH ledger stays schema-stable.
@@ -69,15 +55,11 @@ def test_serial_run_omits_the_jobs_column():
 
 def test_bench_report_schema_and_write(tmp_path):
     report = run_perfbench(smoke=True, jobs=1, reps=1)
-    for key in ("meta", "plan_eval", "fig16_grid", "batched_grid",
-                "flow_churn"):
-        assert key in report
+    assert set(report) == {"meta", "plan_eval", "fig16_grid", "flow_churn"}
     meta = report["meta"]
     for key in ("date", "python", "platform", "repro_version", "smoke"):
         assert key in meta
     assert "fastpath_jobs_s" not in report["fig16_grid"]
-    assert report["batched_grid"]["speedup_vs_eventloop_study"] \
-        >= report["batched_grid"]["speedup_vs_scalar"]
     path = write_bench_report(report, str(tmp_path))
     assert path.name == f"BENCH_{meta['date']}.json"
     loaded = json.loads(path.read_text())

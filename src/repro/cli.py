@@ -582,24 +582,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              ("speedup", round(grid["speedup"], 2)),
              ("values match (<=1e-5)", grid["values_match"]),
              ("max relative error", f"{grid['max_rel_err']:.2e}")],
-            title="Fig. 16 grid wall-clock") + "\n\n")
-        batched = report["batched_grid"]
-        out(render_table(
-            ["Metric", "Value"],
-            [("lanes (cells x factors)",
-              f"{batched['cells']} x {len(batched['factors'])} = "
-              f"{batched['lanes']}"),
-             ("scalar fast path (s)",
-              round(batched["scalar_fastpath_s"], 3)),
-             ("batched replay (s)", round(batched["batched_s"], 3)),
-             ("speedup vs scalar",
-              round(batched["speedup_vs_scalar"], 2)),
-             ("est. speedup vs event-loop study",
-              round(batched["speedup_vs_eventloop_study"], 1)),
-             ("diverged lanes (scalar fallback)",
-              batched["diverged_lanes"]),
-             ("values match (<=1e-9)", batched["values_match"])],
-            title="Widened grid: batched tape replay") + "\n")
+            title="Fig. 16 grid wall-clock") + "\n")
         path = write_bench_report(report, args.output)
         out(f"wrote {path}\n")
         return 0 if grid["values_match"] else 1

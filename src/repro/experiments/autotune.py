@@ -17,10 +17,8 @@ This module searches that knob space per grid cell:
   construction: ties prefer it, so a tuned cell is never slower than
   the default pipeline.
 - :func:`autotune_cell` compiles one job per candidate and evaluates
-  every candidate plan in one :func:`~repro.plan.batched.evaluate_batch`
-  call — candidates that differ only in cost knobs share a structure
-  group and replay vectorized; structural rewrites fall back to the
-  scalar fast path automatically.
+  each candidate's step plan once on the fast path
+  (:func:`~repro.plan.batched.evaluate_batch`).
 - :func:`run_autotune` sweeps the grid and assembles the
   tuned-vs-default frontier plus a reusable tuning table, written as
   ``TUNING.json`` by :func:`write_tuning_table` and consumed by
@@ -142,7 +140,7 @@ def autotune_cell(configuration: str, variant, candidates,
 
     Builds one training job per candidate (the pass pipeline runs at
     job construction, exactly as production training applies it) and
-    evaluates every candidate's step plan in one batched call.  Tuned =
+    evaluates each candidate's step plan on the fast path.  Tuned =
     the minimum-makespan candidate, ties resolved toward the default.
     """
     from ..plan.batched import evaluate_batch
@@ -151,7 +149,7 @@ def autotune_cell(configuration: str, variant, candidates,
     jobs = [variant.build_job(configuration, list(c.passes))
             for c in candidates]
     lanes = [(job.step_plan, job._exec_ctx) for job in jobs]
-    result = evaluate_batch(lanes, fallback="fastpath")
+    result = evaluate_batch(lanes)
     makespans = [t.makespan for t in result.timings]
 
     default_idx = next(i for i, c in enumerate(candidates)
@@ -174,12 +172,6 @@ def autotune_cell(configuration: str, variant, candidates,
         "candidates": [
             {"label": c.label, "makespan_s": makespans[i]}
             for i, c in enumerate(candidates)],
-        "batch": {
-            "groups": result.groups,
-            "batched_lanes": result.batched_lanes,
-            "fallback_lanes": result.fallback_lanes,
-            "diverged": len(result.diverged),
-        },
     }
     if what_if_ceilings:
         cell["whatif_ceilings_s"] = _whatif_ceilings(

@@ -30,8 +30,7 @@ from typing import Optional
 from ..plan.fastpath import _executor_timing, fastpath_schedule
 
 __all__ = ["run_perfbench", "write_bench_report", "bench_plan_eval",
-           "bench_fig16_grid", "bench_batched_grid", "bench_flow_churn",
-           "collect_provenance", "BATCH_FACTORS"]
+           "bench_fig16_grid", "bench_flow_churn", "collect_provenance"]
 
 #: (config, variant-name) cells used in smoke mode: the cheap end of the
 #: grid plus one contended falcon cell, enough to exercise both engines.
@@ -154,81 +153,6 @@ def bench_fig16_grid(smoke: bool = False, sim_steps: Optional[int] = None,
     if fastpath_jobs_s is not None:
         out["fastpath_jobs_s"] = fastpath_jobs_s
     return out
-
-
-#: Width-16 compute-scale sweep around 1.0 — the widened Fig. 16 grid
-#: the batched evaluator is benchmarked (and gated) on.
-BATCH_FACTORS = tuple(round(0.94 + 0.008 * i, 3) for i in range(16))
-
-
-def bench_batched_grid(smoke: bool = False,
-                       factors=BATCH_FACTORS) -> dict:
-    """Widened Fig. 16 grid: batched tape replay vs per-cell fast path.
-
-    Every grid cell is widened into ``len(factors)`` compute-scaled
-    lanes (a sensitivity sweep around the measured costs — the shape
-    ``repro autotune`` and the what-if sweeps evaluate).  The baseline
-    evaluates each lane with the scalar fast path; the batched leg
-    evaluates all lanes of a cell in one
-    :func:`~repro.plan.batched.evaluate_batch` call, so structure
-    groups record once and replay vectorized.  Makespans are
-    cross-checked at 1e-9 while the wall-clocks are measured, and the
-    event-loop executor is probed once per cell to estimate the
-    end-to-end speedup over the pre-fastpath engine.
-    """
-    from ..plan.batched import evaluate_batch
-    from ..telemetry.profile import scale_plan
-
-    cells = []
-    lanes = []
-    executor_per_eval = 0.0
-    # Both backends always: the contended falcon cells are where group
-    # recording amortizes (and what the >=3x gate floor is set on);
-    # smoke only trims the variant list.
-    for config in _grid_configs(False):
-        for variant in _grid_variants(smoke):
-            job = variant.build_job(config)
-            for f in factors:
-                lanes.append((scale_plan(job.step_plan, "compute", f),
-                              job._exec_ctx))
-            # Event-loop probe on a throwaway job: the executor mutates
-            # env/device state, so it must not share the lanes' context.
-            probe = variant.build_job(config)
-            t0 = time.perf_counter()
-            _executor_timing(probe.step_plan, probe._exec_ctx)
-            executor_per_eval += time.perf_counter() - t0
-            cells.append({"configuration": config,
-                          "variant": variant.name})
-
-    t0 = time.perf_counter()
-    scalar = [fastpath_schedule(plan, ctx) for plan, ctx in lanes]
-    scalar_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    batch = evaluate_batch(lanes)
-    batched_s = time.perf_counter() - t0
-
-    max_rel_err = max(
-        abs(b.makespan - s.makespan) / abs(s.makespan)
-        for b, s in zip(batch.timings, scalar))
-    eventloop_est_s = executor_per_eval * len(factors)
-    return {
-        "cells": len(cells),
-        "factors": list(factors),
-        "lanes": len(lanes),
-        "groups": batch.groups,
-        "batched_lanes": batch.batched_lanes,
-        "fallback_lanes": batch.fallback_lanes,
-        "diverged_lanes": len(batch.diverged),
-        "scalar_fastpath_s": scalar_s,
-        "batched_s": batched_s,
-        "speedup_vs_scalar": scalar_s / batched_s if batched_s else 0.0,
-        "eventloop_est_s": eventloop_est_s,
-        "speedup_vs_eventloop_est": eventloop_est_s / batched_s
-        if batched_s else 0.0,
-        "values_match": max_rel_err <= 1e-9,
-        "max_rel_err": max_rel_err,
-    }
 
 
 class _ChurnSegment:
@@ -402,23 +326,11 @@ def run_perfbench(smoke: bool = False, jobs: int = 1,
         },
         "plan_eval": bench_plan_eval(smoke=smoke, reps=reps),
         "fig16_grid": bench_fig16_grid(smoke=smoke, jobs=jobs),
-        # Always the full width-16 sweep (the acceptance scale); smoke
-        # only trims the cell set.
-        "batched_grid": bench_batched_grid(smoke=smoke),
         # Always the full 1k flows (the acceptance scale); smoke only
         # trims the churn cycle count.
         "flow_churn": bench_flow_churn(
             churn_ops=100 if smoke else 300),
     }
-    # End-to-end estimate: what the widened grid would cost through the
-    # pre-fastpath serial study (one full event-loop cell train per
-    # lane, at the measured per-cell study cost) vs the batched replay.
-    grid, batched = report["fig16_grid"], report["batched_grid"]
-    study_per_eval = grid["baseline_eventloop_s"] / grid["cells"]
-    batched["eventloop_study_est_s"] = study_per_eval * batched["lanes"]
-    batched["speedup_vs_eventloop_study"] = (
-        batched["eventloop_study_est_s"] / batched["batched_s"]
-        if batched["batched_s"] else 0.0)
     import repro
     report["meta"]["repro_version"] = repro.__version__
     # Provenance is collected *after* the scenarios so the compile-cache

@@ -38,7 +38,6 @@ __all__ = [
     "SEMANTIC_RTOL",
     "DEFAULT_TOLERANCE",
     "MIN_CHURN_SPEEDUP",
-    "MIN_BATCHED_SPEEDUP",
     "CellComparison",
     "RegressionReport",
     "find_baseline",
@@ -57,10 +56,6 @@ DEFAULT_TOLERANCE = 0.35
 #: bar; an absolute pin, so baseline and current runs may differ in
 #: churn cycle count).
 MIN_CHURN_SPEEDUP = 5.0
-#: Floor for the batched tape-replay speedup over per-lane scalar
-#: fast-path evaluation on the width-16 widened Fig. 16 grid (the
-#: vectorized-grid acceptance bar; absolute, like the churn pin).
-MIN_BATCHED_SPEEDUP = 3.0
 
 
 @dataclass
@@ -109,9 +104,6 @@ class RegressionReport:
     #: flow-churn gate verdict (None when the current report predates
     #: the scenario).
     churn: Optional[dict] = None
-    #: batched-grid gate verdict (None when the current report predates
-    #: the scenario; old BENCH baselines never gate it).
-    batched: Optional[dict] = None
     #: Fig. 16 study-vs-event-loop verdict (None when the current report
     #: has no ``fig16_grid``).
     fig16: Optional[dict] = None
@@ -121,7 +113,7 @@ class RegressionReport:
         cells_ok = bool(self.cells) and all(c.ok for c in self.cells)
         return cells_ok and all(
             gate is None or gate["ok"]
-            for gate in (self.churn, self.batched, self.fig16))
+            for gate in (self.churn, self.fig16))
 
     @property
     def failures(self) -> list:
@@ -135,7 +127,6 @@ class RegressionReport:
             "cells": [c.as_dict() for c in self.cells],
             "uncovered": [list(k) for k in self.uncovered],
             "flow_churn": self.churn,
-            "batched_grid": self.batched,
             "fig16_grid": self.fig16,
         }
 
@@ -160,15 +151,6 @@ class RegressionReport:
         for key in self.uncovered:
             lines.append(f"  {key[0]:<13} {key[1]:<14} "
                          f"{'(no shared baseline cell)':>38}")
-        if self.batched is not None:
-            base = self.batched.get("baseline_speedup")
-            lines.append(
-                f"batched grid: {self.batched['lanes']} lanes, replay "
-                f"{self.batched['speedup']:.1f}x over scalar fast path "
-                f"(floor {MIN_BATCHED_SPEEDUP:g}x"
-                + (f", baseline {base:.1f}x" if base else "")
-                + f", values_match={self.batched['values_match']}) "
-                + ("OK" if self.batched["ok"] else "FAIL"))
         if self.fig16 is not None:
             lines.append(
                 f"fig16 grid: {self.fig16['cells']} cells, study vs "
@@ -240,7 +222,6 @@ def compare_reports(baseline: dict, current: dict,
                             baseline_path=baseline_path,
                             uncovered=uncovered,
                             churn=_gate_churn(baseline, current),
-                            batched=_gate_batched(baseline, current),
                             fig16=_gate_fig16(current))
 
 
@@ -267,34 +248,6 @@ def _gate_churn(baseline: dict, current: dict) -> Optional[dict]:
         "baseline_speedup": base.get("speedup"),
         "floor": MIN_CHURN_SPEEDUP,
         "ok": equivalent and speedup >= MIN_CHURN_SPEEDUP,
-    }
-
-
-def _gate_batched(baseline: dict, current: dict) -> Optional[dict]:
-    """Pin the batched-replay speedup to its absolute floor.
-
-    Like the churn pin, the batched grid compares two legs of the same
-    run on the same host, so the ratio is gated against
-    :data:`MIN_BATCHED_SPEEDUP` rather than against the baseline (the
-    baseline figure is context only — BENCH ledgers that predate the
-    scenario simply lack the key and gate nothing on it).  Equivalence
-    (``values_match`` at 1e-9) is part of the verdict: a fast replay
-    that drifts from the scalar fast path is a failure, not a win.
-    """
-    scenario = current.get("batched_grid")
-    if scenario is None:
-        return None
-    base = baseline.get("batched_grid") or {}
-    speedup = scenario.get("speedup_vs_scalar", 0.0)
-    values_match = bool(scenario.get("values_match"))
-    return {
-        "lanes": scenario.get("lanes"),
-        "cells": scenario.get("cells"),
-        "speedup": speedup,
-        "values_match": values_match,
-        "baseline_speedup": base.get("speedup_vs_scalar"),
-        "floor": MIN_BATCHED_SPEEDUP,
-        "ok": values_match and speedup >= MIN_BATCHED_SPEEDUP,
     }
 
 

@@ -39,12 +39,6 @@ from .fastpath import (
     fastpath_schedule,
     fastpath_support,
 )
-from .batched import (
-    BatchResult,
-    LaneIncompatible,
-    evaluate_batch,
-    plan_structure_key,
-)
 from .passes import (
     DEFAULT_PIPELINE,
     PASS_REGISTRY,
@@ -85,10 +79,6 @@ __all__ = [
     "fastpath_support",
     "fastpath_schedule",
     "evaluate_plan",
-    "BatchResult",
-    "LaneIncompatible",
-    "evaluate_batch",
-    "plan_structure_key",
     "PlanPass",
     "PassContext",
     "PassError",

@@ -41,12 +41,8 @@ instant, a watchdog racing a completion), it refuses with
 The fast path is *pure*: it reads device specs, routes, and penalty
 tables but mutates no device state, link counter, or communicator
 sequence number, so it can be invoked any number of times on a live
-system without perturbing it.
-
-The same engine also drives :mod:`repro.plan.batched`: with a tape
-recorder attached, the run additionally emits the register program that
-replays its schedule over many lanes.  :func:`fastpath_schedule` runs it
-without one, and then none of that emission happens.
+system without perturbing it.  Sweeps over many candidate plans
+(``repro autotune``) evaluate each candidate with its own run.
 """
 
 from __future__ import annotations
@@ -172,8 +168,7 @@ class _Group:
     """One rendezvoused collective/barrier across its communicator."""
 
     __slots__ = ("kind", "nbytes", "root", "chunk", "members", "arrived",
-                 "uids", "phase", "phases", "divisor", "pairs", "inflight",
-                 "done_regs")
+                 "uids", "phase", "phases", "divisor", "pairs", "inflight")
 
     def __init__(self, kind, nbytes, root, chunk, members):
         #: IR collective kind, or ``"barrier"``.
@@ -184,52 +179,42 @@ class _Group:
         self.chunk = chunk
         #: Participating world ranks, in communicator order.
         self.members = members
-        self.arrived = {}       # world rank -> (join time, reg)
+        self.arrived = {}       # world rank -> join time
         self.uids = {}          # world rank -> op uid
         self.phase = 0
         #: ``collective_schedule`` of a group that moves bytes.
         self.phases, self.divisor, self.pairs = 0, 1, ()
         self.inflight = 0
-        self.done_regs = []     # this phase's flow-completion regs
-
-
-#: Stream cursor of a rank that has not run a kernel yet.
-_IDLE_STREAM = (0.0, -1)
 
 
 class _Engine:
     """Specialized scheduler replaying a plan's exact DES timeline.
 
-    Every event carries ``(time, reg)``: the reference float that orders
-    the schedule, and the tape register holding that time lane-wise.
-    Without a ``recorder`` every reg is 0 and nothing but the floats is
-    computed.  With one (:class:`repro.plan.batched._Recorder`), each
-    arithmetic step and control decision also calls the recorder hook
-    that emits its instruction or guard, so the recorded reference lane
-    *is* the scalar run — the arithmetic, the refusals and the solver
-    calls exist once.
+    Every event is a ``(time, seq, callback)`` heap entry; the sequence
+    number keeps same-instant events in the order they were scheduled,
+    which is the kernel's FIFO order.  The callbacks apply the device
+    models' arithmetic and refuse, with :class:`FastPathUnsupported`,
+    wherever the kernel's tie-breaking cannot be reconstructed.
     """
 
-    def __init__(self, plan: StepPlan, ctx: ExecutionContext,
-                 recorder=None):
+    def __init__(self, plan: StepPlan, ctx: ExecutionContext):
         self.plan = plan
         self.ctx = ctx
-        self.rec = recorder
         self._heap: list = []
         self._seq = 0
         self.times: dict = {}
-        self._start: dict = {}          # uid -> (time, reg)
+        self._start: dict = {}          # uid -> ready time
         # Dependency bookkeeping.
         self._indegree: dict = {}
         self._dependents: dict = {}
         # Per-rank GPU stream cursor (DES Resource capacity-1 FIFO).
-        self._stream_free: dict = {}    # rank -> (time, reg)
+        self._stream_free: dict = {}    # rank -> time the stream frees
         self._last_compute_ready: dict = {}
         # Rendezvous state mirroring Communicator._join.
         self._world = range(plan.world_size)
         self._op_seq: dict = {}
         self._groups: dict = {}
-        self._last_join: dict = {}      # (rank, gkey) -> (time, reg)
+        self._last_join: dict = {}      # (rank, gkey) -> join time
         # Storage queue-depth admission.
         self._io_active = 0
         self._io_queue: list = []
@@ -243,9 +228,9 @@ class _Engine:
         self._generation = 0
 
     # -- event plumbing ---------------------------------------------------
-    def _schedule(self, time: float, reg: int, fn) -> None:
+    def _schedule(self, time: float, fn) -> None:
         self._seq += 1
-        heappush(self._heap, (time, self._seq, reg, fn))
+        heappush(self._heap, (time, self._seq, fn))
 
     def run(self) -> PlanTiming:
         plan = self.plan
@@ -265,10 +250,10 @@ class _Engine:
         for rank in range(plan.world_size):
             for op in plan.by_rank(rank):
                 if self._indegree[op.uid] == 0:
-                    self._schedule(0.0, 0, self._ready_fn(op))
+                    self._schedule(0.0, self._ready_fn(op))
         while self._heap:
-            time, _seq, reg, fn = heappop(self._heap)
-            fn(time, reg)
+            time, _seq, fn = heappop(self._heap)
+            fn(time)
         if len(self.times) != len(plan.ops):
             missing = [op.uid for op in plan if op.uid not in self.times]
             raise FastPathUnsupported(
@@ -280,78 +265,63 @@ class _Engine:
                           makespan=makespan)
 
     def _ready_fn(self, op):
-        return lambda t, reg: self._op_ready(op, t, reg)
+        return lambda t: self._op_ready(op, t)
 
     # -- op lifecycle ------------------------------------------------------
-    def _op_ready(self, op, t: float, reg: int) -> None:
-        self._start[op.uid] = (t, reg)
+    def _op_ready(self, op, t: float) -> None:
+        self._start[op.uid] = t
         if isinstance(op, Compute):
-            self._run_compute(op, t, reg)
+            self._run_compute(op, t)
         elif isinstance(op, (Collective, Barrier)):
-            self._join_group(op, t, reg)
+            self._join_group(op, t)
         elif isinstance(op, Delay):
             elapsed = t - 0.0
-            if self.rec is not None:
-                reg = self.rec.delay(reg, op.uid)
             self._finish_at(
-                op, t + (op.seconds + op.elapsed_fraction * elapsed), reg)
+                op, t + (op.seconds + op.elapsed_fraction * elapsed))
         elif isinstance(op, (H2DCopy, D2HCopy, P2PCopy)):
-            self._run_transfer(op, t, reg)
+            self._run_transfer(op, t)
         elif isinstance(op, (StorageRead, StorageWrite)):
-            self._enqueue_io(op, t, reg)
+            self._enqueue_io(op, t)
         else:  # pragma: no cover - taxonomy is closed
             raise PlanError(f"fast path cannot run op kind {op.kind!r}")
 
-    def _finish_at(self, op, end: float, reg: int) -> None:
-        self._schedule(end, reg, lambda t, r: self._op_done(op, t, r))
+    def _finish_at(self, op, end: float) -> None:
+        self._schedule(end, lambda t: self._op_done(op, t))
 
-    def _op_done(self, op, t: float, reg: int) -> None:
-        start, start_reg = self._start[op.uid]
-        self.times[op.uid] = (start, t)
-        rec = self.rec
-        if rec is not None:
-            rec.op_done(op.uid, start_reg, reg)
+    def _op_done(self, op, t: float) -> None:
+        self.times[op.uid] = (self._start[op.uid], t)
         for dependent in self._dependents[op.uid]:
             self._indegree[dependent.uid] -= 1
             if self._indegree[dependent.uid] == 0:
-                ready = reg if rec is None else rec.ready(dependent)
-                self._schedule(t, ready, self._ready_fn(dependent))
+                self._schedule(t, self._ready_fn(dependent))
 
     # -- compute -----------------------------------------------------------
-    def _run_compute(self, op, t: float, reg: int) -> None:
+    def _run_compute(self, op, t: float) -> None:
         rank = op.rank
-        last = self._last_compute_ready.get(rank)
-        if last is not None and last[0] == t:
+        if self._last_compute_ready.get(rank) == t:
             raise FastPathUnsupported(
                 f"two computes ready on rank {rank} at t={t}: "
                 "stream FIFO order is ambiguous")
-        self._last_compute_ready[rank] = (t, reg)
+        self._last_compute_ready[rank] = t
         factor = self.ctx.jitter() if op.jittered else 1.0
         duration = self.ctx.gpus[rank].kernel_time(
             op.flops * factor, op.hbm_bytes, op.precision, op.efficiency)
-        stream_free, stream_reg = self._stream_free.get(rank, _IDLE_STREAM)
-        end = max(t, stream_free) + duration
-        if self.rec is not None:
-            self.rec.after(last, reg)
-            reg = self.rec.compute(reg, stream_reg, op.uid)
-        self._stream_free[rank] = (end, reg)
-        self._finish_at(op, end, reg)
+        end = max(t, self._stream_free.get(rank, 0.0)) + duration
+        self._stream_free[rank] = end
+        self._finish_at(op, end)
 
     # -- rendezvous (Communicator._join mirror) ----------------------------
-    def _join_group(self, op, t: float, reg: int) -> None:
+    def _join_group(self, op, t: float) -> None:
         rank = op.rank
         # Grouped collectives rendezvous on their own sub-communicator:
         # state is keyed by the group tuple (None = world), mirroring
         # Communicator.subgroup's per-child sequence numbers.
         gkey = getattr(op, "group", None)
-        last = self._last_join.get((rank, gkey))
-        if last is not None and last[0] == t:
+        if self._last_join.get((rank, gkey)) == t:
             raise FastPathUnsupported(
                 f"rank {rank} joins two collectives at t={t}: "
                 "rendezvous order is ambiguous")
-        if self.rec is not None:
-            self.rec.after(last, reg)
-        self._last_join[(rank, gkey)] = (t, reg)
+        self._last_join[(rank, gkey)] = t
         members = self._world if gkey is None else gkey
         if isinstance(op, Barrier):
             spec = ("barrier", 0.0, None, None)
@@ -368,106 +338,80 @@ class _Engine:
             raise FastPathUnsupported(
                 f"collective mismatch at op {opid}: rank {rank} called "
                 f"{spec} but op is {(group.kind, group.nbytes, group.root, group.chunk)}")
-        group.arrived[rank] = (t, reg)
+        group.arrived[rank] = t
         group.uids[rank] = op.uid
         if len(group.arrived) == len(members):
             del self._groups[(gkey, opid)]
             self._execute_group(group, t)
 
     def _execute_group(self, group: _Group, t: float) -> None:
-        live = 0 if self.rec is None else self.rec.rendezvous(group)
         if group.kind != "barrier" and group.nbytes != 0:
             group.phases, group.divisor, group.pairs = collective_schedule(
                 group.kind, group.members, group.root)
         if not group.phases:
-            self._schedule(t, live,
-                           lambda now, r: self._group_done(group, now, r))
+            self._schedule(t, lambda now: self._group_done(group, now))
             return
-        self._spawn_phase(group, t, live)
+        self._spawn_phase(group, t)
 
-    def _spawn_phase(self, group: _Group, t: float, reg: int) -> None:
+    def _spawn_phase(self, group: _Group, t: float) -> None:
         comm = self.ctx.comm
-        rec = self.rec
         ranks = comm.ranks
         per_transfer = group.nbytes / group.divisor
         pairs = group.pairs
         group.inflight = len(pairs)
-        group.done_regs = []
 
-        def flow_done(now, done_reg, group=group):
+        def flow_done(now, group=group):
             group.inflight -= 1
-            if rec is not None:
-                group.done_regs.append(done_reg)
             if group.inflight:
                 return
-            # Lane-wise the slowest pair may differ: the phase ends at
-            # the max over every pair's completion (commutative).
-            end = done_reg if rec is None else rec.max(group.done_regs)
             group.phase += 1
             if group.phase >= group.phases:
-                self._group_done(group, now, end)
+                self._group_done(group, now)
             else:
-                self._spawn_phase(group, now, end)
+                self._spawn_phase(group, now)
 
         topo = comm.topology
         for i, j in pairs:
             route = topo.route(ranks[i], ranks[j])
             factor = comm._transport_factor(route, group.chunk)
-            nbytes = per_transfer * factor
-            tag = None if rec is None \
-                else rec.coll_transfer(group, i, j, nbytes, route)
-            self._launch_transfer(t, reg, route, nbytes, flow_done, tag)
+            self._launch_transfer(t, route, per_transfer * factor,
+                                  flow_done)
 
-    def _group_done(self, group: _Group, t: float, reg: int) -> None:
+    def _group_done(self, group: _Group, t: float) -> None:
         watchdog = getattr(self.ctx.comm, "watchdog", None)
         for rank, uid in group.uids.items():
-            arrival, arrival_reg = group.arrived[rank]
-            if watchdog is not None:
-                if t - arrival >= watchdog:
-                    raise FastPathUnsupported(
-                        "collective completion races the watchdog timeout")
-                if self.rec is not None:
-                    self.rec.watchdog(reg, arrival_reg, watchdog)
-            self._start[uid] = (arrival, arrival_reg)
-            self._op_done(self.plan.op(uid), t, reg)
+            arrival = group.arrived[rank]
+            if watchdog is not None and t - arrival >= watchdog:
+                raise FastPathUnsupported(
+                    "collective completion races the watchdog timeout")
+            self._start[uid] = arrival
+            self._op_done(self.plan.op(uid), t)
 
     # -- transfers (Topology.transfer mirror) ------------------------------
-    def _launch_transfer(self, t: float, reg: int, route, nbytes: float,
-                         on_done, tag=None) -> None:
-        """Mirror ``Topology._transfer``: fixed latency, then the flow.
-
-        ``tag`` is the recorder's handle on the transfer's columns
-        (``None`` when not recording).
-        """
+    def _launch_transfer(self, t: float, route, nbytes: float,
+                         on_done) -> None:
+        """Mirror ``Topology._transfer``: fixed latency, then the flow."""
         topo = self.ctx.topology
         arrival = t + (topo.transfer_overhead + route.latency)
-        if tag is not None:
-            reg = self.rec.fixed(reg, tag)
         segments = route.segments
         if nbytes > 0 and segments:
             self._schedule(
-                arrival, reg,
-                lambda now, r: self._flow_arrives(segments, nbytes, on_done,
-                                                  tag, now, r))
+                arrival,
+                lambda now: self._flow_arrives(segments, nbytes, on_done,
+                                               now))
         else:
-            self._schedule(arrival, reg, on_done)
+            self._schedule(arrival, on_done)
 
-    def _run_transfer(self, op, t: float, reg: int) -> None:
-        ends = op_endpoints(op)
-        route = self.ctx.route(*ends)
-        tag = None if self.rec is None \
-            else self.rec.op_transfer(op, ends, route)
-        self._launch_transfer(t, reg, route, op.bytes,
-                              lambda now, r: self._op_done(op, now, r),
-                              tag)
+    def _run_transfer(self, op, t: float) -> None:
+        route = self.ctx.route(*op_endpoints(op))
+        self._launch_transfer(t, route, op.bytes,
+                              lambda now: self._op_done(op, now))
 
     # -- storage I/O (StorageDevice._io mirror) ----------------------------
-    def _enqueue_io(self, op, t: float, reg: int) -> None:
-        if self.rec is not None:
-            self.rec.io_event(reg, enqueue=True)
+    def _enqueue_io(self, op, t: float) -> None:
         if self._io_active < self.ctx.storage.spec.queue_depth:
             self._io_active += 1
-            self._admit_io(op, t, reg)
+            self._admit_io(op, t)
         else:
             if self._last_io_ready == t:
                 raise FastPathUnsupported(
@@ -476,43 +420,32 @@ class _Engine:
             self._last_io_ready = t
             self._io_queue.append(op)
 
-    def _admit_io(self, op, t: float, reg: int) -> None:
+    def _admit_io(self, op, t: float) -> None:
         nbytes, latency = storage_leg(op, self.ctx.storage.spec)
-        ends = op_endpoints(op)
-        route = self.ctx.route(*ends)
-        tag = None
-        if self.rec is not None:
-            reg, tag = self.rec.admit_io(op, reg, ends, nbytes, route)
+        route = self.ctx.route(*op_endpoints(op))
 
-        def done(now, done_reg):
-            if self.rec is not None:
-                self.rec.io_event(done_reg, enqueue=False)
+        def done(now):
             self._io_active -= 1
             if self._io_queue:
                 self._io_active += 1
-                self._admit_io(self._io_queue.pop(0), now, done_reg)
-            self._op_done(op, now, done_reg)
+                self._admit_io(self._io_queue.pop(0), now)
+            self._op_done(op, now)
 
-        self._launch_transfer(t + latency, reg, route, nbytes, done, tag)
+        self._launch_transfer(t + latency, route, nbytes, done)
 
     # -- the global fluid timeline (FlowScheduler mirror) ------------------
-    def _flow_arrives(self, segments, nbytes: float, on_done, tag,
-                      now: float, reg: int) -> None:
+    def _flow_arrives(self, segments, nbytes: float, on_done,
+                      now: float) -> None:
         """Mirror ``start_flow``: advance, add, recompute."""
         if nbytes <= _EPS_BYTES or not segments:
-            self._schedule(now, reg, on_done)
+            self._schedule(now, on_done)
             return
-        rec = self.rec
-        if rec is not None:
-            rec.flow_arrives(reg, self._flows)
         flow = _Flow(segments, nbytes, on_done)
         self._advance(now)
         self._flow_ids += 1
         self._flows[self._flow_ids] = flow
         self._solver.add(flow)
-        if rec is not None:
-            rec.flow(self._flow_ids, tag)
-        self._recompute(now, reg)
+        self._recompute(now)
 
     def _advance(self, now: float) -> None:
         dt = now - self._last_update
@@ -524,7 +457,7 @@ class _Engine:
             if delivered > 0:
                 flow.remaining -= delivered
 
-    def _recompute(self, now: float, reg: int) -> None:
+    def _recompute(self, now: float) -> None:
         # Complete drained flows under the *current* rates, then
         # water-fill the affected components — the FlowScheduler update
         # order, with the same incremental solver.  A flow is drained
@@ -533,31 +466,27 @@ class _Engine:
         drained = [fid for fid, f in self._flows.items()
                    if f.remaining <= _EPS_BYTES
                    or (f.rate > 0 and f.remaining / f.rate <= _EPS_SECONDS)]
-        if self.rec is not None:
-            self.rec.recompute(reg, self._flows, drained)
         for fid in drained:
             flow = self._flows.pop(fid)
             self._solver.remove(flow)
-            self._schedule(now, reg, flow.on_done)
+            self._schedule(now, flow.on_done)
         self._solver.solve()
-        self._arm_timer(now, reg)
+        self._arm_timer(now)
 
-    def _arm_timer(self, now: float, reg: int) -> None:
+    def _arm_timer(self, now: float) -> None:
         self._generation += 1
         if not self._flows:
             return
         gen = self._generation
         horizon = min(f.remaining / f.rate for f in self._flows.values()
                       if f.rate > 0)
-        self._schedule(now + horizon, reg,
-                       lambda t, _r: self._on_timer(t, gen))
+        self._schedule(now + horizon, lambda t: self._on_timer(t, gen))
 
     def _on_timer(self, now: float, generation: int) -> None:
         if generation != self._generation:
             return  # superseded by a later recompute
-        reg = 0 if self.rec is None else self.rec.timer(self._flows)
         self._advance(now)
-        self._recompute(now, reg)
+        self._recompute(now)
 
 
 def fastpath_schedule(plan: StepPlan, ctx: ExecutionContext) -> PlanTiming:

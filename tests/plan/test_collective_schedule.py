@@ -1,7 +1,7 @@
 """The shared collective schedule, pinned to the event-loop communicator.
 
-``collective_schedule`` is what the fast path, the tape recorder, the
-chunk-sizing pass and the profiler use for a collective's transfers;
+``collective_schedule`` is what the fast path, the chunk-sizing pass
+and the profiler use for a collective's transfers;
 ``Communicator`` keeps its own schedule as the event-loop reference.
 These tests run each collective on the DES and check that its
 ``Communicator._send`` calls are exactly the schedule's phases and

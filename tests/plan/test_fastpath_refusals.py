@@ -143,25 +143,3 @@ class TestRefusalFallbacks:
             return b.build()
 
         assert_falls_back(plan, ctx, match="admission")
-
-
-class TestBatchedFallback:
-    def test_refused_lanes_fall_back_inside_a_batch(self):
-        # The batched evaluator inherits the same contract: a group
-        # whose reference recording refuses degrades lane-by-lane.
-        from repro.plan.batched import evaluate_batch
-
-        def plan():
-            b = PlanBuilder("step", world_size=2)
-            for rank in range(2):
-                b.collective(rank, "g1", "allreduce", 1e6)
-                b.collective(rank, "g2", "allreduce", 1e6)
-            return b.build()
-
-        lanes = [(plan(), make_ctx()) for _ in range(3)]
-        result = evaluate_batch(lanes, fallback="auto")
-        assert result.batched_lanes == 0
-        assert result.fallback_lanes == 3
-        for timing in result.timings:
-            assert timing.mode == "executor"
-        assert_times_agree(result.timings[0], result.timings[1])
