@@ -8,6 +8,14 @@ flows changes, affected rates are recomputed and the next completion is
 rescheduled — the classic event-driven fluid simulation used by
 flow-level network simulators.
 
+That timeline is written once, as the clock-agnostic
+:class:`FluidTimeline`, and runs on two clocks: :class:`FlowScheduler`
+runs it on the event loop (``env.timeout`` timers, ``Event``
+completions, link traffic accounting), and the fast-path plan engine
+(:mod:`repro.plan.fastpath`) runs it from its own event heap without
+touching the fabric.  Both stream at the same recompute points with the
+same floats.
+
 Rate assignment is **incremental** (:class:`~repro.fabric.maxmin.
 MaxMinSolver`): a flow add/remove/kill or a capacity change re-solves
 only the affected connected component of the contention graph, so a
@@ -24,9 +32,9 @@ This captures the two congestion phenomena the paper observes:
 - p2p traffic inside a drawer does not contend with host-port traffic
   (separate links).
 
-Per-segment byte accounting is pushed into each link's directional
-counters on every scheduler update, so port ingress/egress rate series
-(paper Fig. 12) are exact for piecewise-constant rates.
+The scheduler's timeline pushes per-segment byte accounting into each
+link's directional counters on every update, so port ingress/egress
+rate series (paper Fig. 12) are exact for piecewise-constant rates.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from ..sim import Environment, Event
 from .link import Link
 from .maxmin import MaxMinSolver
 
-__all__ = ["FlowScheduler", "Flow", "Segment"]
+__all__ = ["FlowScheduler", "FluidTimeline", "Flow", "Segment"]
 
 #: Bytes below which a flow is considered drained (guards float error).
 _EPSILON_BYTES = 1e-6
@@ -82,20 +90,19 @@ def _link_keys(link: Link) -> tuple[tuple, tuple]:
     return ((link.id, link.a, link.b), (link.id, link.b, link.a))
 
 
-#: Fallback id source for flows constructed outside a scheduler (tests,
-#: ad-hoc solver experiments).  Scheduler-owned flows draw from the
-#: scheduler's own counter so runs are deterministic regardless of what
-#: other schedulers the process ran before.
-_flow_ids = itertools.count()
-
-
 class Flow:
-    """An active transfer streaming over a set of directed segments."""
+    """An active transfer streaming over a set of directed segments.
 
-    def __init__(self, segments: Sequence[Segment], nbytes: float,
-                 done: Event, label: str = "",
-                 flow_id: Optional[int] = None):
-        self.id = next(_flow_ids) if flow_id is None else flow_id
+    ``done`` is the completion handle of the timeline's owner: an
+    ``Event`` or a heap callback.
+    """
+
+    __slots__ = ("id", "segments", "nbytes", "remaining", "rate", "done",
+                 "label")
+
+    def __init__(self, flow_id: int, segments: Sequence[Segment],
+                 nbytes: float, done, label: str = ""):
+        self.id = flow_id
         self.segments = tuple(segments)
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
@@ -108,8 +115,101 @@ class Flow:
                 f"{self.remaining:.0f}/{self.nbytes:.0f}B @ {self.rate:.3g}B/s>")
 
 
+class FluidTimeline:
+    """Active flows, their fair rates and drain horizons, clock-agnostic.
+
+    Its owner keeps the clock and the timer.  After :meth:`add`, and
+    when a timer that is still :meth:`current` fires (after
+    :meth:`advance`), it completes the flows :meth:`recompute` returns
+    and arms a timer for :meth:`horizon`.  ``account=True`` pushes
+    delivered bytes into the segments' link counters (Fig. 12 traffic).
+    """
+
+    def __init__(self, now: float = 0.0, account: bool = False):
+        #: Active flows by id, in arrival order.
+        self.flows: dict[int, Flow] = {}
+        #: The incremental max-min solver rating :attr:`flows`.
+        self.solver = MaxMinSolver()
+        self._ids = itertools.count()
+        self._account = account
+        self._last_update = now
+        self._generation = 0
+
+    def add(self, segments: Sequence[Segment], nbytes: float, done,
+            now: float, label: str = "") -> Optional[Flow]:
+        """Start streaming ``nbytes`` over ``segments`` at ``now``.
+
+        ``None`` means nothing to stream (no segments, or bytes within
+        epsilon): the caller completes the transfer at once.
+        """
+        if nbytes <= _EPSILON_BYTES or not segments:
+            if self._account:
+                for seg in segments:
+                    seg.counter.add(now, nbytes)
+            return None
+        flow = Flow(next(self._ids), segments, nbytes, done, label)
+        self.advance(now)
+        self.flows[flow.id] = flow
+        self.solver.add(flow)
+        return flow
+
+    def remove(self, flow: Flow) -> None:
+        """Withdraw an active flow without draining it (a killed one)."""
+        del self.flows[flow.id]
+        self.solver.remove(flow)
+
+    def advance(self, now: float) -> None:
+        """Deliver the bytes each flow streamed since the last update."""
+        dt = now - self._last_update
+        self._last_update = now
+        if dt <= 0:
+            return
+        account = self._account
+        for flow in self.flows.values():
+            delivered = min(flow.remaining, flow.rate * dt)
+            if delivered > 0:
+                flow.remaining -= delivered
+                if account:
+                    for seg in flow.segments:
+                        seg.counter.add(now, delivered)
+
+    def recompute(self) -> list[Flow]:
+        """Retire drained flows (bytes, or horizon at a positive rate,
+        within epsilon, under the pre-solve rates), then re-rate the
+        affected components.  Returns the drained flows in arrival order.
+        """
+        drained = [flow for flow in self.flows.values()
+                   if flow.remaining <= _EPSILON_BYTES
+                   or (flow.rate > 0
+                       and flow.remaining / flow.rate <= _EPSILON_SECONDS)]
+        now = self._last_update
+        for flow in drained:
+            self.remove(flow)
+            if self._account and flow.remaining > 0:
+                # Account the float-rounding residual so byte
+                # conservation holds exactly on the link counters.
+                for seg in flow.segments:
+                    seg.counter.add(now, flow.remaining)
+                flow.remaining = 0.0
+        self.solver.solve()
+        return drained
+
+    def horizon(self) -> Optional[tuple[int, float]]:
+        """``(generation, seconds to the next drain)``, superseding every
+        earlier timer; ``None`` when no flow is active."""
+        self._generation += 1
+        if not self.flows:
+            return None
+        return self._generation, min(
+            f.remaining / f.rate for f in self.flows.values() if f.rate > 0)
+
+    def current(self, generation: int) -> bool:
+        """Whether the timer armed as ``generation`` is still the latest."""
+        return generation == self._generation
+
+
 class FlowScheduler:
-    """Event-driven fluid simulation of concurrent transfers.
+    """Runs a traffic-accounting :class:`FluidTimeline` on the event loop.
 
     Usage::
 
@@ -119,17 +219,13 @@ class FlowScheduler:
 
     def __init__(self, env: Environment):
         self.env = env
-        self._flows: dict[int, Flow] = {}
-        self._ids = itertools.count()
-        self._solver = MaxMinSolver()
-        self._last_update = env.now
-        self._generation = 0
+        self._timeline = FluidTimeline(env.now, account=True)
         #: Completed flow count (introspection / tests).
         self.completed = 0
 
     @property
     def active_flows(self) -> list[Flow]:
-        return list(self._flows.values())
+        return list(self._timeline.flows.values())
 
     def poke(self, link: Optional[Link] = None) -> None:
         """Force an immediate rate recomputation.
@@ -140,12 +236,12 @@ class FlowScheduler:
         confines the re-solve to its contention component; with no
         argument every component is re-solved (unknown change).
         """
-        self._advance()
+        self._timeline.advance(self.env.now)
         if link is None:
-            self._solver.touch_all()
+            self._timeline.solver.touch_all()
         else:
-            self._solver.touch(*_link_keys(link))
-        self._recompute()
+            self._timeline.solver.touch(*_link_keys(link))
+        self._settle()
 
     def kill_flows_on(self, link: Link, cause: Exception) -> int:
         """Fail every in-flight flow crossing ``link`` (cable pull).
@@ -155,15 +251,14 @@ class FlowScheduler:
         number of flows killed.  Victims come from the per-link flow
         index — O(victims), not O(flows x segments).
         """
-        self._advance()
-        victims = sorted(self._solver.flows_on(*_link_keys(link)),
+        self._timeline.advance(self.env.now)
+        victims = sorted(self._timeline.solver.flows_on(*_link_keys(link)),
                          key=lambda flow: flow.id)
         for flow in victims:
-            del self._flows[flow.id]
-            self._solver.remove(flow)
+            self._timeline.remove(flow)
             flow.done.fail(cause)
         if victims:
-            self._recompute()
+            self._settle()
         return len(victims)
 
     def start_flow(self, segments: Iterable[Segment], nbytes: float,
@@ -176,82 +271,32 @@ class FlowScheduler:
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         done = self.env.event()
-        segments = tuple(segments)
-        if nbytes <= _EPSILON_BYTES or not segments:
-            # Nothing to stream: still account the bytes for traffic stats.
-            for seg in segments:
-                seg.link.account(self.env.now, seg.src, seg.dst, nbytes)
+        if self._timeline.add(tuple(segments), nbytes, done, self.env.now,
+                              label) is None:
             done.succeed(nbytes)
             self.completed += 1
-            return done
-        flow = Flow(segments, nbytes, done, label,
-                    flow_id=next(self._ids))
-        self._advance()
-        self._flows[flow.id] = flow
-        self._solver.add(flow)
-        self._recompute()
+        else:
+            self._settle()
         return done
 
     # -- equivalence oracle ------------------------------------------------
     def assert_rates_equivalent(self, rtol: float = 1e-9) -> None:
         """Cross-check current rates against batch water-filling."""
-        self._solver.assert_equivalent(rtol)
+        self._timeline.solver.assert_equivalent(rtol)
 
     # -- internals -------------------------------------------------------
-    def _advance(self) -> None:
-        """Deliver bytes accrued since the last update; account per link."""
-        now = self.env.now
-        dt = now - self._last_update
-        self._last_update = now
-        if dt <= 0:
-            return
-        for flow in self._flows.values():
-            delivered = min(flow.remaining, flow.rate * dt)
-            if delivered > 0:
-                flow.remaining -= delivered
-                for seg in flow.segments:
-                    seg.counter.add(now, delivered)
-
-    def _recompute(self) -> None:
-        """Complete drained flows, re-assign fair rates, re-arm the timer."""
-        self._complete_drained()
-        self._solver.solve()
-        self._arm_timer()
-
-    def _complete_drained(self) -> None:
-        done_ids = [fid for fid, f in self._flows.items()
-                    if self._is_drained(f)]
-        now = self.env.now
-        for fid in done_ids:
-            flow = self._flows.pop(fid)
-            self._solver.remove(flow)
-            if flow.remaining > 0:
-                # Account the float-rounding residual so byte conservation
-                # holds exactly on the link counters.
-                for seg in flow.segments:
-                    seg.link.account(now, seg.src, seg.dst, flow.remaining)
-                flow.remaining = 0.0
+    def _settle(self) -> None:
+        """Complete drained flows, then arm the timer for the next drain."""
+        for flow in self._timeline.recompute():
             self.completed += 1
             flow.done.succeed(flow.nbytes)
-
-    @staticmethod
-    def _is_drained(flow: Flow) -> bool:
-        if flow.remaining <= _EPSILON_BYTES:
-            return True
-        return flow.rate > 0 and flow.remaining / flow.rate <= _EPSILON_SECONDS
-
-    def _arm_timer(self) -> None:
-        self._generation += 1
-        if not self._flows:
-            return
-        gen = self._generation
-        horizon = min(f.remaining / f.rate for f in self._flows.values()
-                      if f.rate > 0)
-        timer = self.env.timeout(horizon)
-        timer.callbacks.append(lambda _evt: self._on_timer(gen))
+        timer = self._timeline.horizon()
+        if timer is not None:
+            generation, seconds = timer
+            self.env.timeout(seconds).callbacks.append(
+                lambda _evt: self._on_timer(generation))
 
     def _on_timer(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # superseded by a later recompute
-        self._advance()
-        self._recompute()
+        if self._timeline.current(generation):
+            self._timeline.advance(self.env.now)
+            self._settle()

@@ -30,9 +30,9 @@ constant per frozen flow is order-independent.  The fast-path engine's
 
 A flow object is anything with a ``segments`` sequence (each segment
 exposing ``key`` — the hashable directed-capacity identity — and
-``capacity``) and a writable ``rate``; both the live
-:class:`~repro.fabric.flows.Flow` and the fast-path engine's duck-typed
-``_Flow`` qualify.
+``capacity``) and a writable ``rate``, such as the
+:class:`~repro.fabric.flows.Flow` of the one fluid timeline that both
+the event loop and the fast-path engine run.
 """
 
 from __future__ import annotations

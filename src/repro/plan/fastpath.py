@@ -22,10 +22,10 @@ in the identical order:
   :func:`~repro.plan.ir.collective_schedule`, and pay the real
   ``Communicator._transport_factor`` byte inflation per route;
 - every transfer pays ``transfer_overhead + route.latency`` and then
-  streams through a single global fluid timeline rated by the same
-  incremental ``MaxMinSolver`` as ``FlowScheduler``, advancing
-  deliveries with the same ``min(remaining, rate * dt)`` updates at the
-  same recompute points (every flow arrival, every completion horizon);
+  streams through one global
+  :class:`~repro.fabric.flows.FluidTimeline` — the same timeline class
+  ``FlowScheduler`` runs — recomputed at the same points (every flow
+  arrival, every completion horizon);
 - storage I/O mirrors the queue-depth admission of ``StorageDevice``
   and pays the fixed latency and streamed bytes of
   :func:`~repro.plan.ir.storage_leg`.
@@ -39,10 +39,11 @@ instant, a watchdog racing a completion), it refuses with
 :func:`evaluate_plan`'s ``auto`` mode falls back to the real executor.
 
 The fast path is *pure*: it reads device specs, routes, and penalty
-tables but mutates no device state, link counter, or communicator
-sequence number, so it can be invoked any number of times on a live
-system without perturbing it.  Sweeps over many candidate plans
-(``repro autotune``) evaluate each candidate with its own run.
+tables but mutates no device state, link counter (its timeline accounts
+no traffic), or communicator sequence number, so it can be invoked any
+number of times on a live system without perturbing it.  Sweeps over
+many candidate plans (``repro autotune``) evaluate each candidate with
+its own run.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from ..fabric.flows import _EPSILON_BYTES as _EPS_BYTES
-from ..fabric.flows import _EPSILON_SECONDS as _EPS_SECONDS
-from ..fabric.maxmin import MaxMinSolver
+from ..fabric.flows import FluidTimeline
 from .executor import ExecutionContext, PlanExecution
 from .ir import (
     COLLECTIVE_KINDS,
@@ -152,18 +151,6 @@ def fastpath_support(plan: StepPlan, ctx: ExecutionContext
 
 # -- the engine --------------------------------------------------------------
 
-class _Flow:
-    """Duck-typed flow rated by the same ``MaxMinSolver`` as the DES."""
-
-    __slots__ = ("segments", "remaining", "rate", "on_done")
-
-    def __init__(self, segments, nbytes: float, on_done):
-        self.segments = segments
-        self.remaining = float(nbytes)
-        self.rate = 0.0
-        self.on_done = on_done
-
-
 class _Group:
     """One rendezvoused collective/barrier across its communicator."""
 
@@ -219,13 +206,8 @@ class _Engine:
         self._io_active = 0
         self._io_queue: list = []
         self._last_io_ready: Optional[float] = None
-        # Global fluid timeline (insertion-ordered, like FlowScheduler),
-        # rated by the same incremental component solver.
-        self._flows: dict = {}
-        self._flow_ids = 0
-        self._solver = MaxMinSolver()
-        self._last_update = 0.0
-        self._generation = 0
+        # Global fluid timeline; it accounts no link traffic.
+        self._timeline = FluidTimeline()
 
     # -- event plumbing ---------------------------------------------------
     def _schedule(self, time: float, fn) -> None:
@@ -433,60 +415,29 @@ class _Engine:
 
         self._launch_transfer(t + latency, route, nbytes, done)
 
-    # -- the global fluid timeline (FlowScheduler mirror) ------------------
+    # -- the global fluid timeline (the class FlowScheduler runs) --------
     def _flow_arrives(self, segments, nbytes: float, on_done,
                       now: float) -> None:
-        """Mirror ``start_flow``: advance, add, recompute."""
-        if nbytes <= _EPS_BYTES or not segments:
+        """Mirror ``start_flow``: stream the bytes, or finish at once."""
+        if self._timeline.add(segments, nbytes, on_done, now) is None:
             self._schedule(now, on_done)
-            return
-        flow = _Flow(segments, nbytes, on_done)
-        self._advance(now)
-        self._flow_ids += 1
-        self._flows[self._flow_ids] = flow
-        self._solver.add(flow)
-        self._recompute(now)
+        else:
+            self._settle(now)
 
-    def _advance(self, now: float) -> None:
-        dt = now - self._last_update
-        self._last_update = now
-        if dt <= 0:
-            return
-        for flow in self._flows.values():
-            delivered = min(flow.remaining, flow.rate * dt)
-            if delivered > 0:
-                flow.remaining -= delivered
-
-    def _recompute(self, now: float) -> None:
-        # Complete drained flows under the *current* rates, then
-        # water-fill the affected components — the FlowScheduler update
-        # order, with the same incremental solver.  A flow is drained
-        # when its bytes, or its horizon at a positive rate, are within
-        # epsilon.
-        drained = [fid for fid, f in self._flows.items()
-                   if f.remaining <= _EPS_BYTES
-                   or (f.rate > 0 and f.remaining / f.rate <= _EPS_SECONDS)]
-        for fid in drained:
-            flow = self._flows.pop(fid)
-            self._solver.remove(flow)
-            self._schedule(now, flow.on_done)
-        self._solver.solve()
-        self._arm_timer(now)
-
-    def _arm_timer(self, now: float) -> None:
-        self._generation += 1
-        if not self._flows:
-            return
-        gen = self._generation
-        horizon = min(f.remaining / f.rate for f in self._flows.values()
-                      if f.rate > 0)
-        self._schedule(now + horizon, lambda t: self._on_timer(t, gen))
+    def _settle(self, now: float) -> None:
+        """Complete drained flows, then arm the timer for the next drain."""
+        for flow in self._timeline.recompute():
+            self._schedule(now, flow.done)
+        timer = self._timeline.horizon()
+        if timer is not None:
+            generation, seconds = timer
+            self._schedule(now + seconds,
+                           lambda t: self._on_timer(t, generation))
 
     def _on_timer(self, now: float, generation: int) -> None:
-        if generation != self._generation:
-            return  # superseded by a later recompute
-        self._advance(now)
-        self._recompute(now)
+        if self._timeline.current(generation):
+            self._timeline.advance(now)
+            self._settle(now)
 
 
 def fastpath_schedule(plan: StepPlan, ctx: ExecutionContext) -> PlanTiming:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ComposableSystem
 from repro.devices.gpu import Precision
+from repro.fabric.traffic import total_bytes_moved
 from repro.plan import (
     ExecutionContext,
     FastPathUnsupported,
@@ -325,3 +326,25 @@ class TestAssertEqual:
         f = _compute(b, 0, "forward")
         timing = _executor_timing(b.build(), ctx)
         assert timing.op_times[f][0] == 0.0
+
+
+def test_fastpath_leaves_a_live_falcon_system_untouched():
+    # Purity: the engine's fluid timeline streams over the live fabric's
+    # segments but accounts no traffic, starts no scheduler flow and
+    # never advances the clock.
+    system = ComposableSystem()
+    job = system.job("resnet50", configuration="falconGPUs",
+                     strategy="ddp")
+    topo = system.topology
+
+    def state():
+        return (total_bytes_moved(topo.links()),
+                topo.scheduler.active_flows, system.env.now)
+
+    before = state()
+    timing = fastpath_schedule(job.step_plan, job._exec_ctx)
+    assert timing.makespan > 0
+    assert state() == before
+    # The same plan run for real does move bytes over those links.
+    evaluate_plan(job.step_plan, job._exec_ctx, mode="executor")
+    assert state()[0] > before[0]
