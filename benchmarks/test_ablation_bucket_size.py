@@ -14,18 +14,18 @@ from conftest import emit
 
 from repro import ComposableSystem
 from repro.experiments import render_table
+from repro.plan import evaluate_plan
 from repro.training import DistributedDataParallel
 
 BUCKETS_MB = (1, 25, 700)   # tiny / default / effectively-unbucketed
 
 
 def step_time_with_bucket(bucket_mb: float) -> float:
-    system = ComposableSystem()
-    result = system.train(
+    """Steady-state step time: one evaluation of the job's step plan."""
+    job = ComposableSystem().job(
         "bert-large", configuration="falconGPUs",
-        strategy=DistributedDataParallel(bucket_bytes=bucket_mb * 1e6),
-        sim_steps=6)
-    return result.step_time
+        strategy=DistributedDataParallel(bucket_bytes=bucket_mb * 1e6))
+    return evaluate_plan(job.step_plan, job._exec_ctx).makespan
 
 
 def test_ablation_ddp_bucket_size(benchmark):

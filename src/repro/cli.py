@@ -202,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fig16-opt", help="fig16 DDP variant with the optimizing plan "
                           "passes: exposed-sync closing the falcon gap")
     fig16.add_argument("--steps", type=int, default=6,
-                       help="simulated optimizer steps per run")
+                       help="simulated optimizer steps of the "
+                            "--trace-out run (the table itself is one "
+                            "plan evaluation per pipeline)")
     fig16.add_argument("--trace-out", default=None,
                        help="write a Chrome trace of the optimized run")
     fig16.add_argument("--profile", action="store_true",

@@ -141,7 +141,9 @@ class StorageDevice:
     def _io(self, src: str, dst: str, nbytes: float, latency: float,
             counter: CounterMonitor, logical_bytes: float = -1.0,
             kind: str = "io"):
-        tracer = self.topology.tracer or NULL_TRACER
+        tracer = self.topology.tracer
+        if tracer is None:
+            tracer = NULL_TRACER
         track = tracer.lane("storage", self.name)
         span = tracer.span(kind, Category.STORAGE, track, device=self.name,
                            bytes=logical_bytes if logical_bytes >= 0

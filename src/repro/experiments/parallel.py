@@ -43,7 +43,6 @@ __all__ = [
     "experiment_cell",
     "matrix_cell",
     "model_source_digest",
-    "opt_profile_cell",
     "record_from_value",
     "record_to_value",
     "run_cells",
@@ -258,11 +257,14 @@ def step_cell(benchmark: str, configuration: str,
               **train_kwargs) -> Optional[dict]:
     """A cell for one evaluation of a training job's step plan.
 
-    Its value is ``{"step_time", "engine"}``: the steady-state seconds
-    per optimizer step and the engine that produced them (``fastpath``,
-    or ``executor`` when the fast path refused).  No step count: one
-    plan evaluation is the step time, so nothing is trained.  ``None``
-    under the same conditions as :func:`experiment_cell`.
+    Its value is ``{"step_time", "exposed_sync", "engine"}``: the
+    steady-state seconds per optimizer step, rank 0's seconds of
+    communication no compute hides (see
+    :func:`~repro.plan.executor.exposed_comm_seconds`), and the engine
+    that produced them (``fastpath``, or ``executor`` when the fast
+    path refused).  No step count: one plan evaluation is the step
+    time, so nothing is trained.  ``None`` under the same conditions
+    as :func:`experiment_cell`.
     """
     return _training_cell("step", benchmark, configuration, strategy,
                           policy, global_batch, train_kwargs)
@@ -276,19 +278,6 @@ def matrix_cell(benchmark: str, configuration: str, strategy: str,
     return {"kind": "matrix", "benchmark": benchmark,
             "configuration": configuration, "strategy": strategy,
             "plan_passes": _passes_spec(plan_passes)}
-
-
-def opt_profile_cell(benchmark: str, configuration: str, sim_steps: int,
-                     pipeline: str, plan_passes: Optional[str]) -> dict:
-    """A cell for one pipeline of the optimized-DDP study (fig16-opt)."""
-    return {
-        "kind": "opt-profile",
-        "benchmark": benchmark,
-        "configuration": configuration,
-        "sim_steps": sim_steps,
-        "pipeline": pipeline,
-        "plan_passes": _passes_spec(plan_passes),
-    }
 
 
 def record_to_value(record: ExperimentRecord) -> dict:
@@ -360,6 +349,7 @@ def _execute_cell(cell: dict) -> dict:
         return record_to_value(record)
     if kind == "step":
         from ..core import ComposableSystem
+        from ..plan.executor import exposed_comm_seconds
         from ..plan.fastpath import evaluate_plan
         job = ComposableSystem().job(
             cell["benchmark"], cell["configuration"],
@@ -368,26 +358,15 @@ def _execute_cell(cell: dict) -> dict:
             global_batch=cell["global_batch"],
             **_train_kwargs(cell))
         timing = evaluate_plan(job.step_plan, job._exec_ctx)
-        return {"step_time": timing.makespan, "engine": timing.mode}
+        return {"step_time": timing.makespan,
+                "exposed_sync": exposed_comm_seconds(job.step_plan,
+                                                     timing.op_times),
+                "engine": timing.mode}
     if kind == "matrix":
         from .matrix import evaluate_cell
         return evaluate_cell(cell["benchmark"], cell["configuration"],
                              cell["strategy"],
                              _build_passes(cell["plan_passes"]))
-    if kind == "opt-profile":
-        from ..training import AMP_POLICY, DistributedDataParallel
-        from .software_opts import _exposed_sync_per_step
-        from .tracing import traced_run
-        run = traced_run(
-            cell["benchmark"], cell["configuration"],
-            sim_steps=cell["sim_steps"],
-            strategy=DistributedDataParallel(), policy=AMP_POLICY,
-            plan_passes=_build_passes(cell["plan_passes"]))
-        return {
-            "step_time": run.record.step_time,
-            "exposed_sync": _exposed_sync_per_step(run),
-            "time_per_sample": 1.0 / run.record.throughput,
-        }
     raise ValueError(f"unknown cell kind {kind!r}")
 
 

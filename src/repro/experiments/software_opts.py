@@ -14,6 +14,13 @@ on both the localGPUs and falconGPUs configurations.  Speedups are
 reported as training-time reduction per sample (throughput ratios), the
 way the paper summarizes them ("mixed precision provides ... more than
 50% in all cases and more than 70% in the case of Falcon-attached GPUs").
+
+The extension past the paper, :func:`optimized_ddp_study` (``repro
+fig16-opt``), re-evaluates the falconGPUs DDP-FP16 cell under each
+optimizing plan-pass pipeline and reports its step time and exposed
+gradient sync.  Like the Fig. 16 grid, every number comes from one
+step-plan evaluation per cell; only the optional Chrome-trace export
+runs a training job.
 """
 
 from __future__ import annotations
@@ -130,8 +137,10 @@ class OptimizedProfile:
     pipeline: str
     #: Steady-state seconds per optimizer step.
     step_time: float
-    #: Mean exposed (non-overlapped) sync seconds per steady step, from
-    #: rank 0's ``exposed-sync`` spans.
+    #: Exposed (non-overlapped) sync seconds per step on rank 0: the
+    #: ``exposed-sync`` span time a traced run of the step plan emits,
+    #: computed from plan timing by
+    #: :func:`~repro.plan.executor.exposed_comm_seconds`.
     exposed_sync: float
     #: Seconds per sample (the Fig. 16 metric).
     time_per_sample: float
@@ -169,22 +178,6 @@ class OptimizedDDPStudy:
                                   self.profiles[pipeline].step_time)
 
 
-def _exposed_sync_per_step(run) -> float:
-    """Mean exposed-sync seconds per steady step on rank 0's track."""
-    sync = [s for s in run.tracer.spans
-            if s.name == "exposed-sync" and s.track == run.track
-            and s.end is not None]
-    steady = run.steady_steps
-    if not steady:
-        return 0.0
-    total = 0.0
-    for step in steady:
-        total += sum(min(s.end, step.end) - max(s.start, step.start)
-                     for s in sync
-                     if s.end > step.start and s.start < step.end)
-    return total / len(steady)
-
-
 def optimized_ddp_study(benchmark: str = "bert-large",
                         configuration: str = "falconGPUs",
                         sim_steps: int = 6,
@@ -194,28 +187,35 @@ def optimized_ddp_study(benchmark: str = "bert-large",
                         ) -> OptimizedDDPStudy:
     """Measure the optimizing plan passes on the Falcon DDP gap.
 
-    Profiles are computed as cacheable cells (``jobs``/``cache`` fan out
-    and memoize them); with a warm cache the study executes zero
-    simulations.  When ``trace_out`` is set, the *last* — most
-    optimized — pipeline additionally runs live with a wired tracer so
-    its Chrome trace can be exported (that run bypasses the cache: spans
-    are not cacheable scalars).
+    Each pipeline is one :func:`~repro.experiments.parallel.step_cell`
+    (``jobs``/``cache`` fan out and memoize them): one evaluation of
+    the DDP-FP16 step plan gives the step time, and the executor's
+    overlap arithmetic on those op times gives the exposed sync.  The
+    ``none`` pipeline is Fig. 16's DDP-FP16 cell and shares its cache
+    entry.  Nothing trains unless ``trace_out`` is set: then the *last*
+    — most optimized — pipeline also runs ``sim_steps`` live steps with
+    a wired tracer so its Chrome trace can be exported (that run
+    bypasses the cache: spans are not cacheable scalars).
     """
-    from .parallel import opt_profile_cell, run_cells
+    from .parallel import run_cells, step_cell
 
     pipelines = list(pipelines)
+    global_batch = next(v.global_batch for v in VARIANTS
+                        if v.name == "DDP-FP16")
     study = OptimizedDDPStudy(benchmark=benchmark,
                               configuration=configuration)
-    cells = [opt_profile_cell(benchmark, configuration, sim_steps,
-                              name, spec)
-             for name, spec in pipelines]
+    cells = [step_cell(benchmark, configuration,
+                       strategy=DistributedDataParallel(),
+                       policy=AMP_POLICY, global_batch=global_batch,
+                       **({} if spec is None else {"plan_passes": spec}))
+             for _name, spec in pipelines]
     values = run_cells(cells, jobs=jobs, cache=cache)
     for (name, _spec), value in zip(pipelines, values):
         study.profiles[name] = OptimizedProfile(
             pipeline=name,
             step_time=value["step_time"],
             exposed_sync=value["exposed_sync"],
-            time_per_sample=value["time_per_sample"])
+            time_per_sample=value["step_time"] / global_batch)
     if trace_out and pipelines:
         from ..telemetry import write_chrome_trace
         from .tracing import traced_run

@@ -84,16 +84,12 @@ class TracedRun:
     def reconstructed_total(self) -> float:
         """Full-run wall time rebuilt from spans alone.
 
-        Mirrors ``TrainingResult.total_time``'s extrapolation:
-        ``epochs * (steps/epoch * step + ckpts/epoch * ckpt) + staging``,
-        but with step and checkpoint means taken from span wall times
-        instead of the runner's private timers.
+        ``TrainingResult.total_time``'s extrapolation, with step and
+        checkpoint means taken from span wall times instead of the
+        runner's private timers.
         """
-        result = self.record.result
-        epoch = (result.steps_per_epoch * self.mean_step_seconds
-                 + result.checkpoints_per_epoch
-                 * self.mean_checkpoint_seconds)
-        return result.epochs * epoch + result.staging_overhead
+        return self.record.result.extrapolated_total(
+            self.mean_step_seconds, self.mean_checkpoint_seconds)
 
     @property
     def reconciliation_error(self) -> float:

@@ -31,7 +31,7 @@ from .ir import (
 )
 from .validate import PlanValidationError, assert_valid, validate_plan
 from .diff import PlanDiff, diff_plans, format_diff
-from .executor import ExecutionContext, PlanExecution
+from .executor import ExecutionContext, PlanExecution, exposed_comm_seconds
 from .fastpath import (
     FastPathUnsupported,
     PlanTiming,
@@ -74,6 +74,7 @@ __all__ = [
     "format_diff",
     "ExecutionContext",
     "PlanExecution",
+    "exposed_comm_seconds",
     "FastPathUnsupported",
     "PlanTiming",
     "fastpath_support",

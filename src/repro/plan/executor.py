@@ -48,7 +48,7 @@ from .ir import (
     StorageWrite,
 )
 
-__all__ = ["ExecutionContext", "PlanExecution"]
+__all__ = ["ExecutionContext", "PlanExecution", "exposed_comm_seconds"]
 
 #: Ignore sub-picosecond slivers when deriving exposed-comm segments.
 _EPS = 1e-12
@@ -247,33 +247,60 @@ class PlanExecution:
         track = self.ctx.track_for(rank)
         if track is None:
             return
-        records = [(op, *self._times[op.uid])
-                   for op in self.plan.by_rank(rank)
-                   if op.traced and op.uid in self._times]
+        records = _traced_records(self.plan, self._times, rank)
         for cluster in _overlap_clusters(records):
             if len(cluster) == 1:
                 op, start, end = cluster[0]
                 tracer.complete(op.name, op.category, track, start, end,
                                 **_span_attrs(op))
                 continue
-            computes = [r for r in cluster
-                        if r[0].category is Category.COMPUTE]
-            others = [r for r in cluster
-                      if r[0].category is not Category.COMPUTE]
+            computes, others, exposed = _split_cluster(cluster)
             for op, start, end in computes:
                 tracer.complete(op.name, op.category, track, start, end,
                                 overlapped_comm=bool(others),
                                 **_span_attrs(op))
-            if not others:
-                continue
-            hidden = _merge_intervals([(s, e) for _, s, e in computes])
-            exposed = _subtract_intervals(
-                _merge_intervals([(s, e) for _, s, e in others]), hidden)
             total_bytes = sum(op.bytes for op, _, _ in others)
             for start, end in exposed:
-                if end - start > _EPS:
-                    tracer.complete("exposed-sync", Category.COMM, track,
-                                    start, end, bytes=total_bytes)
+                tracer.complete("exposed-sync", Category.COMM, track,
+                                start, end, bytes=total_bytes)
+
+
+def exposed_comm_seconds(plan: StepPlan, op_times: dict,
+                         rank: int = 0) -> float:
+    """Seconds of ``rank``'s communication that no compute hides.
+
+    ``op_times`` maps op uid to ``(start, end)``, as
+    :class:`~repro.plan.fastpath.PlanTiming` carries it.  The result is
+    the summed duration of the ``exposed-sync`` spans a traced
+    execution with these op times emits on ``rank``'s track, computed
+    from the same overlap clusters, so no trace is needed.
+    """
+    total = 0.0
+    for cluster in _overlap_clusters(_traced_records(plan, op_times, rank)):
+        if len(cluster) > 1:
+            for start, end in _split_cluster(cluster)[2]:
+                total += end - start
+    return total
+
+
+def _traced_records(plan: StepPlan, op_times: dict, rank: int) -> list:
+    """(op, start, end) of ``rank``'s traced ops that have times."""
+    return [(op, *op_times[op.uid]) for op in plan.by_rank(rank)
+            if op.traced and op.uid in op_times]
+
+
+def _split_cluster(cluster):
+    """An overlap cluster's compute records, its other records, and the
+    intervals of the others that no compute hides (slivers of at most
+    :data:`_EPS` dropped)."""
+    computes = [r for r in cluster if r[0].category is Category.COMPUTE]
+    others = [r for r in cluster if r[0].category is not Category.COMPUTE]
+    if not others:
+        return computes, others, []
+    hidden = _merge_intervals([(s, e) for _, s, e in computes])
+    exposed = _subtract_intervals(
+        _merge_intervals([(s, e) for _, s, e in others]), hidden)
+    return computes, others, [(s, e) for s, e in exposed if e - s > _EPS]
 
 
 def _span_attrs(op) -> dict:

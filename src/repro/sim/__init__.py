@@ -5,8 +5,7 @@ Public surface:
 - :class:`Environment`, :class:`Event`, :class:`Process`, :class:`Timeout`
 - Composition: :class:`AllOf`, :class:`AnyOf`
 - Exceptions: :class:`Interrupt`, :class:`SimulationError`
-- Resources: :class:`Resource`, :class:`PriorityResource`,
-  :class:`Container`, :class:`Store`, :class:`FilterStore`
+- Resources: :class:`Resource`, :class:`Container`, :class:`Store`
 - Instrumentation: :class:`TimeSeries`, :class:`CounterMonitor`
 """
 
@@ -24,9 +23,6 @@ from .core import (
 from .monitor import CounterMonitor, SummaryStats, TimeSeries
 from .resources import (
     Container,
-    FilterStore,
-    Preempted,
-    PriorityResource,
     Resource,
     Store,
 )
@@ -42,11 +38,8 @@ __all__ = [
     "SimulationError",
     "StopProcess",
     "Resource",
-    "PriorityResource",
-    "Preempted",
     "Container",
     "Store",
-    "FilterStore",
     "TimeSeries",
     "CounterMonitor",
     "SummaryStats",

@@ -4,7 +4,6 @@ Mirrors the SimPy resource family:
 
 - :class:`Resource` — a pool of ``capacity`` identical slots with FIFO
   queuing (e.g. DMA engines, NVMe submission queues).
-- :class:`PriorityResource` — slots handed out in priority order.
 - :class:`Container` — a homogeneous quantity that can be ``put`` and
   ``get`` in fractional amounts (e.g. bytes of free GPU memory).
 - :class:`Store` — a FIFO queue of discrete Python objects (e.g. batches
@@ -16,20 +15,15 @@ Requests are events; processes ``yield`` them and later ``release`` them
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .core import Environment, Event, SimulationError
 
 __all__ = [
     "Resource",
-    "PriorityResource",
-    "Preempted",
     "Container",
     "Store",
-    "FilterStore",
 ]
 
 
@@ -53,23 +47,6 @@ class Request(Event):
     def cancel(self) -> None:
         """Withdraw an un-granted request from the wait queue."""
         self.resource._cancel(self)
-
-
-class PriorityRequest(Request):
-    """A prioritized claim; lower ``priority`` values are served first."""
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0):
-        self.priority = priority
-        self.time = resource.env.now
-        super().__init__(resource)
-
-
-class Preempted:
-    """Cause object delivered with a preemption interrupt."""
-
-    def __init__(self, by: Any, usage_since: Optional[float]):
-        self.by = by
-        self.usage_since = usage_since
 
 
 class Resource:
@@ -120,42 +97,6 @@ class Resource:
     def _trigger_waiters(self) -> None:
         while self.queue and len(self.users) < self.capacity:
             self._grant(self.queue.popleft())
-
-
-class PriorityResource(Resource):
-    """A resource whose wait queue is ordered by request priority."""
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._heap: list = []
-        self._counter = itertools.count()
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self.capacity:
-            self._grant(request)
-        else:
-            prio = getattr(request, "priority", 0)
-            heapq.heappush(self._heap, (prio, next(self._counter), request))
-
-    def _cancel(self, request: Request) -> None:
-        for i, (_, _, queued) in enumerate(self._heap):
-            if queued is request:
-                self._heap.pop(i)
-                heapq.heapify(self._heap)
-                return
-        raise SimulationError(f"{request!r} is not queued here")
-
-    def _trigger_waiters(self) -> None:
-        while self._heap and len(self.users) < self.capacity:
-            _, _, request = heapq.heappop(self._heap)
-            self._grant(request)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
 
 
 class ContainerPut(Event):
@@ -261,13 +202,6 @@ class StoreGet(Event):
         store._update()
 
 
-class FilterStoreGet(StoreGet):
-    def __init__(self, store: "FilterStore",
-                 predicate: Callable[[Any], bool]):
-        self.predicate = predicate
-        super().__init__(store)
-
-
 class Store:
     """A FIFO queue of discrete items with optional capacity bound."""
 
@@ -299,41 +233,5 @@ class Store:
                 put.succeed()
                 progressed = True
             while self._get_queue and self.items:
-                if not self._serve_one_get():
-                    break
+                self._get_queue.popleft().succeed(self.items.popleft())
                 progressed = True
-
-    def _serve_one_get(self) -> bool:
-        get = self._get_queue.popleft()
-        get.succeed(self.items.popleft())
-        return True
-
-
-class FilterStore(Store):
-    """A store whose gets can select items by predicate."""
-
-    def get(self, predicate: Callable[[Any], bool] = lambda item: True
-            ) -> FilterStoreGet:  # type: ignore[override]
-        return FilterStoreGet(self, predicate)
-
-    def _update(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._put_queue and len(self.items) < self.capacity:
-                put = self._put_queue.popleft()
-                self.items.append(put.item)
-                progressed = True
-                put.succeed()
-            # Serve any get whose predicate matches an available item.
-            for get in list(self._get_queue):
-                matched = None
-                for item in self.items:
-                    if get.predicate(item):  # type: ignore[attr-defined]
-                        matched = item
-                        break
-                if matched is not None:
-                    self.items.remove(matched)
-                    self._get_queue.remove(get)
-                    get.succeed(matched)
-                    progressed = True

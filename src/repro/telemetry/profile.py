@@ -1186,10 +1186,7 @@ def profile_run(job, sink_rank: int = 0) -> RunProfile:
     ckpt_walls = [sum(s.duration for s in w.path.segments)
                   for w in checkpoints]
     ckpt_mean = float(np.mean(ckpt_walls)) if ckpt_walls else 0.0
-    reconstructed = result.epochs * (
-        result.steps_per_epoch * step_mean
-        + result.checkpoints_per_epoch * ckpt_mean) \
-        + result.staging_overhead
+    reconstructed = result.extrapolated_total(step_mean, ckpt_mean)
     rel_err = abs(reconstructed - result.total_time) \
         / result.total_time if result.total_time else 0.0
 

@@ -130,7 +130,7 @@ class Communicator:
         #: collective before :class:`CollectiveTimeout` is raised at it.
         self.watchdog = watchdog
         #: Span tracer; each executing collective borrows a "comm" lane.
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._op_seq = [0] * len(ranks)
         self._pending: dict[int, _PendingOp] = {}
         self._executing: set[_PendingOp] = set()

@@ -258,13 +258,24 @@ class TrainingResult:
     @property
     def epoch_time(self) -> float:
         """Estimated wall seconds per steady-state epoch."""
-        return (self.steps_per_epoch * self.step_time
-                + self.checkpoints_per_epoch * self.checkpoint_time)
+        return self._epoch_seconds(self.step_time, self.checkpoint_time)
 
     @property
     def total_time(self) -> float:
         """Estimated wall seconds for the full training run."""
-        return self.epochs * self.epoch_time + self.staging_overhead
+        return self.extrapolated_total(self.step_time, self.checkpoint_time)
+
+    def extrapolated_total(self, step: float, checkpoint: float) -> float:
+        """Full-run wall seconds at the given step and checkpoint means:
+        ``epochs * (steps/epoch * step + ckpts/epoch * checkpoint) +
+        staging``.  Span- and profile-derived means go through this
+        same formula to reconcile against :attr:`total_time`."""
+        return (self.epochs * self._epoch_seconds(step, checkpoint)
+                + self.staging_overhead)
+
+    def _epoch_seconds(self, step: float, checkpoint: float) -> float:
+        return (self.steps_per_epoch * step
+                + self.checkpoints_per_epoch * checkpoint)
 
     @property
     def throughput(self) -> float:
@@ -297,7 +308,7 @@ class TrainingJob:
         if not gpus:
             raise ValueError("training needs at least one GPU")
         self.env = env
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.topology = topology
         self.host = host
         self.gpus = gpus

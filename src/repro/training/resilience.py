@@ -205,7 +205,7 @@ class FaultTolerantTrainingJob:
         self.resilience = resilience or ResilienceConfig()
         self.inventory = inventory
         self.event_log = event_log
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.recovery_log: list[RecoveryAction] = []
         self.resize_log: list[ResizeEvent] = []
         #: The job currently (or last) running — chaos hooks attach here.

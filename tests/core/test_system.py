@@ -172,5 +172,9 @@ class TestJobBuilder:
     def test_tracer_reaches_the_topology(self):
         system = ComposableSystem()
         tracer = Tracer(system.env)
-        system.job("resnet50", tracer=tracer)
+        job = system.job("resnet50", tracer=tracer)
         assert system.topology.tracer is tracer
+        # A fresh tracer is empty (falsy), and still the one in use.
+        assert job.tracer is tracer
+        assert job.comm.tracer is tracer
+        assert job._exec_ctx.tracer is tracer

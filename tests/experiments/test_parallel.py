@@ -11,7 +11,6 @@ from repro.experiments.parallel import (
     _build_strategy,
     _strategy_spec,
     experiment_cell,
-    opt_profile_cell,
     record_from_value,
     record_to_value,
     run_cells,
@@ -115,12 +114,6 @@ class TestKeying:
         strategy = ShardedDataParallel()
         strategy.scribble = object()  # not JSONable
         assert cheap_cell(strategy=strategy) is None
-
-    def test_opt_profile_cells_key_on_pipeline(self):
-        cache = ResultCache("/tmp/unused")
-        a = opt_profile_cell("bert-large", "falconGPUs", 4, "none", None)
-        b = opt_profile_cell("bert-large", "falconGPUs", 4, "all", "all")
-        assert cache.key(a) != cache.key(b)
 
 
 #: A non-default constructor knob for every registry strategy.
@@ -230,6 +223,29 @@ class TestRunCells:
 
 
 class TestWarmOptStudy:
+    def test_cold_fig16_opt_trains_nothing(self, tmp_path, monkeypatch):
+        from repro.experiments import (
+            optimized_ddp_study,
+            software_optimization_study,
+        )
+        from repro.experiments.software_opts import VARIANTS
+        from repro.training import TrainingJob
+
+        def boom(self):
+            raise AssertionError("fig16-opt started a training run")
+
+        monkeypatch.setattr(TrainingJob, "start", boom)
+        cache = ResultCache(tmp_path)
+        study = optimized_ddp_study(cache=cache)
+        assert cache.misses == len(study.profiles) == 3
+        # The no-pass row is Fig. 16's falconGPUs DDP-FP16 cell.
+        fig16_cache = ResultCache(tmp_path)
+        software_optimization_study(
+            configurations=("falconGPUs",),
+            variants=[v for v in VARIANTS if v.name == "DDP-FP16"],
+            cache=fig16_cache)
+        assert (fig16_cache.hits, fig16_cache.misses) == (1, 0)
+
     def test_warm_fig16_opt_executes_zero_simulations(self, tmp_path,
                                                       monkeypatch):
         from repro.experiments import optimized_ddp_study
@@ -249,3 +265,4 @@ class TestWarmOptStudy:
         assert warm.profiles.keys() == cold.profiles.keys()
         for name, profile in cold.profiles.items():
             assert warm.profiles[name].step_time == profile.step_time
+            assert warm.profiles[name].exposed_sync == profile.exposed_sync

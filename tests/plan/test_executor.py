@@ -4,8 +4,15 @@ import pytest
 
 from repro.core import ComposableSystem
 from repro.devices.gpu import Precision
-from repro.plan import ExecutionContext, PlanBuilder, PlanError, PlanExecution
+from repro.plan import (
+    ExecutionContext,
+    PlanBuilder,
+    PlanError,
+    PlanExecution,
+    exposed_comm_seconds,
+)
 from repro.plan.executor import _merge_intervals, _subtract_intervals
+from repro.telemetry import Tracer
 from repro.training import CollectiveError, Communicator
 
 
@@ -140,6 +147,29 @@ class TestFailureAndCancel:
         assert not execution.all_ranks_done
         with pytest.raises(PlanError):
             execution.op_times("r0:grad")
+
+
+class TestExposedComm:
+    @pytest.mark.parametrize("model,strategy", [
+        ("bert-large", "ddp"),       # bucketed allreduce under backward
+        ("resnet50", "pipeline"),    # stage sends under the next micro-batch
+    ])
+    def test_matches_the_traced_exposed_sync_spans(self, model, strategy):
+        system = ComposableSystem()
+        job = system.job(model, "falconGPUs", strategy,
+                         tracer=Tracer(system.env))
+        plan, ctx = job.step_plan, job._exec_ctx
+        execution = PlanExecution(plan, ctx)
+        procs = [ctx.env.process(execution.run_rank(rank))
+                 for rank in range(plan.world_size)]
+        ctx.env.run(ctx.env.all_of(procs))
+        times = {op.uid: execution.op_times(op.uid) for op in plan}
+        for rank in range(plan.world_size):
+            track = ctx.track_for(rank)
+            spans = sum(s.duration for s in ctx.tracer.spans
+                        if s.name == "exposed-sync" and s.track == track)
+            assert spans > 0.0
+            assert exposed_comm_seconds(plan, times, rank) == spans
 
 
 class TestIntervalHelpers:

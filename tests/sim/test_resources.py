@@ -5,8 +5,6 @@ import pytest
 from repro.sim import (
     Container,
     Environment,
-    FilterStore,
-    PriorityResource,
     Resource,
     SimulationError,
     Store,
@@ -87,32 +85,6 @@ def test_resource_invalid_capacity():
     env = Environment()
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
-
-
-def test_priority_resource_orders_waiters():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(5.0)
-        res.release(req)
-
-    def waiter(name, prio, arrive):
-        yield env.timeout(arrive)
-        req = res.request(priority=prio)
-        yield req
-        order.append(name)
-        res.release(req)
-
-    env.process(holder())
-    env.process(waiter("low", 5, 1.0))
-    env.process(waiter("high", 1, 2.0))
-    env.process(waiter("mid", 3, 3.0))
-    env.run()
-    assert order == ["high", "mid", "low"]
 
 
 def test_request_cancel_removes_from_queue():
@@ -265,49 +237,6 @@ def test_store_get_blocks_until_item():
     env.process(producer())
     env.run()
     assert got == [(99, 4.0)]
-
-
-def test_filter_store_selects_matching():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def producer():
-        for item in [1, 2, 3, 4]:
-            yield store.put(item)
-
-    def consumer():
-        even = yield store.get(lambda x: x % 2 == 0)
-        got.append(even)
-        odd = yield store.get(lambda x: x % 2 == 1)
-        got.append(odd)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == [2, 1]
-    assert sorted(store.items) == [3, 4]
-
-
-def test_filter_store_waits_for_match():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer():
-        item = yield store.get(lambda x: x == "special")
-        got.append((item, env.now))
-
-    def producer():
-        yield store.put("ordinary")
-        yield env.timeout(3.0)
-        yield store.put("special")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [("special", 3.0)]
-    assert list(store.items) == ["ordinary"]
 
 
 def test_store_len():
