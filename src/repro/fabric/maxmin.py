@@ -8,9 +8,11 @@ water-filling arithmetic but makes it *incremental*:
 
 - :func:`water_fill` is the batch reference solver (the oracle): a pure
   function computing the max-min fair rate of each flow.
-- :class:`MaxMinSolver` maintains per-directed-link flow indexes plus a
-  dirty set, and re-solves only the **connected component** of the
-  contention graph touched by a flow add/remove or a capacity change.
+- :class:`MaxMinSolver` maintains per-directed-link route-class indexes
+  plus a dirty set, and re-solves only the **connected components** of
+  the contention graph touched by a flow add/remove or a capacity
+  change.  A component whose shape it has filled before is not filled
+  again: the stored rates are replayed.
 
 Why the component solve is exact
 --------------------------------
@@ -23,10 +25,31 @@ interleaving of independent per-component fills — freezing a bottleneck
 link only updates residuals/users of links in its own component — so
 re-filling just the dirty component reproduces the batch result.  The
 arithmetic is bitwise identical, not merely close: within a component
-the bottleneck order (sorted by share) is the same, every residual
-update subtracts the same frozen share values, and subtracting the same
-constant per frozen flow is order-independent.  The fast-path engine's
-1e-9 golden equivalence tests pin this.
+the bottleneck order is the same, every residual update subtracts the
+same frozen share values, and subtracting the same constant per frozen
+flow is order-independent.
+
+Canonical tie order
+-------------------
+Two links can offer the same bottleneck share; the scan freezes the
+first one in table order, and freezing it first moves the other's
+residual by an ulp or so.  :func:`water_fill` therefore builds its
+tables from the flows sorted by route (the tuple of segment keys), not
+in set order, so ties resolve the same way whatever the flow objects'
+hashes are.  Its rates are a pure function of the multiset of routes
+and the capacities those routes read.
+
+Why a replayed fill is exact
+----------------------------
+Flows on identical routes sit in the same user sets and always freeze
+together, so a fill assigns one rate per *route class*.  A component's
+signature is the sorted tuple of ``(class id, flow count, capacities of
+the class's segments)``; class ids are interned routes, so the
+signature fixes everything the fill reads, and equal signatures give
+equal fills.  Capacities are read live at every solve, so a changed
+capacity misses even if nobody touched its link.  The memo lives on the
+solver (one per fluid timeline, so a finished system's shapes die with
+it) and is cleared when it reaches :data:`_MEMO_ENTRIES`.
 
 A flow object is anything with a ``segments`` sequence (each segment
 exposing ``key`` — the hashable directed-capacity identity — and
@@ -37,9 +60,16 @@ the event loop and the fast-path engine run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+from typing import Dict, Iterable, List, Set
 
 __all__ = ["MaxMinSolver", "water_fill", "apply_rates"]
+
+#: Component fills one solver remembers before it starts over.
+_MEMO_ENTRIES = 4096
+
+
+def _route(flow) -> tuple:
+    return tuple(seg.key for seg in flow.segments)
 
 
 def water_fill(flows: Iterable) -> dict:
@@ -50,10 +80,11 @@ def water_fill(flows: Iterable) -> dict:
     """
     rates: dict = {}
     unfrozen: set = set(flows)
-    # Residual capacity and unfrozen users per directed link.
+    # Residual capacity and unfrozen users per directed link, in route
+    # order: equal-share ties go to the first link in this order.
     residual: dict = {}
     users: dict = {}
-    for flow in unfrozen:
+    for flow in sorted(unfrozen, key=_route):
         for seg in flow.segments:
             residual.setdefault(seg.key, seg.capacity)
             users.setdefault(seg.key, set()).add(flow)
@@ -98,58 +129,77 @@ def apply_rates(flows: Iterable) -> None:
 
 
 class MaxMinSolver:
-    """Per-link flow index + dirty-component incremental re-solver.
+    """Route-class index + dirty-component incremental re-solver.
 
     The owner registers every active flow (:meth:`add` / :meth:`remove`),
     reports capacity changes (:meth:`touch` / :meth:`touch_all`), and
     calls :meth:`solve` at each recompute point.  Only flows in
     contention-graph components reachable from a dirty link are re-rated;
-    all other flows keep their previously assigned rates.
+    all other flows keep their previously assigned rates.  Flows on the
+    same route form one class, and the index, the component walk and
+    the fill memo work on classes.
     """
 
-    __slots__ = ("_flows_on", "_keys_of", "_dirty", "_dirty_all")
+    __slots__ = ("_class_of", "_keys", "_members", "_classes_on",
+                 "_flow_class", "_dirty", "_dirty_all", "_fills")
 
     def __init__(self) -> None:
-        #: directed-link key -> set of flows crossing it.
-        self._flows_on: Dict[tuple, Set] = {}
-        #: flow -> its distinct directed-link keys (loop-free iteration).
-        self._keys_of: Dict[object, tuple] = {}
+        #: route (tuple of segment keys) -> class id, never forgotten.
+        self._class_of: Dict[tuple, int] = {}
+        #: class id -> the route's distinct directed-link keys.
+        self._keys: List[tuple] = []
+        #: class id -> its live flows.
+        self._members: List[Set] = []
+        #: directed-link key -> ids of the live classes crossing it.
+        self._classes_on: Dict[tuple, Set[int]] = {}
+        #: live flow -> its class id.
+        self._flow_class: dict = {}
         #: link keys whose membership or capacity changed since solve().
         self._dirty: Set[tuple] = set()
         self._dirty_all = False
+        #: component signature -> one rate per class, in signature order.
+        self._fills: dict = {}
 
     def __len__(self) -> int:
-        return len(self._keys_of)
+        return len(self._flow_class)
 
     @property
     def flows(self) -> list:
-        return list(self._keys_of)
+        return list(self._flow_class)
 
     # -- index maintenance -------------------------------------------------
     def add(self, flow) -> None:
         """Index a new flow; its links become dirty."""
-        seen = set()
-        for seg in flow.segments:
-            key = seg.key
-            if key in seen:
-                continue
-            seen.add(key)
-            self._flows_on.setdefault(key, set()).add(flow)
-            self._dirty.add(key)
-        self._keys_of[flow] = tuple(seen)
+        route = _route(flow)
+        cid = self._class_of.get(route)
+        if cid is None:
+            cid = self._class_of[route] = len(self._keys)
+            self._keys.append(tuple(dict.fromkeys(route)))
+            self._members.append(set())
+        keys = self._keys[cid]
+        members = self._members[cid]
+        if not members:
+            for key in keys:
+                self._classes_on.setdefault(key, set()).add(cid)
+        members.add(flow)
+        self._flow_class[flow] = cid
+        self._dirty.update(keys)
 
     def remove(self, flow) -> None:
         """Unindex a flow; its links become dirty (no-op if unknown)."""
-        keys = self._keys_of.pop(flow, None)
-        if keys is None:
+        cid = self._flow_class.pop(flow, None)
+        if cid is None:
             return
-        for key in keys:
-            flows = self._flows_on.get(key)
-            if flows is not None:
-                flows.discard(flow)
-                if not flows:
-                    del self._flows_on[key]
-            self._dirty.add(key)
+        keys = self._keys[cid]
+        members = self._members[cid]
+        members.discard(flow)
+        if not members:
+            for key in keys:
+                classes = self._classes_on[key]
+                classes.discard(cid)
+                if not classes:
+                    del self._classes_on[key]
+        self._dirty.update(keys)
 
     def touch(self, *keys: tuple) -> None:
         """Mark directed-link capacities as changed (retrain/degrade)."""
@@ -163,28 +213,42 @@ class MaxMinSolver:
         """Union of flows crossing any of the directed-link keys."""
         out: set = set()
         for key in keys:
-            out |= self._flows_on.get(key, set())
+            for cid in self._classes_on.get(key, ()):
+                out |= self._members[cid]
         return out
 
     # -- solving -----------------------------------------------------------
-    def affected(self) -> set:
-        """Flows in components reachable from the dirty links (pure)."""
+    def _components(self) -> list:
+        """Class-id lists of the components reachable from dirty links."""
+        keys_of = self._keys
+        classes_on = self._classes_on
         if self._dirty_all:
-            return set(self._keys_of)
-        affected: set = set()
-        seen_keys = set(k for k in self._dirty if k in self._flows_on)
-        frontier = list(seen_keys)
-        while frontier:
-            key = frontier.pop()
-            for flow in self._flows_on[key]:
-                if flow in affected:
-                    continue
-                affected.add(flow)
-                for other in self._keys_of[flow]:
-                    if other not in seen_keys:
-                        seen_keys.add(other)
-                        frontier.append(other)
-        return affected
+            starts = [cid for cid, members in enumerate(self._members)
+                      if members]
+        else:
+            starts = [cid for key in self._dirty
+                      for cid in classes_on.get(key, ())]
+        seen: set = set()
+        seen_keys: set = set()
+        components = []
+        for start in starts:
+            if start in seen:
+                continue
+            seen.add(start)
+            component = [start]
+            frontier = [start]
+            while frontier:
+                for key in keys_of[frontier.pop()]:
+                    if key in seen_keys:
+                        continue
+                    seen_keys.add(key)
+                    for cid in classes_on[key]:
+                        if cid not in seen:
+                            seen.add(cid)
+                            component.append(cid)
+                            frontier.append(cid)
+            components.append(component)
+        return components
 
     def solve(self) -> int:
         """Re-rate the dirty components; returns the flow count touched.
@@ -194,19 +258,40 @@ class MaxMinSolver:
         """
         if not self._dirty and not self._dirty_all:
             return 0
-        affected = self.affected()
+        components = self._components()
         self._dirty.clear()
         self._dirty_all = False
-        if affected:
-            apply_rates(affected)
-        return len(affected)
+        members = self._members
+        fills = self._fills
+        rerated = 0
+        for component in components:
+            component.sort()
+            classes = [members[cid] for cid in component]
+            firsts = [next(iter(flows)) for flows in classes]
+            signature = tuple(
+                (cid, len(flows), tuple([seg.capacity
+                                         for seg in first.segments]))
+                for cid, flows, first in zip(component, classes, firsts))
+            rates = fills.get(signature)
+            if rates is None:
+                fill = water_fill(
+                    [flow for flows in classes for flow in flows])
+                rates = tuple([fill[first] for first in firsts])
+                if len(fills) >= _MEMO_ENTRIES:
+                    fills.clear()
+                fills[signature] = rates
+            for flows, rate in zip(classes, rates):
+                for flow in flows:
+                    flow.rate = rate
+                rerated += len(flows)
+        return rerated
 
     def solve_full(self) -> int:
         """Batch-oracle mode: water-fill every indexed flow."""
         self._dirty.clear()
         self._dirty_all = False
-        apply_rates(self._keys_of)
-        return len(self._keys_of)
+        apply_rates(self._flow_class)
+        return len(self._flow_class)
 
     def assert_equivalent(self, rtol: float = 1e-9) -> None:
         """Compare current rates against the batch oracle at ``rtol``.
@@ -215,7 +300,7 @@ class MaxMinSolver:
         ``assert_equivalence``-style cross-check the property tests and
         the churn microbench run after every mutation batch.
         """
-        expect = water_fill(self._keys_of)
+        expect = water_fill(self._flow_class)
         for flow, want in expect.items():
             have = flow.rate
             if want == float("inf"):

@@ -4,10 +4,13 @@ The property tests drive random sequences of flow add / remove /
 capacity-poke operations and assert after every mutation batch that the
 incremental solver's rates match the batch water-filling oracle at
 1e-9 — the equivalence contract :class:`repro.fabric.maxmin.MaxMinSolver`
-documents.  A second property pins byte conservation: every byte a
-completed flow delivered is accounted on the directional counters of the
-links it crossed.
+documents — and, over a few routes whose shapes recur, at ``==``, which
+pins the solver's replayed fills bit for bit.  Another property pins
+byte conservation: every byte a completed flow delivered is accounted
+on the directional counters of the links it crossed.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +83,21 @@ def test_apply_rates_writes_flows():
     flows = [FakeFlow(i, ["x"], caps) for i in range(2)]
     apply_rates(flows)
     assert [f.rate for f in flows] == pytest.approx([2.0, 2.0])
+
+
+def test_water_fill_tie_order_ignores_flow_order_and_hashes():
+    # "x" (5 over 3 users) and "y" (10/3 over 2 users) tie at 5/3.
+    # Freezing "y" first would leave "x" a residual of 3.333...3 and
+    # rate its two single-link users at 1.666...65; the route order
+    # freezes "x" first, so every flow gets exactly 5/3.
+    caps = {"x": 5.0, "y": 10.0 / 3.0}
+    routes = {"x1": ["x"], "xy": ["x", "y"], "x2": ["x"], "y": ["y"]}
+    assert 5.0 / 3.0 == caps["y"] / 2
+    for order in itertools.permutations(routes):
+        # Fresh objects in every order: new addresses, new set order.
+        flows = [FakeFlow(name, routes[name], caps) for name in order]
+        rates = {f.name: rate for f, rate in water_fill(flows).items()}
+        assert rates == dict.fromkeys(routes, 5.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,49 +236,57 @@ def test_assert_equivalent_raises_on_stale_rate():
 # ---------------------------------------------------------------------------
 
 N_LINKS = 6
+#: Four links and a few routes over them, so component shapes recur.
+SHAPE_ROUTES = ((0,), (1,), (0, 1), (1, 2), (2, 3), (3, 0), (2,))
+#: Tie-prone capacities; a poke can return a link to an old value.
+SHAPE_CAPACITIES = (1.0, 5.0, 10.0 / 3.0, 10.0)
 
 
 @st.composite
-def mutation_ops(draw):
-    """A sequence of (op, payload) mutations over N_LINKS shared links."""
+def mutation_ops(draw, routes=st.lists(st.integers(0, N_LINKS - 1),
+                                       min_size=1, max_size=3, unique=True),
+                 links=st.integers(0, N_LINKS - 1),
+                 capacities=st.floats(min_value=0.5, max_value=50.0),
+                 max_ops=25):
+    """A sequence of (op, payload) mutations over shared links."""
     ops = []
-    n = draw(st.integers(min_value=1, max_value=25))
+    n = draw(st.integers(min_value=1, max_value=max_ops))
     for _ in range(n):
         op = draw(st.sampled_from(["add", "remove", "poke"]))
         if op == "add":
-            keys = draw(st.lists(st.integers(0, N_LINKS - 1),
-                                 min_size=1, max_size=3, unique=True))
-            ops.append(("add", tuple(keys)))
+            ops.append(("add", tuple(draw(routes))))
         elif op == "remove":
             ops.append(("remove", draw(st.integers(0, 10 ** 6))))
         else:
-            link = draw(st.integers(0, N_LINKS - 1))
-            cap = draw(st.floats(min_value=0.5, max_value=50.0))
-            ops.append(("poke", (link, cap)))
+            ops.append(("poke", (draw(links), draw(capacities))))
     return ops
+
+
+def replay(ops, links=N_LINKS):
+    """Apply ``ops`` to a fresh solver; yield ``(solver, alive)`` after
+    each mutation, before any solve."""
+    caps = dict.fromkeys(range(links), 10.0)
+    solver = MaxMinSolver()
+    alive = []
+    for serial, (op, payload) in enumerate(ops):
+        if op == "add":
+            flow = FakeFlow(serial, list(payload), caps)
+            alive.append(flow)
+            solver.add(flow)
+        elif op == "remove":
+            if alive:
+                solver.remove(alive.pop(payload % len(alive)))
+        else:
+            link, cap = payload
+            caps[link] = cap
+            solver.touch(link)
+        yield solver, alive
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops=mutation_ops())
 def test_property_incremental_matches_batch(ops):
-    caps = {k: 10.0 for k in range(N_LINKS)}
-    solver = MaxMinSolver()
-    alive = []
-    serial = 0
-    for op, payload in ops:
-        if op == "add":
-            flow = FakeFlow(serial, list(payload), caps)
-            serial += 1
-            alive.append(flow)
-            solver.add(flow)
-        elif op == "remove":
-            if alive:
-                victim = alive.pop(payload % len(alive))
-                solver.remove(victim)
-        else:
-            link, cap = payload
-            caps[link] = cap
-            solver.touch(link)
+    for solver, _alive in replay(ops):
         solver.solve()
         # The contract: after every mutation the incremental rates are
         # indistinguishable from a from-scratch batch water-fill.
@@ -271,23 +297,19 @@ def test_property_incremental_matches_batch(ops):
 @given(ops=mutation_ops())
 def test_property_solve_touches_no_more_than_full(ops):
     """Incremental work is bounded by the full re-solve's."""
-    caps = {k: 10.0 for k in range(N_LINKS)}
-    solver = MaxMinSolver()
-    alive = []
-    serial = 0
-    for op, payload in ops:
-        if op == "add":
-            flow = FakeFlow(serial, list(payload), caps)
-            serial += 1
-            alive.append(flow)
-            solver.add(flow)
-        elif op == "remove":
-            if alive:
-                solver.remove(alive.pop(payload % len(alive)))
-        else:
-            caps[payload[0]] = payload[1]
-            solver.touch(payload[0])
+    for solver, _alive in replay(ops):
         assert solver.solve() <= len(solver)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=mutation_ops(st.sampled_from(SHAPE_ROUTES), st.integers(0, 3),
+                        st.sampled_from(SHAPE_CAPACITIES), max_ops=40))
+def test_property_replayed_fills_equal_a_fresh_fill(ops):
+    """Shapes recur, at old and new capacities: every rate a solve
+    assigns, replayed or filled, is ``==`` a fresh batch fill."""
+    for solver, alive in replay(ops, links=4):
+        solver.solve()
+        assert {f: f.rate for f in alive} == water_fill(alive)
 
 
 # ---------------------------------------------------------------------------

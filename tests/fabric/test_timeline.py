@@ -4,8 +4,10 @@
 ``_ReferenceTimeline`` is the oracle for the timeline around the solves.
 It writes the algorithm out in full with O(flows) scans: the
 ``min(remaining, rate * dt)`` advance, the drained scan under the
-pre-solve rates, and the horizon ``min`` over positive rates, run from
-a ``(time, seq, fn)`` heap the way the fast-path engine runs its
+pre-solve rates, a batch ``apply_rates`` over every live flow (no
+incremental solver, so no component walk or fill memo in common with
+the timeline under test), and the horizon ``min`` over positive rates,
+run from a ``(time, seq, fn)`` heap the way the fast-path engine runs its
 timeline.  Random arrival and capacity-change scripts run through it and
 through a :class:`FluidTimeline` run the same way; both must drain the
 same flows in the same order at ``==`` times.
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fabric.flows import FluidTimeline
-from repro.fabric.maxmin import MaxMinSolver
+from repro.fabric.maxmin import apply_rates
 
 #: The timeline's drain thresholds, restated.
 EPS_BYTES = 1e-6
@@ -85,7 +87,6 @@ class _HeapTimeline(_EventHeap):
     def __init__(self):
         super().__init__()
         self.timeline = FluidTimeline()
-        self.flows = []
 
     def arrive(self, segments, nbytes, label, now):
         done = self.done(label)
@@ -93,7 +94,6 @@ class _HeapTimeline(_EventHeap):
         if flow is None:
             self.schedule(now, done)
             return
-        self.flows.append(flow)
         self.settle(now)
 
     def touch(self, segment, capacity, now):
@@ -118,35 +118,22 @@ class _HeapTimeline(_EventHeap):
 
 
 class _ReferenceFlow:
-    """A flow that hashes like its twin in the timeline under test.
+    __slots__ = ("segments", "remaining", "rate", "on_done")
 
-    The solver keeps flows in sets, and a tie between two equal
-    bottleneck shares resolves in set order; equal hashes give both
-    solvers the same order, so their rates agree bit for bit.
-    """
-
-    __slots__ = ("segments", "remaining", "rate", "on_done", "twin_hash")
-
-    def __init__(self, segments, nbytes, on_done, twin_hash):
+    def __init__(self, segments, nbytes, on_done):
         self.segments = segments
         self.remaining = float(nbytes)
         self.rate = 0.0
         self.on_done = on_done
-        self.twin_hash = twin_hash
-
-    def __hash__(self):
-        return self.twin_hash
 
 
 class _ReferenceTimeline(_EventHeap):
     """The fluid timeline written out with O(flows) scans."""
 
-    def __init__(self, twin_hashes):
+    def __init__(self):
         super().__init__()
-        self._twins = iter(twin_hashes)
         self._flows = {}
         self._flow_ids = 0
-        self._solver = MaxMinSolver()
         self._last_update = 0.0
         self._generation = 0
 
@@ -155,17 +142,15 @@ class _ReferenceTimeline(_EventHeap):
         if nbytes <= EPS_BYTES or not segments:
             self.schedule(now, on_done)
             return
-        flow = _ReferenceFlow(segments, nbytes, on_done, next(self._twins))
+        flow = _ReferenceFlow(segments, nbytes, on_done)
         self._advance(now)
         self._flow_ids += 1
         self._flows[self._flow_ids] = flow
-        self._solver.add(flow)
         self._recompute(now)
 
     def touch(self, segment, capacity, now):
         segment.capacity = capacity
         self._advance(now)
-        self._solver.touch(segment.key)
         self._recompute(now)
 
     def _advance(self, now):
@@ -183,10 +168,8 @@ class _ReferenceTimeline(_EventHeap):
                    if f.remaining <= EPS_BYTES
                    or (f.rate > 0 and f.remaining / f.rate <= EPS_SECONDS)]
         for fid in drained:
-            flow = self._flows.pop(fid)
-            self._solver.remove(flow)
-            self.schedule(now, flow.on_done)
-        self._solver.solve()
+            self.schedule(now, self._flows.pop(fid).on_done)
+        apply_rates(self._flows.values())
         self._arm_timer(now)
 
     def _arm_timer(self, now):
@@ -207,10 +190,8 @@ class _ReferenceTimeline(_EventHeap):
 
 def _drains(capacities, script):
     """Drain logs of the timeline under test and of the reference."""
-    subject = _HeapTimeline()
-    got = subject.run(capacities, script)
-    reference = _ReferenceTimeline([hash(f) for f in subject.flows])
-    return got, reference.run(capacities, script)
+    return (_HeapTimeline().run(capacities, script),
+            _ReferenceTimeline().run(capacities, script))
 
 
 ARRIVAL = st.tuples(st.just("arrive"), TIMES, st.sampled_from(PATHS),
