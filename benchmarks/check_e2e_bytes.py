@@ -9,8 +9,11 @@ commands through ``repro.cli.main`` in this interpreter against an empty
 result cache, with standard output captured and, where the workload's
 ``clears_memo`` says so, the compile memo cleared before each command.
 The SHA-256 of the concatenated output must equal the seed-0 hash in
-``benchmarks/e2e/expected.json``.  Exits non-zero on a failed command
-or a differing hash.  The files under ``benchmarks/e2e`` are only read.
+``benchmarks/e2e/expected.json``.  Each workload then runs once more
+against the now-warm cache, as a user re-runs a command, and must print
+the same bytes again.  Exits non-zero on a failed command, a differing
+hash or a warm run that differs from the cold one.  The files under
+``benchmarks/e2e`` are only read.
 """
 
 from __future__ import annotations
@@ -53,13 +56,19 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as root:
         os.environ["REPRO_CACHE_DIR"] = root
         for workload in workloads.WORKLOADS:
+            cache_dir = str(Path(root) / workload)
             start = time.perf_counter()
-            text = output_of(workload, str(Path(root) / workload))
-            got = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            cold = output_of(workload, cache_dir)
+            cold_s = time.perf_counter() - start
+            warm = output_of(workload, cache_dir)
+            warm_s = time.perf_counter() - start - cold_s
+            got = hashlib.sha256(cold.encode("utf-8")).hexdigest()
             ok = got == expected[workload]["0"]
-            failures += not ok
+            same = warm == cold
+            failures += (not ok) + (not same)
             print(f"{workload:8s} {'ok' if ok else 'MISMATCH'} {got[:16]} "
-                  f"({time.perf_counter() - start:.1f}s)")
+                  f"({cold_s:.1f}s); warm re-run "
+                  f"{'same bytes' if same else 'DIFFERS'} ({warm_s:.2f}s)")
     return 1 if failures else 0
 
 

@@ -8,7 +8,8 @@ Usage::
     python -m repro fig10|fig11|fig12|fig13|fig14  [--steps N]
     python -m repro fig15 [--steps N]
     python -m repro fig16 [--steps N] [--profile] [--matrix]
-    # figure sweeps also accept [--jobs N] [--no-cache] [--cache-dir DIR]
+    # figure sweeps (fig10-fig16, fig16-opt) and matrix also accept
+    # [--jobs N] [--no-cache] [--cache-dir DIR]; profile takes the last two
     python -m repro sharing                 # future-work tenancy studies
     python -m repro fault-tolerance [--config NAME] [--steps N] [--seed S]
                                             # chaos + recovery study
@@ -41,6 +42,7 @@ Usage::
                                         [--global-batch N]
                                         [--accumulation N]
                                         [--no-what-if] [--output PATH]
+                                        [--no-cache] [--cache-dir DIR]
     python -m repro regress [--baseline PATH] [--tolerance F] [--full]
                             [--output PATH]
     python -m repro fleet [--smoke] [--chassis N] [--hosts N]
@@ -85,6 +87,11 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     """``--jobs``/``--no-cache``/``--cache-dir`` for the sweep commands."""
     parser.add_argument("--jobs", type=int, default=1,
                         help="run sweep cells across N worker processes")
+    _add_cache_args(parser)
+
+
+def _add_cache_args(parser: argparse.ArgumentParser) -> None:
+    """``--no-cache``/``--cache-dir``: the result cache a command uses."""
     parser.add_argument("--no-cache", action="store_true",
                         help="neither read nor write the on-disk result "
                              "cache")
@@ -270,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "keeps attribution and the verdict)")
     profile.add_argument("--output", default=None, metavar="PATH",
                          help="also write the JSON report here")
+    _add_cache_args(profile)
 
     matrix = sub.add_parser(
         "matrix", help="strategy x model crossover matrix: every "
@@ -391,12 +399,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     out = sys.stdout.write
 
+    def result_cache():
+        """The cache ``--no-cache``/``--cache-dir`` select."""
+        from .experiments import NullCache, ResultCache
+        return (NullCache() if args.no_cache
+                else ResultCache(args.cache_dir))
+
     def sweep_kwargs():
         """``jobs``/``cache`` kwargs from the parallel-harness flags."""
-        from .experiments import NullCache, ResultCache
-        cache = (NullCache() if args.no_cache
-                 else ResultCache(args.cache_dir))
-        return {"jobs": args.jobs, "cache": cache}
+        return {"jobs": args.jobs, "cache": result_cache()}
 
     if args.command == "list":
         out("artifacts: table1 table2 table3 table4 fig5 fig9 fig10 "
@@ -856,7 +867,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "profile":
         import json
 
-        from .experiments import profile_cell
+        from .experiments import run_cells
+        from .experiments.parallel import profile_report_cell
+        from .telemetry import render_report_text
 
         if args.opt:
             from .plan.passes import PassError, resolve_passes
@@ -865,26 +878,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except PassError as exc:
                 out(f"error: {exc}\n")
                 return 2
+        cell = profile_report_cell(
+            args.benchmark, TRACE_BACKENDS[args.backend], args.strategy,
+            plan_passes=args.opt, sim_steps=args.steps,
+            global_batch=args.global_batch,
+            accumulation_steps=args.accumulation,
+            evaluate_what_ifs=not args.no_what_if)
         try:
-            report = profile_cell(
-                args.benchmark, TRACE_BACKENDS[args.backend],
-                args.strategy, sim_steps=args.steps,
-                plan_passes=args.opt,
-                evaluate_what_ifs=not args.no_what_if,
-                global_batch=args.global_batch,
-                accumulation_steps=args.accumulation)
+            [report] = run_cells([cell], cache=result_cache())
         except (ValueError, MemoryError) as exc:
             out(f"error: {exc}\n")
             out("hint: shrink --global-batch or raise "
                 "--accumulation\n")
             return 2
+        # The cell keys the resolved passes; the report shows the
+        # spelling this invocation used.
+        report = {**report,
+                  "meta": {**report["meta"], "plan_passes": args.opt}}
         if args.format == "json":
-            out(report.render_json() + "\n")
+            out(json.dumps(report, indent=2, sort_keys=True) + "\n")
         else:
-            out(report.render_text() + "\n")
+            out(render_report_text(report) + "\n")
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+                json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             if args.format != "json":  # keep stdout parseable
                 out(f"wrote {args.output}\n")

@@ -7,7 +7,11 @@ factors grid execution into three pieces:
 
 - **Cells** — plain-dict descriptions of one simulation (picklable, so
   they can cross a process boundary, and canonically JSON-serializable,
-  so they can be hashed).
+  so they can be hashed).  Four kinds: ``experiment`` (one training
+  run, :func:`experiment_cell`), ``step`` (one step-plan evaluation,
+  :func:`step_cell`), ``matrix`` (one ``repro matrix`` cell,
+  :func:`matrix_cell`) and ``profile`` (one ``repro profile``
+  bottleneck report, :func:`profile_report_cell`).
 - **ResultCache** — a content-addressed on-disk cache.  The key is the
   SHA-256 of the cell's canonical JSON plus a digest of the model's
   source (:func:`model_source_digest`), so a cell is recomputed iff
@@ -21,7 +25,9 @@ factors grid execution into three pieces:
   fresh results back.
 
 Figure studies build their grids as cells and call :func:`run_cells`;
-the CLI exposes ``--jobs N``, ``--no-cache``, and ``--cache-dir``.
+the CLI exposes ``--jobs N``, ``--no-cache``, and ``--cache-dir`` on
+the sweep commands, and ``--no-cache`` and ``--cache-dir`` on
+``profile`` (one cell, nothing to fan out).
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import functools
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -43,6 +50,7 @@ __all__ = [
     "experiment_cell",
     "matrix_cell",
     "model_source_digest",
+    "profile_report_cell",
     "record_from_value",
     "record_to_value",
     "run_cells",
@@ -152,13 +160,24 @@ class ResultCache:
         return value
 
     def store(self, cell: dict, value: dict) -> None:
+        """Write ``value`` as ``cell``'s entry, atomically.
+
+        Each call writes its own temporary file beside the entry and
+        renames it into place, so processes storing the same cell at
+        once never share a half-written file; the last rename wins.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(cell)
-        tmp = path.with_suffix(".tmp")
         entry = {"cell": cell, "value": value}
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f"{path.stem}.",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(entry, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self.stores += 1
 
 
@@ -280,6 +299,29 @@ def matrix_cell(benchmark: str, configuration: str, strategy: str,
             "plan_passes": _passes_spec(plan_passes)}
 
 
+def profile_report_cell(benchmark: str, configuration: str, strategy: str,
+                        plan_passes=None, sim_steps: Optional[int] = None,
+                        global_batch: Optional[int] = None,
+                        accumulation_steps: int = 1,
+                        evaluate_what_ifs: bool = True) -> dict:
+    """A cell for one ``repro profile`` report: ``strategy`` is a
+    :data:`STRATEGY_REGISTRY` key and the other arguments are
+    :func:`~repro.experiments.profile_cell`'s.
+
+    Its value is the :meth:`~repro.telemetry.BottleneckReport.to_json`
+    dict.  The key holds the resolved passes, so spellings of one
+    pipeline share an entry; the value's ``meta.plan_passes`` is that
+    resolved spec, and a caller showing the user's spelling sets it
+    after the load.
+    """
+    return {"kind": "profile", "benchmark": benchmark,
+            "configuration": configuration, "strategy": strategy,
+            "plan_passes": _passes_spec(plan_passes),
+            "sim_steps": sim_steps, "global_batch": global_batch,
+            "accumulation_steps": accumulation_steps,
+            "what_if": evaluate_what_ifs}
+
+
 def record_to_value(record: ExperimentRecord) -> dict:
     """Flatten a record to its cacheable scalar fields."""
     return {name: getattr(record, name) for name in _RECORD_FIELDS}
@@ -367,6 +409,17 @@ def _execute_cell(cell: dict) -> dict:
         return evaluate_cell(cell["benchmark"], cell["configuration"],
                              cell["strategy"],
                              _build_passes(cell["plan_passes"]))
+    if kind == "profile":
+        from .profiling import profile_cell
+        report = profile_cell(
+            cell["benchmark"], cell["configuration"], cell["strategy"],
+            sim_steps=cell["sim_steps"],
+            plan_passes=_build_passes(cell["plan_passes"]),
+            evaluate_what_ifs=cell["what_if"],
+            global_batch=cell["global_batch"],
+            accumulation_steps=cell["accumulation_steps"])
+        report.meta["plan_passes"] = cell["plan_passes"]
+        return report.to_json()
     raise ValueError(f"unknown cell kind {kind!r}")
 
 

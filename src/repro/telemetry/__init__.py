@@ -47,6 +47,7 @@ from .profile import (
     profile_plan,
     profile_run,
     relaxation_is_exact,
+    render_report_text,
     scale_plan,
     utilization,
     what_if,
@@ -73,6 +74,7 @@ __all__ = [
     "profile_plan",
     "profile_run",
     "relaxation_is_exact",
+    "render_report_text",
     "scale_plan",
     "utilization",
     "what_if",

@@ -86,6 +86,7 @@ __all__ = [
     "RunProfile",
     "profile_run",
     "BottleneckReport",
+    "render_report_text",
 ]
 
 #: Every category a :class:`PathSegment` may carry; attribution over a
@@ -1239,72 +1240,86 @@ class BottleneckReport:
 
     # -- rendering --------------------------------------------------------
     def render_text(self) -> str:
-        lines = [
-            f"bottleneck report: {self.benchmark} / {self.strategy} "
-            f"on {self.configuration} (world={self.world_size})",
-            f"verdict: {self.label}  "
-            + "  ".join(f"{k}={v:.1%}"
-                        for k, v in sorted(self.shares.items())),
-        ]
-        attr = None
-        if self.run_profile is not None:
-            attr = self.run_profile.steady_attr
-        elif self.plan_profile is not None:
-            attr = self.plan_profile.attr
-        if attr is not None:
-            lines.append("")
-            lines.append("critical-path attribution (per step):")
-            wall = attr.total or 1.0
-            for cat in ATTRIBUTION_CATEGORIES:
-                s = attr.seconds.get(cat, 0.0)
-                if s <= 0:
-                    continue
-                bar = "#" * max(1, int(round(40 * s / wall)))
-                lines.append(f"  {cat:<11} {s * 1e3:>9.3f} ms "
-                             f"{s / wall:>6.1%}  {bar}")
-            lines.append(f"  {'total':<11} {wall * 1e3:>9.3f} ms")
-        if self.run_profile is not None:
-            rp = self.run_profile
-            lines.append("")
-            lines.append(
-                f"reconciliation: reported total "
-                f"{rp.result.total_time:.6g} s, reconstructed "
-                f"{rp.reconstructed_total_s:.6g} s "
-                f"(rel err {rp.reconciliation_rel_err:.2e})")
-        if self.what_ifs:
-            lines.append("")
-            lines.append("what-if speedup ceilings (category -> 0 cost):")
-            lines.append(f"  {'bucket':<11} {'predicted':>10} "
-                         f"{'evaluated':>10} {'amdahl':>8}  method")
-            for w in self.what_ifs:
-                ev = f"{w.evaluated_ceiling:.3f}x" \
-                    if w.evaluated_ceiling is not None else "-"
-                am = f"{w.amdahl_ceiling:.3f}x" \
-                    if w.amdahl_ceiling is not None else "-"
-                lines.append(
-                    f"  {w.bucket:<11} {w.predicted_ceiling:>9.3f}x "
-                    f"{ev:>10} {am:>8}  {w.method}"
-                    + ("" if w.predicted_exact else " (approx)"))
-        profile = self.plan_profile
-        if profile is not None and profile.utilization:
-            lines.append("")
-            lines.append("resource utilization (plan window):")
-            rows = sorted(profile.utilization.items(),
-                          key=lambda kv: -kv[1]["busy_frac"])[:8]
-            for name, stats in rows:
-                lines.append(
-                    f"  {name:<28} busy {stats['busy_frac']:>6.1%}"
-                    f"  contended {stats['contended_s'] * 1e3:.3f} ms")
-        imb = None
-        if profile is not None:
-            imb = profile.imbalance
-        elif self.run_profile is not None:
-            imb = self.run_profile.imbalance
-        if imb and imb.get("per_rank"):
-            lines.append(
-                f"straggler: rank {imb['straggler_rank']} "
-                f"(end spread {imb['end_spread_frac']:.2%})")
-        return "\n".join(lines)
+        return render_report_text(self.to_json())
 
     def render_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_json(), indent=indent, sort_keys=True)
+
+
+def render_report_text(report: dict) -> str:
+    """The text bottleneck report for a :meth:`BottleneckReport.to_json`
+    value.
+
+    Reads only the dict, so a value loaded back from the result cache
+    renders the bytes the live report does.  Nothing depends on the
+    dicts' key order (the cache stores them with ``sort_keys``):
+    attribution rows and their total follow
+    :data:`ATTRIBUTION_CATEGORIES`, and utilization ties break by
+    resource name.
+    """
+    plan, run = report.get("plan"), report.get("run")
+    lines = [
+        f"bottleneck report: {report['benchmark']} / {report['strategy']} "
+        f"on {report['configuration']} (world={report['world_size']})",
+        f"verdict: {report['label']}  "
+        + "  ".join(f"{k}={v:.1%}"
+                    for k, v in sorted(report["shares"].items())),
+    ]
+    attr = None
+    if run is not None:
+        attr = run["steady_attribution"]
+    elif plan is not None:
+        attr = plan["attribution"]
+    if attr is not None:
+        seconds = [(cat, attr["seconds"].get(cat, 0.0))
+                   for cat in ATTRIBUTION_CATEGORIES]
+        wall = sum(s for _cat, s in seconds) or 1.0
+        lines.append("")
+        lines.append("critical-path attribution (per step):")
+        for cat, s in seconds:
+            if s <= 0:
+                continue
+            bar = "#" * max(1, int(round(40 * s / wall)))
+            lines.append(f"  {cat:<11} {s * 1e3:>9.3f} ms "
+                         f"{s / wall:>6.1%}  {bar}")
+        lines.append(f"  {'total':<11} {wall * 1e3:>9.3f} ms")
+    if run is not None:
+        lines.append("")
+        lines.append(
+            f"reconciliation: reported total "
+            f"{run['reported_total_s']:.6g} s, reconstructed "
+            f"{run['reconstructed_total_s']:.6g} s "
+            f"(rel err {run['reconciliation_rel_err']:.2e})")
+    if report["what_ifs"]:
+        lines.append("")
+        lines.append("what-if speedup ceilings (category -> 0 cost):")
+        lines.append(f"  {'bucket':<11} {'predicted':>10} "
+                     f"{'evaluated':>10} {'amdahl':>8}  method")
+        for w in report["what_ifs"]:
+            ev = f"{w['evaluated_ceiling']:.3f}x" \
+                if w["evaluated_ceiling"] is not None else "-"
+            am = f"{w['amdahl_ceiling']:.3f}x" \
+                if w["amdahl_ceiling"] is not None else "-"
+            lines.append(
+                f"  {w['bucket']:<11} {w['predicted_ceiling']:>9.3f}x "
+                f"{ev:>10} {am:>8}  {w['method']}"
+                + ("" if w["predicted_exact"] else " (approx)"))
+    if plan is not None and plan["utilization"]:
+        lines.append("")
+        lines.append("resource utilization (plan window):")
+        rows = sorted(plan["utilization"].items(),
+                      key=lambda kv: (-kv[1]["busy_frac"], kv[0]))[:8]
+        for name, stats in rows:
+            lines.append(
+                f"  {name:<28} busy {stats['busy_frac']:>6.1%}"
+                f"  contended {stats['contended_s'] * 1e3:.3f} ms")
+    imb = None
+    if plan is not None:
+        imb = plan["imbalance"]
+    elif run is not None:
+        imb = run["imbalance"]
+    if imb and imb.get("per_rank"):
+        lines.append(
+            f"straggler: rank {imb['straggler_rank']} "
+            f"(end spread {imb['end_spread_frac']:.2%})")
+    return "\n".join(lines)

@@ -1,8 +1,12 @@
 """Parallel memoized harness: cache keying, corruption, bypass, reuse."""
 
+import functools
 import json
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import run_configuration
 from repro.experiments.parallel import (
@@ -10,7 +14,9 @@ from repro.experiments.parallel import (
     ResultCache,
     _build_strategy,
     _strategy_spec,
+    _execute_cell,
     experiment_cell,
+    profile_report_cell,
     record_from_value,
     record_to_value,
     run_cells,
@@ -181,6 +187,41 @@ class TestCacheRoundTrip:
         cache.path(cell).write_text(json.dumps({"nope": 1}))
         assert cache.load(cell) is None
 
+    def test_concurrent_stores_of_one_cell_both_land(self, tmp_path):
+        # Two processes finishing the same cell store it at once; each
+        # must write its own temporary file, or the second rename finds
+        # the first one's file already gone.
+        cache = ResultCache(tmp_path)
+        cell = cheap_cell()
+        value = {"rows": [{"x": float(i), "name": f"r{i}"}
+                          for i in range(20000)]}
+        for _round in range(5):
+            barrier = threading.Barrier(2)
+            errors: list = []
+
+            def store():
+                barrier.wait(timeout=30)
+                try:
+                    cache.store(cell, value)
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=store) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert errors == []
+            assert ResultCache(tmp_path).load(cell) == value
+            assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_store_leaves_no_temporary_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(TypeError):
+            cache.store(cheap_cell(), {"live": object()})
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_cells_recomputes_after_corruption(self, tmp_path):
         cache = ResultCache(tmp_path)
         cell = cheap_cell()
@@ -266,3 +307,101 @@ class TestWarmOptStudy:
         for name, profile in cold.profiles.items():
             assert warm.profiles[name].step_time == profile.step_time
             assert warm.profiles[name].exposed_sync == profile.exposed_sync
+
+
+def small_profile_cell(**overrides):
+    kwargs = {"sim_steps": 4}
+    kwargs.update(overrides)
+    return profile_report_cell("mobilenetv2", "localGPUs", "ddp", **kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_value_json() -> str:
+    return json.dumps(_execute_cell(small_profile_cell()))
+
+
+def _shuffled(value, rng):
+    """``value`` with every dict's keys in a random order."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        rng.shuffle(items)
+        return {k: _shuffled(v, rng) for k, v in items}
+    if isinstance(value, list):
+        return [_shuffled(v, rng) for v in value]
+    return value
+
+
+class TestProfileCell:
+    @pytest.mark.parametrize("field, override", [
+        ("benchmark", {"benchmark": "resnet50"}),
+        ("configuration", {"configuration": "falconGPUs"}),
+        ("strategy", {"strategy": "sharded"}),
+        ("plan_passes", {"plan_passes": "all"}),
+        ("sim_steps", {"sim_steps": 5}),
+        ("global_batch", {"global_batch": 64}),
+        ("accumulation_steps", {"accumulation_steps": 2}),
+        ("what_if", {"evaluate_what_ifs": False}),
+    ])
+    def test_key_changes_with_each_field(self, field, override):
+        cache = ResultCache("/tmp/unused")
+        base = dict(benchmark="mobilenetv2", configuration="localGPUs",
+                    strategy="ddp", sim_steps=4)
+        a = profile_report_cell(**base)
+        b = profile_report_cell(**{**base, **override})
+        assert a[field] != b[field]
+        assert cache.key(a) != cache.key(b)
+
+    def test_key_holds_the_resolved_passes(self):
+        from repro.plan.passes import GradientBucketing, resolve_passes
+        cache = ResultCache("/tmp/unused")
+        assert cache.key(small_profile_cell(plan_passes="all")) == \
+            cache.key(small_profile_cell(
+                plan_passes=resolve_passes("all")))
+        assert cache.key(small_profile_cell(
+            plan_passes=[GradientBucketing(cap_bytes=25e6)])) != \
+            cache.key(small_profile_cell(
+                plan_passes=[GradientBucketing(cap_bytes=100e6)]))
+
+    def test_value_is_the_report_json_with_the_resolved_passes(self):
+        from repro.experiments import profile_cell
+        cell = small_profile_cell(plan_passes="bucketing",
+                                  evaluate_what_ifs=False)
+        value = _execute_cell(cell)
+        live = profile_cell("mobilenetv2", "localGPUs", "ddp",
+                            sim_steps=4, plan_passes="bucketing",
+                            evaluate_what_ifs=False).to_json()
+        assert value["meta"]["plan_passes"] == cell["plan_passes"]
+        live["meta"]["plan_passes"] = cell["plan_passes"]
+        assert value == live
+        json.dumps(value)  # storable as is
+
+    def test_warm_run_cells_executes_nothing(self, tmp_path, monkeypatch):
+        from repro.core import ComposableSystem
+        from repro.experiments import profiling
+
+        cell = small_profile_cell(evaluate_what_ifs=False)
+        [cold] = run_cells([cell], cache=ResultCache(tmp_path))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("warm profile cell ran the profiler")
+
+        monkeypatch.setattr(profiling, "profile_cell", boom)
+        monkeypatch.setattr(ComposableSystem, "job", boom)
+        warm_cache = ResultCache(tmp_path)
+        [warm] = run_cells([cell], cache=warm_cache)
+        assert (warm_cache.hits, warm_cache.misses) == (1, 0)
+        assert warm == cold
+
+    @settings(max_examples=25, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           sort_keys=st.booleans())
+    def test_property_rendering_ignores_key_order(self, rng, sort_keys):
+        # The cache stores values with sort_keys; the renderer must
+        # print the live report's bytes from any key order.
+        from repro.telemetry import render_report_text
+        value = json.loads(_profile_value_json())
+        expected = render_report_text(value)
+        reordered = _shuffled(value, rng)
+        if sort_keys:
+            reordered = json.loads(json.dumps(reordered, sort_keys=True))
+        assert render_report_text(reordered) == expected

@@ -280,6 +280,130 @@ class TestProfileCommand:
         assert "unknown" in capsys.readouterr().out.lower()
 
 
+#: A cheap ``repro profile`` cell (no what-if re-evaluations).
+PROFILE_ARGS = ["profile", "mobilenetv2", "--backend", "local", "--steps",
+                "4", "--no-what-if"]
+
+
+@pytest.fixture
+def forbid_profiling(monkeypatch):
+    """Call it to make any later profiler run or job build fail."""
+    from repro.core import ComposableSystem
+    from repro.experiments import profiling
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a warm profile run ran the profiler")
+
+    def forbid():
+        monkeypatch.setattr(profiling, "profile_cell", boom)
+        monkeypatch.setattr(ComposableSystem, "job", boom)
+
+    return forbid
+
+
+def cache_entries(root):
+    return sorted(root.iterdir()) if root.exists() else []
+
+
+class TestProfileCache:
+    def test_parser_takes_the_cache_flags_but_not_jobs(self):
+        args = build_parser().parse_args(
+            [*PROFILE_ARGS, "--no-cache", "--cache-dir", "d"])
+        assert args.no_cache and args.cache_dir == "d"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*PROFILE_ARGS, "--jobs", "2"])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_warm_run_prints_the_cold_bytes_without_profiling(
+            self, capsys, tmp_path, forbid_profiling, fmt):
+        report = tmp_path / "report.json"
+        argv = [*PROFILE_ARGS, "--format", fmt, "--output", str(report)]
+        cached = [*argv, "--cache-dir", str(tmp_path / "cache")]
+
+        def run(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out, report.read_bytes()
+
+        uncached = run([*argv, "--no-cache"])
+        assert run(cached) == uncached  # cold: stores the value it prints
+        assert len(cache_entries(tmp_path / "cache")) == 1
+        forbid_profiling()
+        assert run(cached) == uncached  # warm: prints the stored value
+
+    def test_default_cache_is_the_environment_directory(
+            self, capsys, isolated_result_cache, forbid_profiling):
+        # Without --cache-dir the cell lands in $REPRO_CACHE_DIR (the
+        # suite points it at a per-test directory).
+        assert main(PROFILE_ARGS) == 0
+        cold = capsys.readouterr().out
+        assert len(cache_entries(isolated_result_cache)) == 1
+        forbid_profiling()
+        assert main(PROFILE_ARGS) == 0
+        assert capsys.readouterr().out == cold
+
+    def test_corrupt_entry_is_recomputed(self, capsys, tmp_path):
+        argv = [*PROFILE_ARGS, "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        [entry] = cache_entries(tmp_path / "cache")
+        entry.write_text(entry.read_text()[:100])  # a torn write
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        json.loads(entry.read_text())  # re-stored whole
+
+    def test_no_cache_reads_and_writes_nothing(self, capsys, tmp_path,
+                                               isolated_result_cache):
+        argv = [*PROFILE_ARGS, "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        [entry] = cache_entries(tmp_path / "cache")
+        stored = json.loads(entry.read_text())
+        stored["value"]["label"] = "tampered-bound"
+        entry.write_text(json.dumps(stored))
+        before = entry.read_bytes()
+
+        assert main([*argv, "--no-cache"]) == 0
+        assert capsys.readouterr().out == cold  # the entry was not read
+        assert cache_entries(tmp_path / "cache") == [entry]
+        assert entry.read_bytes() == before  # ...nor rewritten
+        assert cache_entries(isolated_result_cache) == []
+
+    @pytest.mark.parametrize("error", [ValueError, MemoryError])
+    def test_failing_cell_exits_2_and_stores_nothing(
+            self, capsys, tmp_path, monkeypatch, error):
+        from repro.experiments import profiling
+
+        def fail(*args, **kwargs):
+            raise error("needs 35.0 GB > 17.2 GB device memory")
+
+        monkeypatch.setattr(profiling, "profile_cell", fail)
+        cache = tmp_path / "cache"
+        assert main([*PROFILE_ARGS, "--cache-dir", str(cache)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: needs 35.0 GB")
+        assert "hint:" in out
+        assert cache_entries(cache) == []
+
+    def test_pass_spellings_share_an_entry_but_not_meta(
+            self, capsys, tmp_path, forbid_profiling):
+        cache = tmp_path / "cache"
+        argv = [*PROFILE_ARGS, "--format", "json", "--cache-dir", str(cache)]
+        assert main([*argv, "--opt", "all"]) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert cold["meta"]["plan_passes"] == "all"
+
+        forbid_profiling()
+        spelled = "bucketing,overlap,copy-fusion,chunk-size"
+        assert main([*argv, "--opt", spelled]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["meta"]["plan_passes"] == spelled
+        warm["meta"]["plan_passes"] = "all"
+        assert warm == cold
+        assert main([*argv, "--opt", "all"]) == 0
+        assert json.loads(capsys.readouterr().out) == cold
+        assert len(cache_entries(cache)) == 1
+
+
 class TestRegressCommand:
     def test_missing_baseline_exits_2(self, capsys, tmp_path,
                                       monkeypatch):
