@@ -11,12 +11,14 @@ plus ZeRO-style sharded training (which lifts the per-GPU batch from 6 to
 - sharding: batch 6 -> 10 and additional speedup on top of DDP-FP16.
 """
 
+import time
+
 import pytest
 from conftest import emit
 
 from repro.devices import V100_SXM2_16GB
-from repro.experiments import render_table, software_optimization_study, \
-    time_reduction_pct
+from repro.experiments import VARIANTS, render_table, run_configuration, \
+    software_optimization_study, time_reduction_pct
 from repro.training import AMP_POLICY, DistributedDataParallel, \
     ShardedDataParallel
 from repro.workloads import bert_large
@@ -68,3 +70,31 @@ def test_fig16_software_optimizations(benchmark):
         model, AMP_POLICY, cap, 8) == 6
     assert ShardedDataParallel().max_batch_per_gpu(
         model, AMP_POLICY, cap, 8) == 10
+
+
+def test_study_is_5x_faster_than_event_loop_training():
+    """The study serves each cell from one step-plan evaluation; it must
+    stay >=5x faster than training every cell through the DES.
+
+    Timed on localGPUs x the cheap end of the variants, training 4 steps
+    per cell; both legs must print the same grid.
+    """
+    variants = [v for v in VARIANTS
+                if v.name in ("DP-FP16", "DDP-FP16", "Pipeline-FP16")]
+    t0 = time.perf_counter()
+    trained = {
+        v.name: 1.0 / run_configuration(
+            "bert-large", "localGPUs", strategy=v.strategy_factory(),
+            policy=v.policy, global_batch=v.global_batch,
+            sim_steps=4).throughput
+        for v in variants}
+    training_s = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    study = software_optimization_study(("localGPUs",), variants=variants)
+    study_s = time.perf_counter() - t0
+
+    assert study["localGPUs"] == pytest.approx(trained, rel=1e-9)
+    assert training_s >= 5.0 * study_s, (
+        f"study only {training_s / study_s:.1f}x faster than event-loop "
+        f"training (floor 5x)")

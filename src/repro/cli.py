@@ -35,7 +35,6 @@ Usage::
                                             # strategy x model crossover
                                             # frontier on both backends
     python -m repro fig16-opt [--steps N] [--trace-out trace.json]
-    python -m repro perfbench [--smoke] [--jobs N] [--output DIR]
     python -m repro profile <benchmark> [--backend local|falcon|hybrid]
                                         [--strategy dp|...|tp|2d|fsdp]
                                         [--steps N] [--format text|json]
@@ -43,8 +42,6 @@ Usage::
                                         [--accumulation N]
                                         [--no-what-if] [--output PATH]
                                         [--no-cache] [--cache-dir DIR]
-    python -m repro regress [--baseline PATH] [--tolerance F] [--full]
-                            [--output PATH]
     python -m repro fleet [--smoke] [--chassis N] [--hosts N]
                           [--gpus-per-chassis N] [--oversub F]
                           [--trace-jobs N] [--seed S] [--interarrival F]
@@ -219,18 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "bottleneck label")
     _add_parallel_args(fig16)
 
-    perfbench = sub.add_parser(
-        "perfbench", help="benchmark the simulator itself: fast-path vs "
-                          "event-loop plan evaluation and the Fig. 16 "
-                          "grid wall-clock; writes BENCH_<date>.json")
-    perfbench.add_argument("--smoke", action="store_true",
-                           help="small cell subset for CI")
-    perfbench.add_argument("--jobs", type=int, default=1,
-                           help="also time the grid across N processes")
-    perfbench.add_argument("--output", default=None, metavar="DIR",
-                           help="directory for BENCH_<date>.json "
-                                "(default: current directory)")
-
     autotune = sub.add_parser(
         "autotune", help="search plan-pass parameters (bucket cap, "
                          "chunk target, overlap on/off) per "
@@ -327,22 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mean job inter-arrival time, seconds")
     fleet.add_argument("--output", default=None, metavar="PATH",
                        help="write the full study JSON here")
-
-    regress = sub.add_parser(
-        "regress", help="gate a fresh perfbench run against the "
-                        "committed BENCH_*.json baseline; non-zero "
-                        "exit on semantic drift or perf regression")
-    regress.add_argument("--baseline", default=None, metavar="PATH",
-                         help="baseline report (default: newest "
-                              "BENCH_*.json in the current directory)")
-    regress.add_argument("--tolerance", type=float, default=None,
-                         help="allowed fractional speedup drop "
-                              "(default: 0.35)")
-    regress.add_argument("--full", action="store_true",
-                         help="run the full perfbench instead of the "
-                              "smoke subset")
-    regress.add_argument("--output", default=None, metavar="PATH",
-                         help="write the comparison JSON here")
 
     plan = sub.add_parser(
         "plan", help="compile one training step to the plan IR and "
@@ -567,38 +536,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 rows, title="Optimized-DDP bottleneck annotation")
                 + "\n")
         return 0
-
-    if args.command == "perfbench":
-        from .experiments import run_perfbench, write_bench_report
-        report = run_perfbench(smoke=args.smoke, jobs=args.jobs)
-        out(render_table(
-            ["Configuration", "Variant", "Ops", "Fast steps/s",
-             "Executor steps/s", "Speedup"],
-            [(r["configuration"], r["variant"], r["ops"],
-              round(r["fastpath_steps_per_s"], 1),
-              round(r["executor_steps_per_s"], 1),
-              round(r["speedup"], 2))
-             for r in report["plan_eval"]],
-            title="Plan evaluation: fast path vs event-loop executor")
-            + "\n\n")
-        grid = report["fig16_grid"]
-        out(render_table(
-            ["Metric", "Value"],
-            [("cells", grid["cells"]),
-             ("sim steps / cell", grid["sim_steps"]),
-             ("event-loop study (s)", round(grid["baseline_eventloop_s"],
-                                            3)),
-             ("fast-path grid (s)", round(grid["fastpath_s"], 3)),
-             ("fast-path grid, --jobs (s)",
-              "-" if grid.get("fastpath_jobs_s") is None
-              else round(grid["fastpath_jobs_s"], 3)),
-             ("speedup", round(grid["speedup"], 2)),
-             ("values match (<=1e-5)", grid["values_match"]),
-             ("max relative error", f"{grid['max_rel_err']:.2e}")],
-            title="Fig. 16 grid wall-clock") + "\n")
-        path = write_bench_report(report, args.output)
-        out(f"wrote {path}\n")
-        return 0 if grid["values_match"] else 1
 
     if args.command == "autotune":
         from .experiments.autotune import run_autotune, write_tuning_table
@@ -971,29 +908,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out("smoke OK\n" if checks["ok"] else "smoke FAILED\n")
             return 0 if checks["ok"] else 1
         return 0
-
-    if args.command == "regress":
-        import json
-
-        from .experiments import run_regression
-        from .experiments.regress import DEFAULT_TOLERANCE
-
-        tolerance = (DEFAULT_TOLERANCE if args.tolerance is None
-                     else args.tolerance)
-        try:
-            report = run_regression(baseline_path=args.baseline,
-                                    tolerance=tolerance,
-                                    smoke=not args.full)
-        except (FileNotFoundError, ValueError) as exc:
-            out(f"error: {exc}\n")
-            return 2
-        out(report.render_text() + "\n")
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            out(f"wrote {args.output}\n")
-        return 0 if report.ok else 1
 
     if args.command == "matrix":
         import json

@@ -30,8 +30,7 @@ Fig. 16 grid annotation via the plan-level profiler),
 :mod:`~repro.experiments.matrix` (the strategy x model x backend
 crossover frontier: which parallelization wins where, and which models
 flip winners between the local and composed fabrics),
-:mod:`~repro.experiments.regress` (the perf-regression gate over
-``BENCH_*.json`` baselines), :mod:`~repro.experiments.fleet`
+:mod:`~repro.experiments.fleet`
 (multi-chassis cluster scheduling: utilization, queueing delay, spine
 contention), and :mod:`~repro.experiments.export` (CSV/JSON writers).
 """
@@ -95,16 +94,7 @@ from .parallel import (
     default_cache_dir,
     run_cells,
 )
-from .perfbench import collect_provenance, run_perfbench, \
-    write_bench_report
 from .profiling import bottleneck_labels, profile_cell
-from .regress import (
-    RegressionReport,
-    compare_reports,
-    find_baseline,
-    load_report,
-    run_regression,
-)
 from .runner import ExperimentRecord, run_configuration
 from .tracing import (
     OverheadSplit,
@@ -150,8 +140,6 @@ __all__ = [
     "NullCache",
     "default_cache_dir",
     "run_cells",
-    "run_perfbench",
-    "write_bench_report",
     "candidate_pipelines",
     "run_autotune",
     "write_tuning_table",
@@ -159,7 +147,6 @@ __all__ = [
     "tuned_passes",
     "fleet_study",
     "SMOKE_SPEC",
-    "collect_provenance",
     "profile_cell",
     "bottleneck_labels",
     "MatrixCell",
@@ -168,11 +155,6 @@ __all__ = [
     "SMOKE_MODELS",
     "run_matrix",
     "format_matrix",
-    "RegressionReport",
-    "compare_reports",
-    "find_baseline",
-    "load_report",
-    "run_regression",
     "gpu_config_sweep",
     "storage_config_sweep",
     "GPU_CONFIGS",

@@ -64,6 +64,9 @@ _CHUNK_TARGETS_SMOKE = (1e-3, None)
 #: What-if cost buckets reported per tuned cell.
 _CEILING_BUCKETS = ("compute", "comm")
 
+#: ``--smoke`` grid: localGPUs x the cheap end of the Fig. 16 variants.
+_SMOKE_GRID = ("localGPUs",), ("DP-FP16", "DDP-FP16", "Pipeline-FP16")
+
 
 class Candidate:
     """One candidate pipeline: a label, pass instances, default flag."""
@@ -185,12 +188,15 @@ def run_autotune(smoke: bool = False,
                  variants=None,
                  what_if_ceilings: bool = True) -> dict:
     """Sweep the grid and assemble the frontier + tuning-table report."""
-    from .perfbench import _grid_configs, _grid_variants
+    from .software_opts import VARIANTS
 
+    smoke_configs, smoke_variants = _SMOKE_GRID
     if configurations is None:
-        configurations = _grid_configs(smoke)
+        configurations = (smoke_configs if smoke
+                          else ("localGPUs", "falconGPUs"))
     if variants is None:
-        variants = _grid_variants(smoke)
+        variants = [v for v in VARIANTS
+                    if not smoke or v.name in smoke_variants]
     candidates = candidate_pipelines(smoke)
 
     t0 = time.perf_counter()

@@ -297,8 +297,9 @@ class MaxMinSolver:
         """Compare current rates against the batch oracle at ``rtol``.
 
         Raises :class:`AssertionError` on divergence — the
-        ``assert_equivalence``-style cross-check the property tests and
-        the churn microbench run after every mutation batch.
+        ``assert_equivalence``-style cross-check the property tests run
+        after every mutation batch and the 1,000-flow churn test runs
+        after its churn.
         """
         expect = water_fill(self._flow_class)
         for flow, want in expect.items():

@@ -11,6 +11,8 @@ on the directional counters of the links it crossed.
 """
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +231,58 @@ def test_assert_equivalent_raises_on_stale_rate():
     f.rate = 999.0
     with pytest.raises(AssertionError, match="diverged"):
         solver.assert_equivalent()
+
+
+# ---------------------------------------------------------------------------
+# Wall-clock floor: 1k-flow churn, incremental re-solve vs batch refill.
+# ---------------------------------------------------------------------------
+
+def _churn_flow(serial, caps, links):
+    """Flow ``serial``: one link, or an adjacent pair for every fourth.
+
+    Pairing ``2k`` with ``2k+1`` keeps contention components at two
+    links, the fleet shape (many small independent jobs) the incremental
+    solver exploits.
+    """
+    first = serial % links
+    keys = [first, first ^ 1] if serial % 4 == 0 else [first]
+    return FakeFlow(serial, keys, caps)
+
+
+def _churn(full, flows=1000, links=64, churn_ops=100, seed=7):
+    """Time ``churn_ops`` remove-one/add-one cycles over ``flows``
+    concurrent flows, each cycle followed by one solve.
+
+    Returns ``(seconds, solver)``; ``full`` refills every flow on each
+    solve (the batch oracle) instead of re-solving touched components.
+    """
+    caps = dict.fromkeys(range(links), 10e9)
+    solver = MaxMinSolver()
+    population = [_churn_flow(i, caps, links) for i in range(flows)]
+    for flow in population:
+        solver.add(flow)
+    solve = solver.solve_full if full else solver.solve
+    solve()
+    rng = random.Random(seed)
+    t0 = time.perf_counter()
+    for serial in range(flows, flows + churn_ops):
+        solver.remove(population.pop(rng.randrange(len(population))))
+        fresh = _churn_flow(serial, caps, links)
+        population.append(fresh)
+        solver.add(fresh)
+        solve()
+    return time.perf_counter() - t0, solver
+
+
+def test_churn_incremental_solve_is_5x_faster_than_batch_refill():
+    """One job's transfer finishing must not cost a full re-solve over
+    every other job's flows."""
+    incremental_s, solver = _churn(full=False)
+    solver.assert_equivalent(1e-9)
+    batch_s, _ = _churn(full=True)
+    assert batch_s >= 5.0 * incremental_s, (
+        f"incremental churn only {batch_s / incremental_s:.1f}x faster "
+        f"than batch refill (floor 5x)")
 
 
 # ---------------------------------------------------------------------------

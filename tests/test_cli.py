@@ -404,25 +404,6 @@ class TestProfileCache:
         assert len(cache_entries(cache)) == 1
 
 
-class TestRegressCommand:
-    def test_missing_baseline_exits_2(self, capsys, tmp_path,
-                                      monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["regress"]) == 2
-        assert "baseline" in capsys.readouterr().out.lower()
-
-    def test_invalid_baseline_exits_2(self, capsys, tmp_path):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text(json.dumps({"meta": {}}))
-        assert main(["regress", "--baseline", str(bad)]) == 2
-
-    def test_parser_accepts_tolerance_and_full(self):
-        args = build_parser().parse_args(
-            ["regress", "--tolerance", "0.2", "--full"])
-        assert args.tolerance == pytest.approx(0.2)
-        assert args.full
-
-
 class TestProfileFlags:
     def test_fig16_parser_accepts_profile(self):
         args = build_parser().parse_args(["fig16", "--profile"])
