@@ -49,8 +49,10 @@ def profile_cell(benchmark: str, configuration: str, strategy: str = "ddp",
     what-if ceilings on the step plan: the relaxation prediction from
     the measured schedule, the Amdahl estimate from the critical-path
     share, and — when ``evaluate_what_ifs`` — a true re-evaluation of
-    the rescaled plan on a *throwaway* identical system (the executor
-    fallback advances device state, so each bucket gets a fresh one).
+    the rescaled plan on a *throwaway* identical system.  Zeroed buckets
+    tie events at one instant and still run on the fast path; a plan it
+    refuses runs on the executor, which advances device state, so each
+    bucket gets a fresh system.
     """
     from ..plan.fastpath import fastpath_schedule
 

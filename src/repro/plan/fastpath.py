@@ -32,10 +32,10 @@ in the identical order:
 
 Because the recompute points and the arithmetic are the same floats in
 the same order, the computed timeline *is* the event-loop timeline — not
-merely close to it.  Where the engine cannot reconstruct the kernel's
-tie-breaking order (two same-rank ops hitting one FIFO at the same
-instant, a watchdog racing a completion), it refuses with
-:class:`FastPathUnsupported` instead of guessing, and
+merely close to it.  Where the kernel may order a same-instant tie
+otherwise and the order would change a time (see
+:meth:`_Engine._check_ties`), or a watchdog races a completion, the
+engine refuses with :class:`FastPathUnsupported` instead of guessing, and
 :func:`evaluate_plan`'s ``auto`` mode falls back to the real executor.
 
 The fast path is *pure*: it reads device specs, routes, and penalty
@@ -181,7 +181,8 @@ class _Engine:
     number keeps same-instant events in the order they were scheduled,
     which is the kernel's FIFO order.  The callbacks apply the device
     models' arithmetic and refuse, with :class:`FastPathUnsupported`,
-    wherever the kernel's tie-breaking cannot be reconstructed.
+    where the kernel may order a tie otherwise (:meth:`_check_ties`,
+    storage admission) or a watchdog races a completion.
     """
 
     def __init__(self, plan: StepPlan, ctx: ExecutionContext):
@@ -191,17 +192,19 @@ class _Engine:
         self._seq = 0
         self.times: dict = {}
         self._start: dict = {}          # uid -> ready time
+        # uid -> the op whose completion released it (absent: a root).
+        self._released_by: dict = {}
+        # (ordered resource, time) -> [(uid, shape), ...] arriving then.
+        self._arrivals: dict = {}
         # Dependency bookkeeping.
         self._indegree: dict = {}
         self._dependents: dict = {}
         # Per-rank GPU stream cursor (DES Resource capacity-1 FIFO).
         self._stream_free: dict = {}    # rank -> time the stream frees
-        self._last_compute_ready: dict = {}
         # Rendezvous state mirroring Communicator._join.
         self._world = range(plan.world_size)
         self._op_seq: dict = {}
         self._groups: dict = {}
-        self._last_join: dict = {}      # (rank, gkey) -> join time
         # Storage queue-depth admission.
         self._io_active = 0
         self._io_queue: list = []
@@ -241,6 +244,7 @@ class _Engine:
             raise FastPathUnsupported(
                 f"plan stalled; {len(missing)} op(s) never completed "
                 f"(first: {missing[0]!r})")
+        self._check_ties()
         makespan = max((end for _s, end in self.times.values()),
                        default=0.0)
         return PlanTiming(mode="fastpath", op_times=dict(self.times),
@@ -275,19 +279,70 @@ class _Engine:
         for dependent in self._dependents[op.uid]:
             self._indegree[dependent.uid] -= 1
             if self._indegree[dependent.uid] == 0:
+                self._released_by[dependent.uid] = op.uid
                 self._schedule(t, self._ready_fn(dependent))
+
+    # -- same-instant ties -------------------------------------------------
+    def _check_ties(self) -> None:
+        """Refuse a same-instant tie that the kernel may serve in
+        another order, where the order would change a time.
+
+        Ops reaching one ordered resource (a rank's GPU stream, or its
+        seat on one communicator) at one instant are served in the
+        order they were released.  That order is the plan's on both
+        engines when one event released both (the seed, or one op's
+        completion), or when releases within the instant lead from one
+        to the other.  The kernel orders any other pair by how many
+        events each release chain took, which this engine does not
+        model.  Such a pair is harmless when both ops have one shape
+        (kernel seconds, or collective spec) and one end time:
+        zero-second kernels, like collectives whose groups finish
+        together.
+        """
+        times = self.times
+        for (*_resource, t), arrivals in self._arrivals.items():
+            outcomes = [(shape, times[uid][1]) for uid, shape in arrivals]
+            if len(set(outcomes)) < 2:
+                continue
+            for i, (first, _shape) in enumerate(arrivals):
+                for j in range(i + 1, len(arrivals)):
+                    later = arrivals[j][0]
+                    if outcomes[i] != outcomes[j] \
+                            and not self._ordered(first, later, t):
+                        raise FastPathUnsupported(
+                            f"{first} and {later} tie at t={t}, released "
+                            "by different events: the event loop's "
+                            "order decides their times")
+
+    def _releaser(self, uid: str):
+        """What released ``uid``: ``None`` (the seed), the op whose
+        completion did, or ``uid`` itself when several of its deps
+        ended together (the kernel may release it from any of them)."""
+        start = self._start[uid]
+        tied = sum(self.times[dep][1] == start
+                   for dep in self.plan.op(uid).deps)
+        return uid if tied > 1 else self._released_by.get(uid)
+
+    def _ordered(self, first: str, later: str, t: float) -> bool:
+        """Whether both engines serve ``first`` before ``later``."""
+        if self._releaser(first) == self._releaser(later):
+            return True
+        while self._start[later] == t:
+            releaser = self._releaser(later)
+            if releaser == first:
+                return True
+            if releaser in (None, later):
+                return False
+            later = releaser
+        return False
 
     # -- compute -----------------------------------------------------------
     def _run_compute(self, op, t: float) -> None:
         rank = op.rank
-        if self._last_compute_ready.get(rank) == t:
-            raise FastPathUnsupported(
-                f"two computes ready on rank {rank} at t={t}: "
-                "stream FIFO order is ambiguous")
-        self._last_compute_ready[rank] = t
         factor = self.ctx.jitter() if op.jittered else 1.0
         duration = self.ctx.gpus[rank].kernel_time(
             op.flops * factor, op.hbm_bytes, op.precision, op.efficiency)
+        self._arrivals.setdefault((rank, t), []).append((op.uid, duration))
         end = max(t, self._stream_free.get(rank, 0.0)) + duration
         self._stream_free[rank] = end
         self._finish_at(op, end)
@@ -299,11 +354,6 @@ class _Engine:
         # state is keyed by the group tuple (None = world), mirroring
         # Communicator.subgroup's per-child sequence numbers.
         gkey = getattr(op, "group", None)
-        if self._last_join.get((rank, gkey)) == t:
-            raise FastPathUnsupported(
-                f"rank {rank} joins two collectives at t={t}: "
-                "rendezvous order is ambiguous")
-        self._last_join[(rank, gkey)] = t
         members = self._world if gkey is None else gkey
         if isinstance(op, Barrier):
             spec = ("barrier", 0.0, None, None)
@@ -311,6 +361,8 @@ class _Engine:
             spec = (op.comm, op.bytes, op.root, op.chunk_bytes)
         else:
             raise FastPathUnsupported(f"unknown collective kind {op.comm!r}")
+        self._arrivals.setdefault((rank, gkey, t), []).append(
+            (op.uid, spec))
         opid = self._op_seq.get((gkey, rank), 0)
         self._op_seq[(gkey, rank)] = opid + 1
         group = self._groups.get((gkey, opid))
@@ -391,15 +443,16 @@ class _Engine:
 
     # -- storage I/O (StorageDevice._io mirror) ----------------------------
     def _enqueue_io(self, op, t: float) -> None:
-        if self._io_active < self.ctx.storage.spec.queue_depth:
+        tied = self._last_io_ready == t
+        self._last_io_ready = t
+        if self._io_active < self.ctx.storage.commands.capacity:
             self._io_active += 1
             self._admit_io(op, t)
+        elif tied:
+            raise FastPathUnsupported(
+                f"a storage command queues behind one that arrived at "
+                f"t={t}: admission order is ambiguous")
         else:
-            if self._last_io_ready == t:
-                raise FastPathUnsupported(
-                    f"two storage commands queue at t={t}: "
-                    "admission order is ambiguous")
-            self._last_io_ready = t
             self._io_queue.append(op)
 
     def _admit_io(self, op, t: float) -> None:

@@ -101,9 +101,10 @@ SCALE_BUCKETS = ("compute", "comm", "copy", "storage", "framework")
 #: guards against accumulated noise in *absolute* (run-level) times.
 _TILE_RTOL = 1e-9
 _TILE_ATOL = 1e-12
-#: Factor used when a zeroed cost must be probed through the fast path
-#: (exactly-zero durations create FIFO ties the engines refuse to
-#: order; an epsilon keeps every event distinct).
+#: Factor the fast-path probe uses in place of an exact zero.  The fast
+#: path runs zeroed plans too (ties of zero-second kernels cannot change
+#: a time); the epsilon stays because the recorded ``repro profile``
+#: ceilings were computed with it.
 _EPSILON_FACTOR = 1e-6
 #: Ops that stream over the fabric between two endpoints.
 _LEG_OPS = (H2DCopy, D2HCopy, P2PCopy, StorageRead, StorageWrite)
@@ -933,11 +934,11 @@ def what_if(plan: StepPlan, base: PlanTiming, ctx: ExecutionContext,
     The *predicted* leg replays the measured schedule (see
     :func:`predict_scaled_timing`); where the relaxation is provably
     inexact it escalates to a pure fast-path probe of the rescaled plan
-    at an epsilon-perturbed factor (exact zeros create FIFO ties the
-    engines refuse).  The *evaluated* leg — enabled by ``evaluate`` —
-    re-runs the rescaled plan through :func:`evaluate_plan`; pass a
-    throwaway ``evaluate_ctx`` because the executor fallback advances
-    the environment and device state.
+    (at ``_EPSILON_FACTOR`` in place of an exact zero).  The *evaluated*
+    leg — enabled by ``evaluate`` — re-runs the rescaled plan through
+    :func:`evaluate_plan`; pass a throwaway ``evaluate_ctx`` because a
+    plan the fast path refuses runs on the executor, which advances the
+    environment and device state.
     """
     exact = relaxation_is_exact(plan, bucket, factor)
     if not any(_scalable(op, bucket) for op in plan):

@@ -1,8 +1,14 @@
 """Suite-wide fixtures."""
 
 import pytest
+from hypothesis import settings
 
 from repro.experiments.parallel import CACHE_DIR_ENV
+
+# ``--hypothesis-profile=deep``: CI's budget for the engine differential
+# harness (``tests/plan/test_engine_differential.py``); the tier-1 run
+# keeps Hypothesis's default.
+settings.register_profile("deep", max_examples=3000, derandomize=True)
 
 
 @pytest.fixture(autouse=True)

@@ -1,9 +1,13 @@
 """Fast-path plan evaluation: eligibility, equivalence, refusal paths."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import ComposableSystem
 from repro.devices.gpu import Precision
+from repro.devices.storage import StorageDevice
+from repro.fabric.link import SATA3
 from repro.fabric.traffic import total_bytes_moved
 from repro.plan import (
     ExecutionContext,
@@ -19,17 +23,25 @@ from repro.telemetry import Tracer
 from repro.training import Communicator
 
 
-def make_ctx(world=2, jitter=None, storage=True):
+def make_ctx(world=2, jitter=None, storage=True, queue_depth=None):
+    """A localGPUs context; ``queue_depth`` swaps in a scratch drive
+    whose command queue is built at that depth."""
     system = ComposableSystem()
     active = system.configure("localGPUs")
     gpus = list(active.gpus)[:world]
     comm = Communicator(system.env, system.topology,
                         [g.name for g in gpus], gpus=gpus)
+    drive = active.storage
+    if queue_depth is not None:
+        drive = StorageDevice(
+            system.env, system.topology, f"{drive.name}-qd{queue_depth}",
+            dataclasses.replace(drive.spec, queue_depth=queue_depth))
+        system.host.rc.attach(drive.name, SATA3)
     kwargs = {} if jitter is None else {"jitter": jitter}
     return ExecutionContext(env=system.env, comm=comm, gpus=gpus,
                             topology=system.topology,
                             host_node=system.host.dram_node,
-                            storage=active.storage if storage else None,
+                            storage=drive if storage else None,
                             **kwargs)
 
 
@@ -190,24 +202,43 @@ class TestEquivalence:
         evaluate_plan(b.build(), ctx, assert_equivalence=True)
 
 
-class TestRefusals:
+def assert_tie_agrees(plan_factory, ctx_factory):
+    """A same-instant tie runs on the fast path and matches the executor.
+
+    Fresh contexts per evaluation: the executor leg advances env and
+    device state.
+    """
+    evaluate_plan(plan_factory(), ctx_factory(), assert_equivalence=True)
+    assert evaluate_plan(plan_factory(), ctx_factory(),
+                         mode="auto").mode == "fastpath"
+
+
+class TestTies:
     def test_same_rank_compute_tie(self):
-        ctx = make_ctx(world=1)
-        b = PlanBuilder("step", world_size=1)
-        _compute(b, 0, "a")
-        _compute(b, 0, "b")
-        with pytest.raises(FastPathUnsupported, match="FIFO"):
-            fastpath_schedule(b.build(), ctx)
+        # Two root computes on one rank are ready at t=0: the stream
+        # admits them in program order in both engines.
+        def plan():
+            b = PlanBuilder("step", world_size=1)
+            _compute(b, 0, "a")
+            _compute(b, 0, "b")
+            return b.build()
+
+        assert_tie_agrees(plan, lambda: make_ctx(world=1))
 
     def test_same_rank_join_tie(self):
-        ctx = make_ctx()
-        b = PlanBuilder("step", world_size=2)
-        for rank in range(2):
-            b.collective(rank, "g1", "allreduce", 1e6)
-            b.collective(rank, "g2", "allreduce", 1e6)
-        with pytest.raises(FastPathUnsupported, match="rendezvous"):
-            fastpath_schedule(b.build(), ctx)
+        # Back-to-back root collectives join at the same instant: both
+        # engines match them in program order.
+        def plan():
+            b = PlanBuilder("step", world_size=2)
+            for rank in range(2):
+                b.collective(rank, "g1", "allreduce", 1e6)
+                b.collective(rank, "g2", "allreduce", 1e6)
+            return b.build()
 
+        assert_tie_agrees(plan, make_ctx)
+
+
+class TestRefusals:
     def test_collective_mismatch(self):
         ctx = make_ctx()
         b = PlanBuilder("bad", world_size=2)
@@ -258,10 +289,7 @@ class TestRefusals:
             fastpath_schedule(b.build(), ctx)
 
     def test_storage_queue_tie(self):
-        import dataclasses
-        ctx = make_ctx(world=1)
-        ctx.storage.spec = dataclasses.replace(ctx.storage.spec,
-                                               queue_depth=1)
+        ctx = make_ctx(world=1, queue_depth=1)
         b = PlanBuilder("ckpt", world_size=1)
         for i in range(3):  # three roots hit a depth-1 queue at t=0
             b.storage_write(0, f"shard-{i}", 1e6)
@@ -269,10 +297,7 @@ class TestRefusals:
             fastpath_schedule(b.build(), ctx)
 
     def test_storage_queue_drains_in_fifo_order(self):
-        import dataclasses
-        ctx = make_ctx(world=1)
-        ctx.storage.spec = dataclasses.replace(ctx.storage.spec,
-                                               queue_depth=1)
+        ctx = make_ctx(world=1, queue_depth=1)
         b = PlanBuilder("ckpt", world_size=1)
         f1 = _compute(b, 0, "w1", flops=1e12)
         w1 = b.storage_write(0, "shard-1", 64e6, deps=[f1])

@@ -15,7 +15,6 @@ from repro.core import ComposableSystem
 from repro.devices.gpu import Precision
 from repro.plan import (
     ExecutionContext,
-    FastPathUnsupported,
     PlanBuilder,
     PlanError,
     evaluate_plan,
@@ -141,17 +140,22 @@ class TestGroupedExecution:
         right = timing.op_times["r2:tp-gather"]
         assert left[0] < right[1] and right[0] < left[1]
 
-    def test_same_instant_joins_on_one_communicator_refused(self):
+    def test_same_instant_joins_on_one_communicator_agree(self):
         # Two collectives on the *same* communicator joined at the same
-        # instant are ambiguous for the fast path's rendezvous matching.
-        _system, ctx = make_ctx(world=2)
-        b = PlanBuilder("ambiguous", world_size=2)
-        for rank in range(2):
-            f = _compute(b, rank, "fwd")
-            b.collective(rank, "a", "allreduce", 1e6, deps=[f])
-            b.collective(rank, "b", "allreduce", 1e6, deps=[f])
-        with pytest.raises(FastPathUnsupported, match="ambiguous"):
-            fastpath_schedule(b.build(), ctx)
+        # instant, both released by ``fwd``: both engines match them in
+        # plan order.
+        def plan():
+            b = PlanBuilder("tied", world_size=2)
+            for rank in range(2):
+                f = _compute(b, rank, "fwd")
+                b.collective(rank, "a", "allreduce", 1e6, deps=[f])
+                b.collective(rank, "b", "allreduce", 1e6, deps=[f])
+            return b.build()
+
+        evaluate_plan(plan(), make_ctx(world=2)[1],
+                      assert_equivalence=True)
+        assert evaluate_plan(plan(), make_ctx(world=2)[1],
+                             mode="auto").mode == "fastpath"
 
     def test_same_instant_joins_on_different_communicators_allowed(self):
         # ...but different communicators have independent matching —

@@ -9,6 +9,11 @@ but single-process DataParallel, whose in-training step overlaps the
 master's broadcast with dataloader staging), the fast-path makespan is
 additionally pinned to the golden *trained* step time, and three
 localGPUs plans (DP, DDP and Pipeline FP16) to absolute makespans.
+
+The plans whose events tie at one instant stay on the fast path too:
+the what-ifs of ``repro profile`` (a zeroed bucket leaves zero-second
+kernels and zero-byte collectives) and the checkpoint plan, whose
+shard-less ranks join both barriers at t=0.
 """
 
 import json
@@ -19,6 +24,7 @@ import pytest
 from repro.core import ComposableSystem
 from repro.experiments.software_opts import VARIANTS
 from repro.plan import evaluate_plan
+from repro.telemetry.profile import SCALE_BUCKETS, scale_plan
 from repro.training import DataParallel, TrainingConfig, TrainingJob
 from repro.workloads import get_benchmark
 
@@ -32,6 +38,21 @@ PLAN_MAKESPANS = {
     "localGPUs/DDP-FP16": 0.17587463154741168,
     "localGPUs/Pipeline-FP16": 0.2889308409313673,
 }
+
+#: The ``profile`` cells of the end-to-end benchmark (falconGPUs, four
+#: training steps): (model, strategy, plan passes).
+PROFILE_CELLS = (
+    ("bert-large", "ddp", None),
+    ("bert-large", "ddp", "all"),
+    ("bert-large", "sharded", None),
+    ("bert-base", "ddp", None),
+    ("bert-large", "fsdp", None),
+    ("bert-large", "sharded", "all"),
+    ("bert-base", "sharded", None),
+    ("bert-large", "pipeline", None),
+    ("bert-base", "ddp", "all"),
+    ("bert-large", "dp", None),
+)
 
 CASES = [
     (config, variant, passes)
@@ -92,3 +113,30 @@ def test_auto_mode_falls_back_on_stochastic_jitter():
                       list(active.gpus), active.storage, cfg)
     timing = evaluate_plan(job.step_plan, job._exec_ctx)
     assert timing.mode == "executor"
+
+
+@pytest.mark.parametrize("model,strategy,passes", PROFILE_CELLS)
+def test_profile_what_ifs_run_on_the_fast_path(model, strategy, passes):
+    def ctx():
+        return ComposableSystem().job(model, "falconGPUs", strategy,
+                                      sim_steps=4,
+                                      plan_passes=passes)._exec_ctx
+
+    plan = ComposableSystem().job(model, "falconGPUs", strategy,
+                                  sim_steps=4, plan_passes=passes).step_plan
+    for bucket in SCALE_BUCKETS:
+        scaled = scale_plan(plan, bucket, 0.0)
+        assert evaluate_plan(scaled, ctx()).mode == "fastpath", bucket
+        evaluate_plan(scaled, ctx(), assert_equivalence=True)
+
+
+@pytest.mark.parametrize("config", ("localGPUs", "falconGPUs",
+                                    "hybridGPUs"))
+def test_checkpoint_plan_runs_on_the_fast_path(config):
+    def job():
+        return ComposableSystem().job("bert-large", config, "ddp",
+                                      sim_steps=8)
+
+    timing = evaluate_plan(job().checkpoint_plan, job()._exec_ctx,
+                           assert_equivalence=True)
+    assert timing.mode == "fastpath"
