@@ -213,7 +213,9 @@ def assert_tie_agrees(plan_factory, ctx_factory):
                          mode="auto").mode == "fastpath"
 
 
-class TestTies:
+class TestRefusals:
+    # Same-instant ties that one event released are not refused: the
+    # stream and the rendezvous serve them in plan order in both engines.
     def test_same_rank_compute_tie(self):
         # Two root computes on one rank are ready at t=0: the stream
         # admits them in program order in both engines.
@@ -237,8 +239,6 @@ class TestTies:
 
         assert_tie_agrees(plan, make_ctx)
 
-
-class TestRefusals:
     def test_collective_mismatch(self):
         ctx = make_ctx()
         b = PlanBuilder("bad", world_size=2)

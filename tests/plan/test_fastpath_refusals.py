@@ -6,9 +6,10 @@ preserves — stochastic jitter, watchdog races, storage-queue ties, and
 stream or rendezvous ties between ops that different events released
 when their order would change a time.  Ties that one event released run
 on the fast path: both engines serve them in plan order
-(``test_fastpath.TestTies``).  Refusal is only safe if the public entry point turns it into an
-executor evaluation with the *same* timings an explicit executor run
-produces; these tests pin that contract for each refusal path.
+(``test_fifo_admission_tie``, ``test_rendezvous_tie``).  Refusal is
+only safe if the public entry point turns it into an executor
+evaluation with the *same* timings an explicit executor run produces;
+these tests pin that contract for each refusal path.
 """
 
 import pytest
@@ -118,6 +119,17 @@ def assert_falls_back(plan_factory, ctx_factory, match):
     return auto
 
 
+def assert_stays_on_fast_path(plan_factory, ctx_factory):
+    """No refusal: auto keeps the fast path, and its timings equal an
+    explicit executor run's."""
+    auto = evaluate_plan(plan_factory(), ctx_factory(), mode="auto")
+    assert auto.mode == "fastpath"
+    explicit = evaluate_plan(plan_factory(), ctx_factory(),
+                             mode="executor")
+    assert_times_agree(auto, explicit)
+    return auto
+
+
 class TestRefusalFallbacks:
     def test_stochastic_jitter(self):
         # An opaque sampler might draw differently on replay; the fast
@@ -133,6 +145,31 @@ class TestRefusalFallbacks:
         assert_falls_back(plan, lambda: make_ctx(world=1,
                                                  jitter=lambda: 1.0),
                           match="jitter")
+
+    def test_fifo_admission_tie(self):
+        # Two root computes on one rank are ready at t=0. The seed
+        # released both, so the stream admits them in plan order in
+        # both engines and auto does not fall back.
+        def plan():
+            b = PlanBuilder("step", world_size=1)
+            _compute(b, 0, "a")
+            _compute(b, 0, "b")
+            return b.build()
+
+        assert_stays_on_fast_path(plan, lambda: make_ctx(world=1))
+
+    def test_rendezvous_tie(self):
+        # Back-to-back root collectives whose join arrivals coincide:
+        # one event released them, so the matcher pairs them in plan
+        # order and auto does not fall back.
+        def plan():
+            b = PlanBuilder("step", world_size=2)
+            for rank in range(2):
+                b.collective(rank, "g1", "allreduce", 1e6)
+                b.collective(rank, "g2", "allreduce", 1e6)
+            return b.build()
+
+        assert_stays_on_fast_path(plan, make_ctx)
 
     def test_differently_released_stream_tie(self):
         # Two kernels reach one stream at one instant, released by
