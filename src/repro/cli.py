@@ -9,7 +9,8 @@ Usage::
     python -m repro fig15 [--steps N]
     python -m repro fig16 [--steps N] [--profile] [--matrix]
     # figure sweeps (fig10-fig16, fig16-opt) and matrix also accept
-    # [--jobs N] [--no-cache] [--cache-dir DIR]; profile takes the last two
+    # [--jobs N] [--no-cache] [--cache-dir DIR]; profile and fleet take
+    # the last two
     python -m repro sharing                 # future-work tenancy studies
     python -m repro fault-tolerance [--config NAME] [--steps N] [--seed S]
                                             # chaos + recovery study
@@ -45,7 +46,7 @@ Usage::
     python -m repro fleet [--smoke] [--chassis N] [--hosts N]
                           [--gpus-per-chassis N] [--oversub F]
                           [--trace-jobs N] [--seed S] [--interarrival F]
-                          [--output PATH]
+                          [--output PATH] [--no-cache] [--cache-dir DIR]
                                             # multi-chassis fleet study
 
 Every command prints the same rows the paper's tables/figures report.
@@ -312,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mean job inter-arrival time, seconds")
     fleet.add_argument("--output", default=None, metavar="PATH",
                        help="write the full study JSON here")
+    _add_cache_args(fleet)
 
     plan = sub.add_parser(
         "plan", help="compile one training step to the plan IR and "
@@ -845,24 +847,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "fleet":
+        import dataclasses
         import json
 
-        from .core import FLEET_FOUR_CHASSIS, FleetSpec
-        from .experiments import fleet_study
+        from .core import FLEET_FOUR_CHASSIS
+        from .experiments import run_cells
         from .experiments.fleet import SMOKE_SPEC
+        from .experiments.parallel import fleet_cell
 
         base = SMOKE_SPEC if args.smoke else FLEET_FOUR_CHASSIS
-        spec = FleetSpec(
-            name="cli",
-            chassis=args.chassis or base.chassis,
-            hosts=args.hosts or base.hosts,
-            gpus_per_chassis=(args.gpus_per_chassis
-                              or base.gpus_per_chassis),
-            oversubscription=(args.oversub if args.oversub is not None
-                              else base.oversubscription))
-        report = fleet_study(smoke=args.smoke, spec=spec,
-                             jobs=args.trace_jobs, seed=args.seed,
-                             mean_interarrival=args.interarrival)
+        given = {"chassis": args.chassis, "hosts": args.hosts,
+                 "gpus_per_chassis": args.gpus_per_chassis,
+                 "oversubscription": args.oversub}
+        try:
+            # replace() re-runs FleetSpec's validation.
+            spec = dataclasses.replace(
+                base, name="cli",
+                **{k: v for k, v in given.items() if v is not None})
+            cell = fleet_cell(smoke=args.smoke, spec=spec,
+                              jobs=args.trace_jobs, seed=args.seed,
+                              mean_interarrival=args.interarrival)
+            [report] = run_cells([cell], cache=result_cache())
+        except ValueError as exc:
+            out(f"error: {exc}\n")
+            return 2
         out(render_table(
             ["Job", "Benchmark", "GPUs", "Host", "Chassis", "Queue s",
              "Run s", "Samples/s"],
@@ -871,7 +879,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               round(r["queue_delay_s"], 1), round(r["run_s"], 1),
               round(r["throughput_samples_s"], 1))
              for r in report["records"]],
-            title=f"fleet trace (seed {args.seed}): "
+            title=f"fleet trace (seed {report['meta']['seed']}): "
                   f"{report['jobs']} jobs on {report['chassis']} "
                   f"chassis x {report['total_gpus'] // report['chassis']}"
                   " GPUs") + "\n\n")

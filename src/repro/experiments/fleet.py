@@ -25,12 +25,36 @@ from typing import Optional
 from ..core.fleet import ComposableFleet
 from ..core.presets import FLEET_FOUR_CHASSIS, FleetSpec
 
-__all__ = ["fleet_study", "SMOKE_SPEC"]
+__all__ = ["fleet_study", "resolve_fleet_inputs", "SMOKE_SPEC"]
 
 #: Two chassis x 4 GPUs, two hosts: the smallest fleet on which single-
 #: vs cross-chassis placement and spine sharing are all exercised.
 SMOKE_SPEC = FleetSpec(name="smoke", chassis=2, hosts=2,
                        gpus_per_chassis=4)
+
+
+def resolve_fleet_inputs(smoke: bool = False,
+                         spec: Optional[FleetSpec] = None,
+                         jobs: Optional[int] = None,
+                         mean_interarrival: Optional[float] = None,
+                         sim_steps: Optional[tuple] = None) -> tuple:
+    """``(spec, jobs, mean_interarrival, sim_steps)`` with the smoke or
+    full-study default filled in for each ``None``.
+
+    :func:`fleet_study` and the ``fleet`` result-cache cell both resolve
+    through here, so a default and its spelled-out value are one input.
+    """
+    if spec is None:
+        spec = SMOKE_SPEC if smoke else FLEET_FOUR_CHASSIS
+    if jobs is None:
+        jobs = 8 if smoke else 24
+    if mean_interarrival is None:
+        # Arrivals faster than service so a queue actually forms: the
+        # smoke trace front-loads ~23 GPU-requests onto an 8-GPU fleet.
+        mean_interarrival = 1.0 if smoke else 20.0
+    if sim_steps is None:
+        sim_steps = (2, 3) if smoke else (2, 5)
+    return spec, jobs, float(mean_interarrival), tuple(sim_steps)
 
 
 def fleet_study(smoke: bool = False,
@@ -42,17 +66,8 @@ def fleet_study(smoke: bool = False,
     """Run one fleet trace end to end; returns the full report dict."""
     from ..fleet import ClusterScheduler, generate_trace
 
-    if spec is None:
-        spec = SMOKE_SPEC if smoke else FLEET_FOUR_CHASSIS
-    if jobs is None:
-        jobs = 8 if smoke else 24
-    if mean_interarrival is None:
-        # Arrivals faster than service so a queue actually forms: the
-        # smoke trace front-loads ~23 GPU-requests onto an 8-GPU fleet.
-        mean_interarrival = 1.0 if smoke else 20.0
-    if sim_steps is None:
-        sim_steps = (2, 3) if smoke else (2, 5)
-
+    spec, jobs, mean_interarrival, sim_steps = resolve_fleet_inputs(
+        smoke, spec, jobs, mean_interarrival, sim_steps)
     fleet = ComposableFleet(spec)
     trace = generate_trace(jobs=jobs, seed=seed,
                            mean_interarrival=mean_interarrival,

@@ -7,11 +7,12 @@ factors grid execution into three pieces:
 
 - **Cells** — plain-dict descriptions of one simulation (picklable, so
   they can cross a process boundary, and canonically JSON-serializable,
-  so they can be hashed).  Four kinds: ``experiment`` (one training
+  so they can be hashed).  Five kinds: ``experiment`` (one training
   run, :func:`experiment_cell`), ``step`` (one step-plan evaluation,
   :func:`step_cell`), ``matrix`` (one ``repro matrix`` cell,
-  :func:`matrix_cell`) and ``profile`` (one ``repro profile``
-  bottleneck report, :func:`profile_report_cell`).
+  :func:`matrix_cell`), ``profile`` (one ``repro profile``
+  bottleneck report, :func:`profile_report_cell`) and ``fleet`` (one
+  ``repro fleet`` trace report, :func:`fleet_cell`).
 - **ResultCache** — a content-addressed on-disk cache.  The key is the
   SHA-256 of the cell's canonical JSON plus a digest of the model's
   source (:func:`model_source_digest`), so a cell is recomputed iff
@@ -27,7 +28,7 @@ factors grid execution into three pieces:
 Figure studies build their grids as cells and call :func:`run_cells`;
 the CLI exposes ``--jobs N``, ``--no-cache``, and ``--cache-dir`` on
 the sweep commands, and ``--no-cache`` and ``--cache-dir`` on
-``profile`` (one cell, nothing to fan out).
+``profile`` and ``fleet`` (one cell each, nothing to fan out).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "NullCache",
     "default_cache_dir",
     "experiment_cell",
+    "fleet_cell",
     "matrix_cell",
     "model_source_digest",
     "profile_report_cell",
@@ -64,11 +66,12 @@ _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentRecord)
                        if f.name != "result")
 
 #: The ``repro`` subpackages whose source decides a cached value: the
-#: simulator, the management layer composing it, and the telemetry and
-#: experiment code that turn a run or a plan timing into a cell value.
+#: simulator, the management layer composing it, the fleet scheduler
+#: and trace generator, and the telemetry and experiment code that turn
+#: a run or a plan timing into a cell value.
 MODEL_PACKAGES = ("sim", "fabric", "devices", "plan", "training",
-                  "workloads", "core", "management", "telemetry",
-                  "experiments")
+                  "workloads", "core", "management", "fleet",
+                  "telemetry", "experiments")
 #: Root of the ``repro`` package the cache-key digest reads.
 MODEL_SOURCE_ROOT = Path(__file__).parent.parent
 
@@ -322,6 +325,27 @@ def profile_report_cell(benchmark: str, configuration: str, strategy: str,
             "what_if": evaluate_what_ifs}
 
 
+def fleet_cell(smoke: bool = False, spec=None,
+               jobs: Optional[int] = None, seed: int = 0,
+               mean_interarrival: Optional[float] = None,
+               sim_steps: Optional[tuple] = None) -> dict:
+    """A cell for one ``repro fleet`` report; the arguments are
+    :func:`~repro.experiments.fleet_study`'s.
+
+    Its value is the study's report dict.  The key holds the inputs as
+    :func:`~repro.experiments.fleet.resolve_fleet_inputs` resolves them,
+    so ``smoke=True`` and its spelled-out defaults share an entry.  The
+    whole :class:`~repro.core.FleetSpec` enters the key, its name too,
+    because the report names the spec.
+    """
+    from .fleet import resolve_fleet_inputs
+    spec, jobs, mean_interarrival, sim_steps = resolve_fleet_inputs(
+        smoke, spec, jobs, mean_interarrival, sim_steps)
+    return {"kind": "fleet", "spec": dataclasses.asdict(spec), "jobs": jobs,
+            "seed": seed, "mean_interarrival": mean_interarrival,
+            "sim_steps": list(sim_steps), "smoke": smoke}
+
+
 def record_to_value(record: ExperimentRecord) -> dict:
     """Flatten a record to its cacheable scalar fields."""
     return {name: getattr(record, name) for name in _RECORD_FIELDS}
@@ -420,6 +444,14 @@ def _execute_cell(cell: dict) -> dict:
             accumulation_steps=cell["accumulation_steps"])
         report.meta["plan_passes"] = cell["plan_passes"]
         return report.to_json()
+    if kind == "fleet":
+        from ..core import FleetSpec
+        from .fleet import fleet_study
+        return fleet_study(smoke=cell["smoke"],
+                           spec=FleetSpec(**cell["spec"]),
+                           jobs=cell["jobs"], seed=cell["seed"],
+                           mean_interarrival=cell["mean_interarrival"],
+                           sim_steps=cell["sim_steps"])
     raise ValueError(f"unknown cell kind {kind!r}")
 
 

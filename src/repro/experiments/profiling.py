@@ -12,7 +12,7 @@ Two entry points:
 - :func:`profile_cell` — the full treatment for one cell (the ``repro
   profile`` command): run the job under the profiler, reconcile against
   ``TrainingResult.total_time``, compute what-if ceilings with true
-  fast-path re-evaluation on throwaway systems.
+  fast-path re-evaluation on a throwaway system.
 - :func:`bottleneck_labels` — cheap plan-level labels for every cell of
   a Fig. 16-style grid (the ``--profile`` flag on ``fig16`` /
   ``fig16-opt``): one fast-path evaluation + critical-path walk per
@@ -50,9 +50,11 @@ def profile_cell(benchmark: str, configuration: str, strategy: str = "ddp",
     the measured schedule, the Amdahl estimate from the critical-path
     share, and — when ``evaluate_what_ifs`` — a true re-evaluation of
     the rescaled plan on a *throwaway* identical system.  Zeroed buckets
-    tie events at one instant and still run on the fast path; a plan it
-    refuses runs on the executor, which advances device state, so each
-    bucket gets a fresh system.
+    tie events at one instant and still run on the fast path, which
+    mutates no device state, so the buckets share one throwaway system;
+    a plan the fast path refuses runs on the executor, which advances
+    device state, so the next bucket gets a fresh system.  A bucket no
+    op scales re-runs nothing (see :func:`what_if`).
     """
     from ..plan.fastpath import fastpath_schedule
 
@@ -70,16 +72,19 @@ def profile_cell(benchmark: str, configuration: str, strategy: str = "ddp",
     run_prof = profile_run(job)
 
     what_ifs = []
+    eval_ctx = None
     for bucket in what_if_buckets:
-        eval_ctx = None
-        if evaluate_what_ifs:
-            throwaway = ComposableSystem().job(benchmark, configuration,
-                                               strategy, **config)
-            eval_ctx = throwaway._exec_ctx
-        what_ifs.append(what_if(plan, base, job._exec_ctx, bucket, 0.0,
-                                cp_attr=plan_prof.attr,
-                                evaluate=evaluate_what_ifs,
-                                evaluate_ctx=eval_ctx))
+        if evaluate_what_ifs and eval_ctx is None:
+            eval_ctx = ComposableSystem().job(benchmark, configuration,
+                                              strategy,
+                                              **config)._exec_ctx
+        result = what_if(plan, base, job._exec_ctx, bucket, 0.0,
+                         cp_attr=plan_prof.attr,
+                         evaluate=evaluate_what_ifs,
+                         evaluate_ctx=eval_ctx)
+        if result.evaluated_mode == "executor":
+            eval_ctx = None  # the executor advanced that system
+        what_ifs.append(result)
 
     return BottleneckReport(
         benchmark=benchmark, strategy=strategy,

@@ -938,7 +938,9 @@ def what_if(plan: StepPlan, base: PlanTiming, ctx: ExecutionContext,
     leg — enabled by ``evaluate`` — re-runs the rescaled plan through
     :func:`evaluate_plan`; pass a throwaway ``evaluate_ctx`` because a
     plan the fast path refuses runs on the executor, which advances the
-    environment and device state.
+    environment and device state.  A bucket no op of the plan scales
+    (``identity``) leaves the plan unchanged, so its evaluated leg is
+    ``base`` itself and nothing is re-run.
     """
     exact = relaxation_is_exact(plan, bucket, factor)
     if not any(_scalable(op, bucket) for op in plan):
@@ -971,7 +973,10 @@ def what_if(plan: StepPlan, base: PlanTiming, ctx: ExecutionContext,
                     predicted_makespan=predicted, method=method,
                     predicted_exact=exact or method == "fastpath-epsilon",
                     amdahl_makespan=amdahl)
-    if evaluate:
+    if evaluate and method == "identity":
+        result.evaluated_makespan = base.makespan
+        result.evaluated_mode = base.mode
+    elif evaluate:
         from ..plan.fastpath import evaluate_plan
         scaled = scale_plan(plan, bucket, factor)
         timing = evaluate_plan(scaled, evaluate_ctx or ctx, mode="auto")

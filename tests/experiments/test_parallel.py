@@ -1,5 +1,6 @@
 """Parallel memoized harness: cache keying, corruption, bypass, reuse."""
 
+import dataclasses
 import functools
 import json
 import threading
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import FleetSpec
 from repro.experiments import run_configuration
 from repro.experiments.parallel import (
     NullCache,
@@ -16,6 +18,7 @@ from repro.experiments.parallel import (
     _strategy_spec,
     _execute_cell,
     experiment_cell,
+    fleet_cell,
     profile_report_cell,
     record_from_value,
     record_to_value,
@@ -115,6 +118,30 @@ class TestKeying:
         path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
         monkeypatch.setattr(parallel_mod, "MODEL_SOURCE_ROOT", edited)
         assert cache.key(cheap_cell()) != base
+
+    def test_model_source_digest_covers_every_package(self, tmp_path):
+        # Every subpackage a cell executor reaches must feed the digest:
+        # edit one file in each and the digest must move.  ``chaos`` and
+        # ``elastic`` serve only uncached studies.
+        import shutil
+
+        from repro.experiments import parallel as parallel_mod
+        left_out = {"chaos", "elastic"}
+        root = tmp_path / "repro"
+        shutil.copytree(parallel_mod.MODEL_SOURCE_ROOT, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        digest = parallel_mod.model_source_digest.__wrapped__  # unmemoized
+        base = digest(root)
+        packages = sorted(p.parent.name for p in root.glob("*/__init__.py"))
+        assert "fleet" in packages
+        for package in packages:
+            path = root / package / "__init__.py"
+            original = path.read_bytes()
+            path.write_bytes(original + b"# edited\n")
+            moved = digest(root) != base
+            path.write_bytes(original)
+            assert moved == (package not in left_out), package
+        assert digest(root) == base
 
     def test_unserializable_strategy_disables_the_cell(self):
         strategy = ShardedDataParallel()
@@ -405,3 +432,72 @@ class TestProfileCell:
         if sort_keys:
             reordered = json.loads(json.dumps(reordered, sort_keys=True))
         assert render_report_text(reordered) == expected
+
+
+#: A fleet small enough to simulate in a fraction of a second.
+TINY_SPEC = FleetSpec(name="tiny", chassis=2, hosts=1, gpus_per_chassis=2)
+
+
+def tiny_fleet(**overrides):
+    return {"spec": TINY_SPEC, "jobs": 3, "mean_interarrival": 1.0,
+            "sim_steps": (2, 2), **overrides}
+
+
+def _spec(**fields):
+    return dataclasses.replace(TINY_SPEC, **fields)
+
+
+class TestFleetCell:
+    @pytest.mark.parametrize("override", [
+        {"spec": _spec(chassis=3)},
+        {"spec": _spec(hosts=2)},
+        {"spec": _spec(gpus_per_chassis=4)},
+        {"spec": _spec(oversubscription=2.0)},
+        {"spec": _spec(name="other")},
+        {"jobs": 4},
+        {"seed": 1},
+        {"mean_interarrival": 2.0},
+        {"sim_steps": (2, 3)},
+        {"smoke": True},
+    ], ids=["chassis", "hosts", "gpus_per_chassis", "oversubscription",
+            "name", "jobs", "seed", "mean_interarrival", "sim_steps",
+            "smoke"])
+    def test_key_changes_with_each_field(self, override):
+        cache = ResultCache("/tmp/unused")
+        a = fleet_cell(**tiny_fleet())
+        b = fleet_cell(**tiny_fleet(**override))
+        assert a != b
+        assert cache.key(a) != cache.key(b)
+
+    @pytest.mark.parametrize("smoke", [True, False])
+    def test_defaults_alias_their_spelled_out_values(self, smoke):
+        from repro.core import FLEET_FOUR_CHASSIS
+        from repro.experiments import SMOKE_SPEC
+        cache = ResultCache("/tmp/unused")
+        spelled = (dict(spec=SMOKE_SPEC, jobs=8, mean_interarrival=1,
+                        sim_steps=[2, 3]) if smoke else
+                   dict(spec=FLEET_FOUR_CHASSIS, jobs=24,
+                        mean_interarrival=20, sim_steps=[2, 5]))
+        assert cache.key(fleet_cell(smoke=smoke)) == \
+            cache.key(fleet_cell(smoke=smoke, **spelled))
+
+    def test_value_is_the_study_report(self):
+        from repro.experiments import fleet_study
+        value = _execute_cell(fleet_cell(seed=3, **tiny_fleet()))
+        fresh = fleet_study(seed=3, **tiny_fleet())
+        assert json.loads(json.dumps(value)) == fresh
+
+    def test_warm_run_cells_never_schedules(self, tmp_path, monkeypatch):
+        from repro.fleet import ClusterScheduler
+
+        cell = fleet_cell(**tiny_fleet())
+        [cold] = run_cells([cell], cache=ResultCache(tmp_path))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("warm fleet cell ran the scheduler")
+
+        monkeypatch.setattr(ClusterScheduler, "run", boom)
+        warm_cache = ResultCache(tmp_path)
+        [warm] = run_cells([cell], cache=warm_cache)
+        assert (warm_cache.hits, warm_cache.misses) == (1, 0)
+        assert warm == json.loads(json.dumps(cold))

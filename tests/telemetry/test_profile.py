@@ -207,6 +207,22 @@ class TestWhatIf:
         assert w.method == "identity"
         assert w.predicted_makespan == base.makespan
 
+    def test_empty_bucket_evaluates_to_base_without_rerunning(
+            self, monkeypatch):
+        from repro.plan import fastpath
+
+        def boom(*args, **kwargs):
+            raise AssertionError("an identity what-if re-ran the plan")
+
+        plan = step_plan()
+        ctx = make_ctx()
+        base = fastpath_schedule(plan, ctx)
+        monkeypatch.setattr(fastpath, "evaluate_plan", boom)
+        w = what_if(plan, base, ctx, "storage", 0.0, evaluate=True)
+        assert w.method == "identity"
+        assert w.evaluated_makespan == base.makespan
+        assert w.evaluated_mode == "fastpath"
+
     def test_zeroed_comm_matches_true_reevaluation(self):
         plan = step_plan()
         ctx = make_ctx()
@@ -325,6 +341,93 @@ def test_what_if_ceilings_all_fig16_variants(variant_name):
         # Zeroing a cost never slows the plan down beyond scheduling
         # noise (executor tie-breaks can differ from the fastpath base).
         assert w.evaluated_makespan <= base.makespan * 1.01
+
+
+def _e2e_profile_table():
+    """The end-to-end benchmark's ten ``repro profile`` cells."""
+    import importlib.util
+    from pathlib import Path
+    path = (Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+            / "workloads.py")
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PROFILE_TABLE
+
+
+E2E_PROFILE_TABLE = _e2e_profile_table()
+
+
+@pytest.mark.parametrize("model, strategy, opt", E2E_PROFILE_TABLE)
+def test_identity_what_ifs_report_the_base(model, strategy, opt):
+    from repro.experiments import profile_cell
+
+    report = profile_cell(model, "falconGPUs", strategy, sim_steps=4,
+                          plan_passes="all" if opt else None).to_json()
+    identity = [w for w in report["what_ifs"] if w["method"] == "identity"]
+    assert identity
+    for w in identity:
+        assert w["evaluated_makespan_s"] == w["base_makespan_s"]
+        assert w["evaluated_mode"] == "fastpath"
+
+
+def test_shared_throwaway_report_equals_a_fresh_system_per_bucket():
+    # One throwaway system for every bucket, and no re-run of identity
+    # buckets, must print what re-evaluating each bucket's plan on its
+    # own fresh system prints.
+    from repro.experiments import profile_cell
+    from repro.telemetry.profile import WhatIf
+
+    model, strategy, opt = E2E_PROFILE_TABLE[0]
+    config = dict(sim_steps=4, plan_passes="all" if opt else None)
+    report = profile_cell(model, "falconGPUs", strategy,
+                          **config).to_json()
+
+    def fresh_job():
+        return ComposableSystem().job(model, "falconGPUs", strategy,
+                                      **config)
+
+    plan = fresh_job().step_plan
+    expected = json.loads(json.dumps(report))
+    for w in expected["what_ifs"]:
+        timing = evaluate_plan(scale_plan(plan, w["bucket"], 0.0),
+                               fresh_job()._exec_ctx, mode="auto")
+        w["evaluated_makespan_s"] = timing.makespan
+        w["evaluated_ceiling"] = WhatIf._ceiling(w["base_makespan_s"],
+                                                 timing.makespan)
+        w["evaluated_mode"] = timing.mode
+    assert report == expected
+
+
+def test_profile_cell_replaces_the_throwaway_after_an_executor_run(
+        monkeypatch):
+    from repro.experiments import profile_cell, profiling
+
+    contexts = []
+    real_what_if = profiling.what_if
+
+    def spy(*args, evaluate_ctx=None, **kwargs):
+        contexts.append(evaluate_ctx)
+        result = real_what_if(*args, evaluate_ctx=evaluate_ctx, **kwargs)
+        if len(contexts) == 2:
+            result.evaluated_mode = "executor"  # as if the plan fell back
+        return result
+
+    builds = []
+    real_job = ComposableSystem.job
+
+    def count_job(self, *args, **kwargs):
+        builds.append(args)
+        return real_job(self, *args, **kwargs)
+
+    monkeypatch.setattr(profiling, "what_if", spy)
+    monkeypatch.setattr(ComposableSystem, "job", count_job)
+    profile_cell("mobilenetv2", "localGPUs", "ddp", sim_steps=4)
+    assert len(contexts) == len(SCALE_BUCKETS) > 2
+    assert contexts[0] is contexts[1]
+    assert all(ctx is contexts[2] for ctx in contexts[2:])
+    assert contexts[2] is not contexts[1]
+    assert len(builds) == 3  # the profiled job and two throwaways
 
 
 def test_bottleneck_labels_grid_smoke():

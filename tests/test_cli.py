@@ -404,6 +404,125 @@ class TestProfileCache:
         assert len(cache_entries(cache)) == 1
 
 
+#: The CI smoke fleet: a queueing trace on two chassis (~0.1 s).
+FLEET_ARGS = ["fleet", "--smoke"]
+
+
+@pytest.fixture
+def forbid_scheduling(monkeypatch):
+    """Call it to make any later fleet simulation fail."""
+    from repro.fleet import ClusterScheduler
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a warm fleet run ran the scheduler")
+
+    def forbid():
+        monkeypatch.setattr(ClusterScheduler, "run", boom)
+
+    return forbid
+
+
+class TestFleetCache:
+    def test_parser_takes_the_cache_flags_but_not_jobs(self):
+        args = build_parser().parse_args(
+            [*FLEET_ARGS, "--no-cache", "--cache-dir", "d"])
+        assert args.no_cache and args.cache_dir == "d"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*FLEET_ARGS, "--jobs", "2"])
+
+    def test_warm_run_prints_the_cold_bytes_without_simulating(
+            self, capsys, tmp_path, forbid_scheduling):
+        study = tmp_path / "fleet.json"
+        argv = [*FLEET_ARGS, "--output", str(study)]
+        cached = [*argv, "--cache-dir", str(tmp_path / "cache")]
+
+        def run(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out, study.read_bytes()
+
+        uncached = run([*argv, "--no-cache"])
+        assert run(cached) == uncached  # cold: stores the value it prints
+        assert len(cache_entries(tmp_path / "cache")) == 1
+        forbid_scheduling()
+        assert run(cached) == uncached  # warm: prints the stored value
+
+    def test_default_cache_is_the_environment_directory(
+            self, capsys, isolated_result_cache, forbid_scheduling):
+        assert main(FLEET_ARGS) == 0
+        cold = capsys.readouterr().out
+        assert len(cache_entries(isolated_result_cache)) == 1
+        forbid_scheduling()
+        assert main(FLEET_ARGS) == 0
+        assert capsys.readouterr().out == cold
+
+    def test_smoke_defaults_share_an_entry_with_their_values(
+            self, capsys, tmp_path, forbid_scheduling):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main([*FLEET_ARGS, *cache]) == 0
+        cold = capsys.readouterr().out
+        forbid_scheduling()
+        assert main([*FLEET_ARGS, "--chassis", "2", "--hosts", "2",
+                     "--gpus-per-chassis", "4", "--oversub", "1",
+                     "--trace-jobs", "8", "--interarrival", "1",
+                     *cache]) == 0
+        assert capsys.readouterr().out == cold
+        assert len(cache_entries(tmp_path / "cache")) == 1
+
+    def test_smoke_exit_code_comes_from_the_value(self, capsys, tmp_path):
+        argv = [*FLEET_ARGS, "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        [entry] = cache_entries(tmp_path / "cache")
+        stored = json.loads(entry.read_text())
+        stored["value"]["checks"].update(queueing_observed=False, ok=False)
+        entry.write_text(json.dumps(stored))
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "invariant violated: queueing_observed" in out
+        assert out.endswith("smoke FAILED\n")
+
+    def test_corrupt_entry_is_recomputed(self, capsys, tmp_path):
+        argv = [*FLEET_ARGS, "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        [entry] = cache_entries(tmp_path / "cache")
+        entry.write_text(entry.read_text()[:100])  # a torn write
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        json.loads(entry.read_text())  # re-stored whole
+
+    def test_no_cache_reads_and_writes_nothing(self, capsys, tmp_path,
+                                               isolated_result_cache):
+        argv = [*FLEET_ARGS, "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        [entry] = cache_entries(tmp_path / "cache")
+        stored = json.loads(entry.read_text())
+        stored["value"]["busiest_spine_link"] = "tampered"
+        entry.write_text(json.dumps(stored))
+        before = entry.read_bytes()
+
+        assert main([*argv, "--no-cache"]) == 0
+        assert capsys.readouterr().out == cold  # the entry was not read
+        assert cache_entries(tmp_path / "cache") == [entry]
+        assert entry.read_bytes() == before  # ...nor rewritten
+        assert cache_entries(isolated_result_cache) == []
+
+    @pytest.mark.parametrize("bad", [
+        ["--chassis", "0"], ["--hosts", "0"], ["--gpus-per-chassis", "0"],
+        ["--chassis", "-1"], ["--oversub", "0.5"], ["--interarrival", "0"],
+        ["--trace-jobs", "0"],
+    ], ids=lambda bad: " ".join(bad))
+    def test_bad_argument_exits_2_and_stores_nothing(
+            self, capsys, tmp_path, isolated_result_cache, bad):
+        cache = tmp_path / "cache"
+        assert main(["fleet", *bad, "--cache-dir", str(cache)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert cache_entries(cache) == []
+        assert cache_entries(isolated_result_cache) == []
+
+
 class TestProfileFlags:
     def test_fig16_parser_accepts_profile(self):
         args = build_parser().parse_args(["fig16", "--profile"])
