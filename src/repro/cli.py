@@ -1,53 +1,8 @@
 """Command-line interface: regenerate any paper artifact from a shell.
 
-Usage::
-
-    python -m repro list                    # artifacts and benchmarks
-    python -m repro table1|table2|table3|table4|fig5
-    python -m repro fig9  [--steps N]
-    python -m repro fig10|fig11|fig12|fig13|fig14  [--steps N]
-    python -m repro fig15 [--steps N]
-    python -m repro fig16 [--steps N] [--profile] [--matrix]
-    # figure sweeps (fig10-fig16, fig16-opt) and matrix also accept
-    # [--jobs N] [--no-cache] [--cache-dir DIR]; profile and fleet take
-    # the last two
-    python -m repro sharing                 # future-work tenancy studies
-    python -m repro fault-tolerance [--config NAME] [--steps N] [--seed S]
-                                            # chaos + recovery study
-    python -m repro elasticity [--benchmark B] [--steps N] [--smoke]
-                               [--output study.json]
-                                            # elastic resize study
-    python -m repro recommend <benchmark>   # topology recommendation
-    python -m repro train <benchmark> [--config NAME] [--steps N]
-                                            [--export out.csv|out.json]
-                                            [--trace-out trace.json]
-    python -m repro trace <benchmark> [--backend local|falcon|hybrid]
-                                      [--steps N] [--trace-out trace.json]
-                                      [--smoke]
-    python -m repro plan <benchmark> [--strategy dp|ddp|sharded|pipeline
-                                                 |tp|2d|fsdp]
-                                     [--config NAME] [--validate]
-                                     [--global-batch N] [--accumulation N]
-                                     [--diff OTHER-STRATEGY]
-                                     [--opt PASS[,PASS...]|all]
-    python -m repro matrix [--smoke] [--steps N] [--models A,B]
-                           [--strategies A,B] [--opt PASS|all]
-                           [--output grid.json]
-                                            # strategy x model crossover
-                                            # frontier on both backends
-    python -m repro fig16-opt [--steps N] [--trace-out trace.json]
-    python -m repro profile <benchmark> [--backend local|falcon|hybrid]
-                                        [--strategy dp|...|tp|2d|fsdp]
-                                        [--steps N] [--format text|json]
-                                        [--global-batch N]
-                                        [--accumulation N]
-                                        [--no-what-if] [--output PATH]
-                                        [--no-cache] [--cache-dir DIR]
-    python -m repro fleet [--smoke] [--chassis N] [--hosts N]
-                          [--gpus-per-chassis N] [--oversub F]
-                          [--trace-jobs N] [--seed S] [--interarrival F]
-                          [--output PATH] [--no-cache] [--cache-dir DIR]
-                                            # multi-chassis fleet study
+``python -m repro --help`` lists the commands and ``python -m repro
+<command> --help`` gives one command's options; ``python -m repro list``
+names every command with the benchmarks and configurations.
 
 Every command prints the same rows the paper's tables/figures report.
 ``trace`` writes a Chrome/Perfetto ``trace_event`` JSON (open in
@@ -59,6 +14,7 @@ a local baseline and print the Fig. 11 overhead split derived from spans.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional, Sequence
 
@@ -72,7 +28,7 @@ from .core import (
 from .training import STRATEGY_REGISTRY
 from .workloads import benchmark_names, get_benchmark
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "COMMANDS"]
 
 #: ``trace --backend`` choices -> Table III configurations.
 TRACE_BACKENDS = {
@@ -98,46 +54,26 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
 
 
-#: ``--steps`` help where every cell is one step-plan evaluation
-#: (``fig16`` and its ``--matrix``, ``matrix``, ``scaling``).
-_COMPAT_STEPS_HELP = ("accepted for compatibility; sizes nothing, since "
-                      "each cell is one step-plan evaluation")
+def _add_steps_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--steps", type=int, default=8,
+                        help="simulated optimizer steps per run")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Composable-system DL performance analysis "
-                    "(IPPS 2021 reproduction)")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """``--steps`` and the harness knobs: Figs. 10-15 sweep many cells."""
+    _add_steps_arg(parser)
+    _add_parallel_args(parser)
 
-    sub.add_parser("list", help="list artifacts and benchmarks")
-    for name in ("table1", "table2", "table3", "table4", "fig5"):
-        sub.add_parser(name, help=f"print {name}")
-    for name in ("fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-                 "fig15", "fig16", "sharing", "scaleout", "scaling"):
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--steps", type=int, default=8,
-                       help=_COMPAT_STEPS_HELP
-                       if name in ("fig16", "scaling")
-                       else "simulated optimizer steps per run")
-        if name.startswith("fig1"):
-            # The Figs. 10-16 sweeps run many independent cells; they
-            # take the parallel/memoized harness knobs.
-            _add_parallel_args(p)
-        if name == "fig16":
-            p.add_argument("--profile", action="store_true",
-                           help="annotate every grid cell with its "
-                                "bottleneck label (plan-level "
-                                "critical-path attribution)")
-            p.add_argument("--matrix", action="store_true",
-                           help="also print the strategy crossover "
-                                "frontier for the fig16 benchmark "
-                                "(every registered strategy on both "
-                                "backends)")
 
-    ft = sub.add_parser("fault-tolerance",
-                        help="chaos scenario vs resilient training")
+def _add_fig16_args(parser: argparse.ArgumentParser) -> None:
+    _add_parallel_args(parser)
+    parser.add_argument("--profile", action="store_true",
+                        help="annotate every grid cell with its "
+                             "bottleneck label (plan-level "
+                             "critical-path attribution)")
+
+
+def _add_fault_tolerance_args(ft: argparse.ArgumentParser) -> None:
     ft.add_argument("--benchmark", default="bert-large",
                     choices=benchmark_names())
     ft.add_argument("--config", default="falconGPUs",
@@ -153,10 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     ft.add_argument("--sweep", action="store_true",
                     help="also sweep checkpoint cadence under a port flap")
 
-    el = sub.add_parser("elasticity",
-                        help="elastic training study: resize cost, "
-                             "lost work vs checkpoint-restart, "
-                             "autoscaling policies")
+
+def _add_elasticity_args(el: argparse.ArgumentParser) -> None:
     el.add_argument("--benchmark", default="resnet50",
                     choices=benchmark_names())
     el.add_argument("--steps", type=int, default=12)
@@ -166,14 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
     el.add_argument("--output", default=None, metavar="PATH",
                     help="write the full study JSON here")
 
-    rec = sub.add_parser("recommend",
-                         help="recommend a topology for a benchmark")
+
+def _add_recommend_args(rec: argparse.ArgumentParser) -> None:
     rec.add_argument("benchmark", choices=benchmark_names())
     rec.add_argument("--steps", type=int, default=8)
     rec.add_argument("--tolerance", type=float, default=7.0,
                      help="acceptable slowdown vs fastest, percent")
 
-    train = sub.add_parser("train", help="run one training job")
+
+def _add_train_args(train: argparse.ArgumentParser) -> None:
     train.add_argument("benchmark", choices=benchmark_names())
     train.add_argument("--config", default="localGPUs",
                        choices=CONFIGURATION_ORDER)
@@ -184,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also capture spans and write a Chrome "
                             "trace_event JSON file")
 
-    trace = sub.add_parser(
-        "trace", help="trace one short run and attribute its time")
+
+def _add_trace_args(trace: argparse.ArgumentParser) -> None:
     trace.add_argument("benchmark", choices=benchmark_names())
     trace.add_argument("--backend", default="falcon",
                        choices=sorted(TRACE_BACKENDS),
@@ -203,9 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="columns for the ASCII step timeline "
                             "(clamped to [8, 400])")
 
-    fig16 = sub.add_parser(
-        "fig16-opt", help="fig16 DDP variant with the optimizing plan "
-                          "passes: exposed-sync closing the falcon gap")
+
+def _add_fig16_opt_args(fig16: argparse.ArgumentParser) -> None:
     fig16.add_argument("--steps", type=int, default=6,
                        help="simulated optimizer steps of the "
                             "--trace-out run (the table itself is one "
@@ -217,12 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "bottleneck label")
     _add_parallel_args(fig16)
 
-    autotune = sub.add_parser(
-        "autotune", help="search plan-pass parameters (bucket cap, "
-                         "chunk target, overlap on/off) per "
-                         "configuration x variant; prints the "
-                         "tuned-vs-default frontier and writes a "
-                         "reusable TUNING.json")
+
+def _add_autotune_args(autotune: argparse.ArgumentParser) -> None:
     autotune.add_argument("--smoke", action="store_true",
                           help="reduced candidate grid and cell subset "
                                "for CI")
@@ -232,10 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="directory for TUNING.json "
                                "(default: current directory)")
 
-    profile = sub.add_parser(
-        "profile", help="profile one benchmark x strategy x backend "
-                        "cell: critical-path attribution, utilization, "
-                        "what-if speedup ceilings, bottleneck verdict")
+
+def _add_profile_args(profile: argparse.ArgumentParser) -> None:
     profile.add_argument("benchmark", choices=benchmark_names())
     profile.add_argument("--backend", default="falcon",
                          choices=sorted(TRACE_BACKENDS),
@@ -265,16 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the JSON report here")
     _add_cache_args(profile)
 
-    matrix = sub.add_parser(
-        "matrix", help="strategy x model crossover matrix: every "
-                       "registered strategy on both backends, winners "
-                       "by time/sample, and the models whose winner "
-                       "flips between local and falcon")
+
+def _add_matrix_args(matrix: argparse.ArgumentParser) -> None:
     matrix.add_argument("--smoke", action="store_true",
                         help="two-model slice for CI; exits non-zero "
                              "unless a crossover model is found")
     matrix.add_argument("--steps", type=int, default=6,
-                        help=_COMPAT_STEPS_HELP)
+                        help="accepted for compatibility; sizes nothing, "
+                             "since each cell is one step-plan evaluation")
     matrix.add_argument("--models", default=None,
                         metavar="NAME[,NAME...]",
                         help="benchmark subset (default: all)")
@@ -288,11 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the full grid as JSON here")
     _add_parallel_args(matrix)
 
-    fleet = sub.add_parser(
-        "fleet", help="multi-chassis fleet study: run a seeded job "
-                      "trace through the cluster scheduler and report "
-                      "utilization, queueing delay, and spine "
-                      "contention")
+
+def _add_fleet_args(fleet: argparse.ArgumentParser) -> None:
     fleet.add_argument("--smoke", action="store_true",
                        help="small CI-sized run; also asserts the run "
                             "invariants and exits non-zero on violation")
@@ -315,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the full study JSON here")
     _add_cache_args(fleet)
 
-    plan = sub.add_parser(
-        "plan", help="compile one training step to the plan IR and "
-                     "print it without simulating")
+
+def _add_plan_args(plan: argparse.ArgumentParser) -> None:
     plan.add_argument("benchmark", choices=benchmark_names())
     plan.add_argument("--strategy", default="ddp",
                       choices=tuple(STRATEGY_REGISTRY))
@@ -341,11 +263,103 @@ def build_parser() -> argparse.ArgumentParser:
                       help="apply optimization passes before printing: "
                            "comma-separated pass names or 'all' "
                            "(bucketing, overlap, copy-fusion, chunk-size)")
+
+
+#: Every subcommand, in ``--help`` order: name -> (help, add_arguments).
+COMMANDS = {
+    "list": ("list artifacts and benchmarks", None),
+    **{name: (f"print {name}", None)
+       for name in ("table1", "table2", "table3", "table4", "fig5")},
+    "fig9": ("run the fig9 experiment", _add_steps_arg),
+    **{name: (f"run the {name} experiment", _add_sweep_args)
+       for name in ("fig10", "fig11", "fig12", "fig13", "fig14", "fig15")},
+    "fig16": ("run the fig16 experiment", _add_fig16_args),
+    "sharing": ("run the sharing experiment", _add_steps_arg),
+    "scaleout": ("run the scaleout experiment", _add_steps_arg),
+    "scaling": ("run the scaling experiment", None),
+    "fault-tolerance": ("chaos scenario vs resilient training",
+                        _add_fault_tolerance_args),
+    "elasticity": ("elastic training study: resize cost, lost work vs "
+                   "checkpoint-restart, autoscaling policies",
+                   _add_elasticity_args),
+    "recommend": ("recommend a topology for a benchmark",
+                  _add_recommend_args),
+    "train": ("run one training job", _add_train_args),
+    "trace": ("trace one short run and attribute its time",
+              _add_trace_args),
+    "fig16-opt": ("fig16 DDP variant with the optimizing plan passes: "
+                  "exposed-sync closing the falcon gap",
+                  _add_fig16_opt_args),
+    "autotune": ("search plan-pass parameters (bucket cap, chunk target, "
+                 "overlap on/off) per configuration x variant; prints the "
+                 "tuned-vs-default frontier and writes a reusable "
+                 "TUNING.json", _add_autotune_args),
+    "profile": ("profile one benchmark x strategy x backend cell: "
+                "critical-path attribution, utilization, what-if speedup "
+                "ceilings, bottleneck verdict", _add_profile_args),
+    "matrix": ("strategy x model crossover matrix: every registered "
+               "strategy on both backends, winners by time/sample, and "
+               "the models whose winner flips between local and falcon",
+               _add_matrix_args),
+    "fleet": ("multi-chassis fleet study: run a seeded job trace through "
+              "the cluster scheduler and report utilization, queueing "
+              "delay, and spine contention", _add_fleet_args),
+    "plan": ("compile one training step to the plan IR and print it "
+             "without simulating", _add_plan_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser with every subcommand, or with ``command``
+    alone (what one invocation of that command needs)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Composable-system DL performance analysis "
+                    "(IPPS 2021 reproduction)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command else COMMANDS:
+        help_text, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if add_arguments:
+            add_arguments(p)
     return parser
 
 
+def _unknown_pass(spec: Optional[str]) -> bool:
+    """Print ``error: ...`` and return True when ``--opt`` names a pass
+    that does not exist."""
+    if spec:
+        from .plan.passes import PassError, resolve_passes
+        try:
+            resolve_passes(spec)
+        except PassError as exc:
+            sys.stdout.write(f"error: {exc}\n")
+            return True
+    return False
+
+
+def _does_not_fit(exc: Exception) -> int:
+    """Print why a job could not be built, and the usual fix; exit 2."""
+    sys.stdout.write(f"error: {exc}\n"
+                     "hint: shrink --global-batch or raise --accumulation\n")
+    return 2
+
+
+def _write_json(path: str, value, announce: bool = True) -> None:
+    """``--output``: ``value`` as indented, key-sorted JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    if announce:
+        sys.stdout.write(f"wrote {path}\n")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the invoked subcommand's parser is built; `repro --help`, a
+    # missing command and a typo get the full one.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     # Imported here so `--help` stays instant.
     from .experiments import (
         count_dips,
@@ -381,9 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return {"jobs": args.jobs, "cache": result_cache()}
 
     if args.command == "list":
-        out("artifacts: table1 table2 table3 table4 fig5 fig9 fig10 "
-            "fig11 fig12 fig13 fig14 fig15 fig16 sharing "
-            "fault-tolerance elasticity fleet\n")
+        out("commands: " + " ".join(COMMANDS) + "\n")
         out("benchmarks: " + " ".join(benchmark_names()) + "\n")
         out("configurations: " + " ".join(CONFIGURATION_ORDER) + "\n")
         return 0
@@ -481,7 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ddp = time_reduction_pct(study["localGPUs"]["DDP-FP32"],
                                  study["localGPUs"]["DDP-FP16"])
         out(f"FP16 over FP32 (DDP, local): {ddp:.1f}% reduction\n")
-        if getattr(args, "profile", False):
+        if args.profile:
             from .experiments import bottleneck_labels
             grid = bottleneck_labels()
             rows = [(v, grid["localGPUs"][v]["label"],
@@ -491,10 +503,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ["Variant", "local bottleneck", "falcon bottleneck"],
                 rows, title="Fig 16 bottleneck annotation "
                             "(critical-path attribution)") + "\n")
-        if getattr(args, "matrix", False):
-            from .experiments import format_matrix, run_matrix
-            report = run_matrix(models=("bert-large",), **sweep_kwargs())
-            out("\n" + format_matrix(report) + "\n")
         return 0
 
     if args.command == "fig16-opt":
@@ -516,7 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             + "\n")
         if study.trace_path:
             out(f"wrote optimized-run trace to {study.trace_path}\n")
-        if getattr(args, "profile", False):
+        if args.profile:
             from .experiments import bottleneck_labels
             from .experiments.software_opts import (
                 OPT_PIPELINES,
@@ -639,8 +647,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "elasticity":
-        import json
-
         from .experiments import elasticity_study
         study = elasticity_study(benchmark=args.benchmark,
                                  sim_steps=args.steps, smoke=args.smoke)
@@ -804,19 +810,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "profile":
-        import json
-
         from .experiments import run_cells
         from .experiments.parallel import profile_report_cell
         from .telemetry import render_report_text
 
-        if args.opt:
-            from .plan.passes import PassError, resolve_passes
-            try:
-                resolve_passes(args.opt)
-            except PassError as exc:
-                out(f"error: {exc}\n")
-                return 2
+        if _unknown_pass(args.opt):
+            return 2
         cell = profile_report_cell(
             args.benchmark, TRACE_BACKENDS[args.backend], args.strategy,
             plan_passes=args.opt, sim_steps=args.steps,
@@ -826,10 +825,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             [report] = run_cells([cell], cache=result_cache())
         except (ValueError, MemoryError) as exc:
-            out(f"error: {exc}\n")
-            out("hint: shrink --global-batch or raise "
-                "--accumulation\n")
-            return 2
+            return _does_not_fit(exc)
         # The cell keys the resolved passes; the report shows the
         # spelling this invocation used.
         report = {**report,
@@ -838,17 +834,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out(json.dumps(report, indent=2, sort_keys=True) + "\n")
         else:
             out(render_report_text(report) + "\n")
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            if args.format != "json":  # keep stdout parseable
-                out(f"wrote {args.output}\n")
+        if args.output:  # keep a JSON stdout parseable
+            _write_json(args.output, report,
+                        announce=args.format != "json")
         return 0
 
     if args.command == "fleet":
         import dataclasses
-        import json
 
         from .core import FLEET_FOUR_CHASSIS
         from .experiments import run_cells
@@ -904,10 +896,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              for label, t in sorted(traffic.items())],
             title="cross-job spine contention (run mean)") + "\n")
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            out(f"wrote {args.output}\n")
+            _write_json(args.output, report)
         if args.smoke:
             checks = report["checks"]
             for name, ok in checks.items():
@@ -918,8 +907,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "matrix":
-        import json
-
         from .experiments import format_matrix, run_matrix
         from .experiments.matrix import MATRIX_MODELS, SMOKE_MODELS
 
@@ -934,20 +921,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out(f"error: unknown benchmark(s) {', '.join(bad)}; "
                 f"one of {', '.join(known)}\n")
             return 2
-        if args.opt:
-            from .plan.passes import PassError, resolve_passes
-            try:
-                resolve_passes(args.opt)
-            except PassError as exc:
-                out(f"error: {exc}\n")
-                return 2
+        if _unknown_pass(args.opt):
+            return 2
         report = run_matrix(models=models, strategies=strategies,
                             plan_passes=args.opt, **sweep_kwargs())
         out(format_matrix(report) + "\n")
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            out(f"wrote {args.output}\n")
+            _write_json(args.output, report.as_dict())
         if args.smoke:
             if not report.crossover_models:
                 out("matrix smoke FAILED: no model's winning strategy "
@@ -960,14 +940,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "plan":
         from .plan import diff_plans, format_diff, format_plan, validate_plan
 
-        if args.opt:
-            from .plan.passes import PassError, resolve_passes
-            try:
-                resolve_passes(args.opt)
-            except PassError as exc:
-                out(f"error: {exc}\n")
-                return 2
-
+        if _unknown_pass(args.opt):
+            return 2
         # A fresh system per compile: building the job does the whole
         # compile (costs, memory checks, plan, passes) without advancing
         # the simulation, so nothing is ever run.
@@ -978,9 +952,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             job = ComposableSystem().job(args.benchmark, args.config,
                                          args.strategy, **config)
         except (ValueError, MemoryError) as exc:
-            out(f"error: {exc}\n"
-                "hint: shrink --global-batch or raise --accumulation\n")
-            return 2
+            return _does_not_fit(exc)
         plan = job.step_plan
         out(format_plan(plan) + "\n")
         for report in job.pass_reports:

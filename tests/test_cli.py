@@ -1,10 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -94,6 +95,41 @@ class TestHelpSmoke:
         with pytest.raises(SystemExit) as exc_info:
             build_parser().parse_args(["--help"])
         assert exc_info.value.code == 0
+
+
+def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    for argv in (["list"], ["table1"]):
+        built.clear()
+        assert main(argv) == 0
+        assert built == argv
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_built_alone_matches_the_full_parser(
+            self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def help_of(parser):
+            with pytest.raises(SystemExit) as exc_info:
+                parser.parse_args([command, "--help"])
+            assert exc_info.value.code == 0
+            return capsys.readouterr().out
+
+        assert help_of(build_parser(command)) == help_of(build_parser())
+
+    def test_list_names_every_subcommand(self, capsys):
+        assert main(["list"]) == 0
+        named = capsys.readouterr().out.split()
+        assert [c for c in COMMANDS if c not in named] == []
 
 
 @pytest.mark.chaos
