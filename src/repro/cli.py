@@ -685,9 +685,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              for k, r in study["autoscalers"].items()],
             title="Autoscaling policies") + "\n")
         if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(study, fh, indent=1)
-            out(f"wrote {args.output}\n")
+            _write_json(args.output, study)
         if args.smoke:
             ok = (acc["completed"] and acc["batch_invariant"]
                   and acc["resizes"] >= 2

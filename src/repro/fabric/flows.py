@@ -32,15 +32,24 @@ This captures the two congestion phenomena the paper observes:
 - p2p traffic inside a drawer does not contend with host-port traffic
   (separate links).
 
-The scheduler's timeline pushes per-segment byte accounting into each
-link's directional counters on every update, so port ingress/egress
-rate series (paper Fig. 12) are exact for piecewise-constant rates.
+The work per event follows the rate changes, not the live flows.  A
+flow keeps ``(remaining, t0)`` and is re-anchored only when a solve
+moves its rate; its drain time then goes onto one heap, whose stale
+entries are dropped lazily.  The scheduler's timeline streams each flow
+into its segments' directional link counters as a slope: a counter
+(piecewise-linear, :class:`~repro.sim.CounterMonitor`) gains a
+breakpoint only when the aggregate rate on its direction changes, and
+its readers extrapolate along the live rate, so port ingress/egress
+rate series (paper Fig. 12) are exact for piecewise-constant rates,
+mid-run too.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from ..sim import Environment, Event
@@ -56,6 +65,18 @@ _EPSILON_BYTES = 1e-6
 #: smaller than the clock's ulp, so simulated time stops advancing and the
 #: scheduler would spin forever.
 _EPSILON_SECONDS = 1e-9
+#: Below this rate the bytes rule can drain a flow more than
+#: ``_EPSILON_SECONDS`` ahead of its drain time, so such slow flows are
+#: checked at every recompute rather than only from the heap.
+_SLOW_RATE = _EPSILON_BYTES / _EPSILON_SECONDS
+#: Heap entries due within this of now are checked against the drain
+#: rule: ``_EPSILON_SECONDS`` plus room for the rounding of
+#: ``t0 + remaining / rate``.
+_HEAP_WINDOW = 2 * _EPSILON_SECONDS
+#: Stale drain-heap entries tolerated per live flow (plus
+#: ``_HEAP_FLOOR``) before the heap is compacted.
+_HEAP_SLACK = 2
+_HEAP_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -93,26 +114,46 @@ def _link_keys(link: Link) -> tuple[tuple, tuple]:
 class Flow:
     """An active transfer streaming over a set of directed segments.
 
-    ``done`` is the completion handle of the timeline's owner: an
-    ``Event`` or a heap callback.
+    ``remaining`` is the byte count left at time ``t0``; between rate
+    changes the flow streams at ``rate`` without being touched, and
+    :meth:`remaining_at` reads it at any later time.  ``done`` is the
+    completion handle of the timeline's owner: an ``Event`` or a heap
+    callback.
     """
 
-    __slots__ = ("id", "segments", "nbytes", "remaining", "rate", "done",
-                 "label")
+    __slots__ = ("id", "segments", "nbytes", "remaining", "t0", "rate",
+                 "stamp", "done", "label")
 
     def __init__(self, flow_id: int, segments: Sequence[Segment],
-                 nbytes: float, done, label: str = ""):
+                 nbytes: float, done, t0: float, label: str = ""):
         self.id = flow_id
         self.segments = tuple(segments)
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
+        self.t0 = t0
         self.rate = 0.0
+        #: Bumped at every re-anchor; older drain-heap entries are stale.
+        self.stamp = 0
         self.done = done
         self.label = label
 
+    def remaining_at(self, now: float) -> float:
+        """Bytes left at ``now`` under the current rate."""
+        return self.remaining - self.rate * (now - self.t0)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Flow {self.id} {self.label!r} "
-                f"{self.remaining:.0f}/{self.nbytes:.0f}B @ {self.rate:.3g}B/s>")
+                f"{self.remaining:.0f}/{self.nbytes:.0f}B@{self.t0:.6g}s "
+                f"@ {self.rate:.3g}B/s>")
+
+
+def _drained(flow: Flow, now: float) -> bool:
+    """The drain rule: within ``_EPSILON_BYTES`` of empty, or within
+    ``_EPSILON_SECONDS`` of it at a positive rate."""
+    remaining = flow.remaining_at(now)
+    return (remaining <= _EPSILON_BYTES
+            or (flow.rate > 0
+                and remaining / flow.rate <= _EPSILON_SECONDS))
 
 
 class FluidTimeline:
@@ -121,8 +162,16 @@ class FluidTimeline:
     Its owner keeps the clock and the timer.  After :meth:`add`, and
     when a timer that is still :meth:`current` fires (after
     :meth:`advance`), it completes the flows :meth:`recompute` returns
-    and arms a timer for :meth:`horizon`.  ``account=True`` pushes
+    and arms a timer for :meth:`horizon`.  ``account=True`` streams
     delivered bytes into the segments' link counters (Fig. 12 traffic).
+
+    The work per event is proportional to the flows whose rate changes,
+    not to the live flows: a flow is re-anchored (``remaining`` and
+    ``t0`` brought up to the present) only when the solver moves its
+    rate, its drain time then goes onto one heap, and each link counter
+    it crosses changes slope.  Heap entries of re-anchored or finished
+    flows go stale and are dropped when they surface, or all at once
+    when they outnumber the live flows ``_HEAP_SLACK`` to one.
     """
 
     def __init__(self, now: float = 0.0, account: bool = False):
@@ -132,8 +181,12 @@ class FluidTimeline:
         self.solver = MaxMinSolver()
         self._ids = itertools.count()
         self._account = account
-        self._last_update = now
+        self._now = now
         self._generation = 0
+        #: ``(drain time, flow id, stamp)`` of the streaming flows.
+        self._drains: list = []
+        #: Live flows below ``_SLOW_RATE``, checked at every recompute.
+        self._slow: dict[int, Flow] = {}
 
     def add(self, segments: Sequence[Segment], nbytes: float, done,
             now: float, label: str = "") -> Optional[Flow]:
@@ -147,7 +200,7 @@ class FluidTimeline:
                 for seg in segments:
                     seg.counter.add(now, nbytes)
             return None
-        flow = Flow(next(self._ids), segments, nbytes, done, label)
+        flow = Flow(next(self._ids), segments, nbytes, done, now, label)
         self.advance(now)
         self.flows[flow.id] = flow
         self.solver.add(flow)
@@ -157,51 +210,124 @@ class FluidTimeline:
         """Withdraw an active flow without draining it (a killed one)."""
         del self.flows[flow.id]
         self.solver.remove(flow)
+        self._slow.pop(flow.id, None)
+        if self._account:
+            # A counter with no live flow left goes back to exactly 0.0.
+            now = self._now
+            for seg in flow.segments:
+                counter = seg.counter
+                rate = (counter.rate - flow.rate
+                        if self.solver.crosses(seg.key) else 0.0)
+                counter.set_rate(now, rate if rate > 0.0 else 0.0)
 
     def advance(self, now: float) -> None:
-        """Deliver the bytes each flow streamed since the last update."""
-        dt = now - self._last_update
-        self._last_update = now
-        if dt <= 0:
-            return
-        account = self._account
-        for flow in self.flows.values():
-            delivered = min(flow.remaining, flow.rate * dt)
-            if delivered > 0:
-                flow.remaining -= delivered
-                if account:
-                    for seg in flow.segments:
-                        seg.counter.add(now, delivered)
+        """Move the clock to ``now``; flows stream implicitly."""
+        self._now = now
 
     def recompute(self) -> list[Flow]:
         """Retire drained flows (bytes, or horizon at a positive rate,
         within epsilon, under the pre-solve rates), then re-rate the
         affected components.  Returns the drained flows in arrival order.
         """
-        drained = [flow for flow in self.flows.values()
-                   if flow.remaining <= _EPSILON_BYTES
-                   or (flow.rate > 0
-                       and flow.remaining / flow.rate <= _EPSILON_SECONDS)]
-        now = self._last_update
+        now = self._now
+        drained = self._take_drained(now)
         for flow in drained:
+            residual = flow.remaining_at(now)
             self.remove(flow)
-            if self._account and flow.remaining > 0:
-                # Account the float-rounding residual so byte
-                # conservation holds exactly on the link counters.
+            if self._account and residual > 0:
+                # Account the bytes left by an early drain.  A negative
+                # residual (a timer an ulp late) is not taken back, so
+                # byte conservation on the counters holds to float
+                # rounding.
                 for seg in flow.segments:
-                    seg.counter.add(now, flow.remaining)
-                flow.remaining = 0.0
-        self.solver.solve()
+                    seg.counter.add(now, residual)
+        changed: list = []
+        self.solver.solve(changed)
+        if changed:
+            self._reanchor(changed, now)
         return drained
+
+    def _take_drained(self, now: float) -> list[Flow]:
+        """Pop the drained flows off the heap, in arrival order.
+
+        A flow at or above ``_SLOW_RATE`` that the rule drains is due
+        within ``_EPSILON_SECONDS`` (plus rounding), so only heap entries
+        inside ``_HEAP_WINDOW`` and the slow flows need the check.
+        """
+        heap = self._drains
+        flows = self.flows
+        limit = now + _HEAP_WINDOW
+        due: list = []
+        while heap and heap[0][0] <= limit:
+            entry = heappop(heap)
+            if self._live(entry):
+                due.append(entry)
+        if not due and not self._slow:
+            return []
+        candidates = {entry[1]: flows[entry[1]] for entry in due}
+        candidates.update(self._slow)
+        drained = [flow for _fid, flow in sorted(candidates.items())
+                   if _drained(flow, now)]
+        gone = {flow.id for flow in drained}
+        for entry in due:
+            if entry[1] not in gone:
+                heappush(heap, entry)
+        return drained
+
+    def _reanchor(self, changed: list, now: float) -> None:
+        """Bring re-rated flows up to ``now`` under their old rates, push
+        their new drain times and move their counters' slopes.
+
+        ``changed`` holds one list per route class (see
+        :meth:`MaxMinSolver.solve`).  The members of a class share their
+        new rate and cross the same counters, so each counter moves once
+        per class, by an exactly rounded sum that no member order sways.
+        """
+        heap = self._drains
+        slow = self._slow
+        for moved in changed:
+            rate = moved[0][0].rate
+            for flow, old in moved:
+                flow.remaining -= old * (now - flow.t0)
+                flow.t0 = now
+                flow.stamp += 1
+                if rate > 0:
+                    heappush(heap, (now + flow.remaining / rate, flow.id,
+                                    flow.stamp))
+            if 0 < rate < _SLOW_RATE:
+                for flow, _old in moved:
+                    slow[flow.id] = flow
+            elif slow:
+                for flow, _old in moved:
+                    slow.pop(flow.id, None)
+            if self._account:
+                delta = rate * len(moved) - math.fsum(
+                    [old for _flow, old in moved])
+                if delta:
+                    for seg in moved[0][0].segments:
+                        counter = seg.counter
+                        total = counter.rate + delta
+                        counter.set_rate(now, total if total > 0.0 else 0.0)
+        if len(heap) > (1 + _HEAP_SLACK) * len(self.flows) + _HEAP_FLOOR:
+            heap[:] = [entry for entry in heap if self._live(entry)]
+            heapify(heap)
+
+    def _live(self, entry: tuple) -> Optional[Flow]:
+        """The flow of a drain-heap entry, or ``None`` if it is stale."""
+        flow = self.flows.get(entry[1])
+        return flow if flow is not None and flow.stamp == entry[2] \
+            else None
 
     def horizon(self) -> Optional[tuple[int, float]]:
         """``(generation, seconds to the next drain)``, superseding every
-        earlier timer; ``None`` when no flow is active."""
+        earlier timer; ``None`` when no flow is streaming."""
         self._generation += 1
-        if not self.flows:
-            return None
-        return self._generation, min(
-            f.remaining / f.rate for f in self.flows.values() if f.rate > 0)
+        heap = self._drains
+        while heap:
+            if self._live(heap[0]):
+                return self._generation, heap[0][0] - self._now
+            heappop(heap)
+        return None
 
     def current(self, generation: int) -> bool:
         """Whether the timer armed as ``generation`` is still the latest."""

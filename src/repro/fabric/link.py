@@ -264,7 +264,8 @@ class Link:
         self.counters[self.direction(src, dst)].add(time, nbytes)
 
     def bytes_moved(self, src: str, dst: str) -> float:
-        """Total bytes moved in the given direction so far."""
+        """Bytes moved in the given direction up to the counter's last
+        breakpoint: the final total once no flow streams on it."""
         return self.counters[self.direction(src, dst)].total
 
     def mean_rate(self, src: str, dst: str, t0: float, t1: float) -> float:

@@ -60,7 +60,7 @@ the event loop and the fast-path engine run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 __all__ = ["MaxMinSolver", "water_fill", "apply_rates"]
 
@@ -209,6 +209,10 @@ class MaxMinSolver:
         """Mark every link dirty (unknown capacity change)."""
         self._dirty_all = True
 
+    def crosses(self, key: tuple) -> bool:
+        """Whether any live flow crosses the directed-link ``key``."""
+        return key in self._classes_on
+
     def flows_on(self, *keys: tuple) -> set:
         """Union of flows crossing any of the directed-link keys."""
         out: set = set()
@@ -250,11 +254,14 @@ class MaxMinSolver:
             components.append(component)
         return components
 
-    def solve(self) -> int:
+    def solve(self, changed: Optional[list] = None) -> int:
         """Re-rate the dirty components; returns the flow count touched.
 
         Rates of flows outside the affected components are left exactly
-        as the previous solve assigned them.
+        as the previous solve assigned them.  ``changed``, when given,
+        receives one list per route class whose rate moved: the
+        ``(flow, old rate)`` pairs of its members that moved, in no
+        particular order.
         """
         if not self._dirty and not self._dirty_all:
             return 0
@@ -281,9 +288,14 @@ class MaxMinSolver:
                     fills.clear()
                 fills[signature] = rates
             for flows, rate in zip(classes, rates):
-                for flow in flows:
-                    flow.rate = rate
                 rerated += len(flows)
+                moved = [(flow, flow.rate) for flow in flows
+                         if flow.rate != rate]
+                if moved:
+                    for flow, _old in moved:
+                        flow.rate = rate
+                    if changed is not None:
+                        changed.append(moved)
         return rerated
 
     def solve_full(self) -> int:

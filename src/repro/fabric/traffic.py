@@ -80,11 +80,8 @@ def node_rate_series(topology: Topology, node: str, width: float,
         other = link.other(node)
         for direction, acc in (((other, node), ingress),
                                ((node, other), egress)):
-            counter = link.counters[direction]
-            t = np.asarray(counter._times)
-            c = np.asarray(counter._totals)
-            at_edges = np.interp(edges, t, c)
-            acc += np.diff(at_edges) / width
+            t, c = link.counters[direction].breakpoints(hi)
+            acc += np.diff(np.interp(edges, t, c)) / width
     return edges[:-1], ingress, egress
 
 

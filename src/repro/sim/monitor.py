@@ -5,9 +5,9 @@ Two collector styles are provided:
 - :class:`TimeSeries` — explicit ``record(t, value)`` samples, with
   time-weighted and plain statistics, resampling onto a regular grid,
   and windowed aggregation.  Used for utilization traces (Figs 9/10/13/14).
-- :class:`CounterMonitor` — monotonically increasing counters (bytes on a
-  port), from which rates over arbitrary windows can be derived
-  (Fig 12's ingress/egress GB/s).
+- :class:`CounterMonitor` — monotonically increasing, piecewise-linear
+  counters (bytes on a port), from which rates over arbitrary windows
+  can be derived (Fig 12's ingress/egress GB/s).
 
 Both are plain-Python with NumPy-backed summarization so that recording
 during a simulation stays cheap (append to a list) and analysis is
@@ -159,37 +159,73 @@ class TimeSeries:
 
 
 class CounterMonitor:
-    """A monotonically increasing counter (e.g. bytes through a port)."""
+    """A monotonically increasing counter (e.g. bytes through a port).
+
+    The counter is piecewise-linear: ``(time, total)`` breakpoints plus
+    one live rate, the slope after the last breakpoint.  :meth:`add`
+    lumps an amount in at one instant; :meth:`set_rate` changes the
+    slope and appends a breakpoint only when the slope really changes,
+    so a steady stream costs nothing between its rate changes.  Every
+    reader goes through :meth:`breakpoints`, which extrapolates along
+    the live rate, so a reading at the current time is exact mid-run.
+    """
 
     def __init__(self, name: str = "", unit: str = "bytes"):
         self.name = name
         self.unit = unit
         self._times: list[float] = [0.0]
         self._totals: list[float] = [0.0]
+        #: Growth per second after the last breakpoint.
+        self.rate = 0.0
 
     @property
     def total(self) -> float:
+        """The value at the last breakpoint: the final total once the
+        rate is back to 0.0 (mid-run, read ``breakpoints(now)``)."""
         return self._totals[-1]
+
+    def _settle(self, time: float) -> None:
+        """Move the last breakpoint up to ``time`` along the live rate."""
+        last = self._times[-1]
+        if time < last:
+            raise ValueError(f"non-monotonic counter time {time} < {last}")
+        if time > last:
+            self._totals.append(self._totals[-1] + self.rate * (time - last))
+            self._times.append(time)
 
     def add(self, time: float, amount: float) -> None:
         """Add ``amount`` at ``time``.  Amounts must be non-negative."""
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
-        if time < self._times[-1]:
-            raise ValueError(
-                f"non-monotonic counter time {time} < {self._times[-1]}")
-        if time == self._times[-1]:
-            self._totals[-1] += amount
-        else:
-            self._times.append(time)
-            self._totals.append(self._totals[-1] + amount)
+        self._settle(time)
+        self._totals[-1] += amount
+
+    def set_rate(self, time: float, rate: float) -> None:
+        """Grow at ``rate`` per second from ``time`` on."""
+        if rate != self.rate:
+            self._settle(time)
+            self.rate = rate
+
+    def breakpoints(self, until: Optional[float] = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(times, totals)`` of the curve, linear between points.
+
+        With ``until`` past the last breakpoint, one more point is
+        extrapolated along the live rate, so the curve covers
+        ``[0, until]``.
+        """
+        times, totals = self._times, self._totals
+        last = times[-1]
+        if until is not None and until > last:
+            times = times + [until]
+            totals = totals + [totals[-1] + self.rate * (until - last)]
+        return np.asarray(times), np.asarray(totals)
 
     def total_between(self, t0: float, t1: float) -> float:
         """Counter growth over [t0, t1], linearly interpolated."""
         if t1 < t0:
             raise ValueError("t1 must be >= t0")
-        t = np.asarray(self._times)
-        c = np.asarray(self._totals)
+        t, c = self.breakpoints(t1)
         v0, v1 = np.interp([t0, t1], t, c)
         return float(v1 - v0)
 
@@ -208,15 +244,17 @@ class CounterMonitor:
     def rate_series(self, width: float,
                     t_end: Optional[float] = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-window average rates; returns (window_starts, rates)."""
+        """Per-window average rates; returns (window_starts, rates).
+
+        ``t_end`` defaults to the last breakpoint.
+        """
         if width <= 0:
             raise ValueError("window width must be positive")
-        hi = t_end if t_end is not None else self._times[-1]
+        t, c = self.breakpoints(t_end)
+        hi = t_end if t_end is not None else t[-1]
         if hi <= 0:
             return np.array([]), np.array([])
         edges = np.arange(0.0, hi + width, width)
-        t = np.asarray(self._times)
-        c = np.asarray(self._totals)
         at_edges = np.interp(edges, t, c)
         rates = np.diff(at_edges) / width
         return edges[:-1], rates

@@ -126,11 +126,12 @@ class MetricsRegistry:
             return out
         if isinstance(metric, CounterMonitor):
             lo = 0.0 if t0 is None else t0
-            hi = metric._times[-1] if t1 is None else t1
+            times, totals = metric.breakpoints(t1)
+            hi = times[-1] if t1 is None else t1
             return {
                 "kind": "counter",
                 "unit": metric.unit,
-                "total": metric.total,
+                "total": float(totals[-1]),
                 "window_total": metric.total_between(lo, hi)
                 if hi >= lo else float("nan"),
                 "rate": metric.mean_rate(lo, hi),

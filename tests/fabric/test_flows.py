@@ -114,6 +114,77 @@ def test_traffic_accounted_on_links():
     assert link.bytes_moved("b", "a") == 0.0
 
 
+def test_an_idle_stretch_carries_no_traffic():
+    # The link idles over [1, 2] between two flows.  Its counter must
+    # change slope where the second flow starts; interpolating from the
+    # first flow's end would smear its bytes back over the idle stretch.
+    env = Environment()
+    sched = FlowScheduler(env)
+    link = make_link(10.0)
+    seg = Segment(link, "a", "b")
+
+    def late():
+        yield env.timeout(2.0)
+        yield sched.start_flow([seg], 10 * GB)
+
+    sched.start_flow([seg], 10 * GB)
+    env.process(late())
+    env.run()
+    assert env.now == pytest.approx(3.0)
+    assert link.mean_rate("a", "b", 1.0, 2.0) == 0.0
+    assert link.mean_rate("a", "b", 2.0, 3.0) == pytest.approx(10 * GB)
+
+
+#: How far a link counter's final total may sit from the bytes sent over
+#: it, relative to them.  A counter streams each flow at its rate until
+#: the flow is removed; a timer that fires an ulp past the drain time
+#: over-credits the flow by rate x ulp, which is not taken back.
+CONSERVATION_RTOL = 1e-12
+
+
+def test_link_counters_conserve_bytes_to_float_rounding():
+    # Staggered flows of uneven sizes over three links, re-rating one
+    # another, and a lone flow on a fourth link that an arrival drains
+    # 0.5 ns early, 5 B short: each counter ends at the bytes sent
+    # across it, the early drain's residual included.
+    env = Environment()
+    sched = FlowScheduler(env)
+    links = [make_link(bw, f"n{i}", f"n{i + 1}")
+             for i, bw in enumerate((10.0, 7.0, 3.0, 10.0))]
+    routes = [[Segment(links[0], "n0", "n1")],
+              [Segment(links[0], "n0", "n1"), Segment(links[1], "n1", "n2")],
+              [Segment(links[1], "n1", "n2"), Segment(links[2], "n2", "n3")],
+              [Segment(links[2], "n2", "n3")]]
+    sent = {(link.id, d): 0.0 for link in links for d in link.counters}
+
+    def sender(i):
+        for k in range(30):
+            route = routes[(i + k) % len(routes)]
+            nbytes = (1 + (7 * i + 3 * k) % 11) * GB / 3
+            for seg in route:
+                sent[(seg.link.id, (seg.src, seg.dst))] += nbytes
+            yield sched.start_flow(route, nbytes)
+            yield env.timeout(((i + k) % 4) * 0.01)
+
+    def early():
+        yield env.timeout(1.0 - 5e-10)
+        sched.start_flow([Segment(links[3], "n4", "n3")], GB)
+
+    for i in range(4):
+        env.process(sender(i))
+    sched.start_flow([Segment(links[3], "n3", "n4")], 10 * GB)
+    sent[(links[3].id, ("n3", "n4"))] = 10 * GB
+    sent[(links[3].id, ("n4", "n3"))] = GB
+    env.process(early())
+    env.run()
+    assert sched.completed == 122
+    for link in links:
+        for direction, counter in link.counters.items():
+            assert counter.rate == 0.0
+            assert counter.total == pytest.approx(
+                sent[(link.id, direction)], rel=CONSERVATION_RTOL, abs=0.0)
+
+
 def test_staggered_arrival_rate_adjustment():
     env = Environment()
     sched = FlowScheduler(env)

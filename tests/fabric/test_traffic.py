@@ -12,6 +12,7 @@ from repro.fabric import (
 )
 from repro.fabric.traffic import total_bytes_moved
 from repro.sim import Environment
+from repro.telemetry.registry import MetricsRegistry
 
 
 @pytest.fixture()
@@ -96,3 +97,36 @@ class TestTotals:
         # a->sw and sw->b both carry the 2 GB.
         assert total_bytes_moved(topo.links()) == pytest.approx(
             4 * GB, rel=1e-6)
+
+
+class TestMidRunReadings:
+    def test_a_reading_at_now_counts_the_bytes_delivered_so_far(
+            self, env, topo):
+        # No event falls between the flow's start and the probe, so the
+        # counters hold no breakpoint for the bytes streamed meanwhile:
+        # every reader must extrapolate along the live rate.
+        registry = MetricsRegistry()
+        (link,) = topo.links_of("a")
+        link.register_metrics(registry, "fabric/a")
+        readings = {}
+
+        def probe():
+            yield env.timeout(0.3)
+            now = env.now
+            (flow,) = topo.scheduler.active_flows
+            width = now / 4
+            _starts, _ingress, egress = node_rate_series(topo, "a", width,
+                                                         t_end=now)
+            summary = registry.summary("fabric/a/a->sw", 0.0, now)
+            readings.update(
+                delivered=flow.nbytes - flow.remaining_at(now),
+                counter=link.counters[("a", "sw")].total_between(0.0, now),
+                series=float(np.sum(egress) * width),
+                total=summary["total"], window=summary["window_total"])
+
+        env.process(probe())
+        run_transfer(env, topo, "a", "b", 10 * GB)
+        delivered = readings.pop("delivered")
+        assert 0 < delivered < 10 * GB
+        for reader, value in readings.items():
+            assert value == pytest.approx(delivered, rel=1e-12), reader

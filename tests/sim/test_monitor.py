@@ -161,6 +161,42 @@ class TestCounterMonitor:
         assert c.total_between(0.0, t) == pytest.approx(c.total, rel=1e-9)
 
 
+class TestCounterSlope:
+    """The live rate of a piecewise-linear counter."""
+
+    def test_only_a_real_rate_change_appends_a_breakpoint(self):
+        c = CounterMonitor()
+        c.set_rate(0.0, 10.0)
+        c.set_rate(1.0, 10.0)
+        c.set_rate(2.0, 4.0)
+        c.set_rate(3.0, 0.0)
+        times, totals = c.breakpoints()
+        assert times.tolist() == [0.0, 2.0, 3.0]
+        assert totals.tolist() == [0.0, 20.0, 24.0]
+        assert c.total == 24.0
+
+    def test_readers_extrapolate_along_the_live_rate(self):
+        c = CounterMonitor()
+        c.set_rate(1.0, 5.0)
+        times, totals = c.breakpoints(3.0)
+        assert times.tolist() == [0.0, 1.0, 3.0]
+        assert totals.tolist() == [0.0, 0.0, 10.0]
+        assert c.total_between(0.0, 3.0) == 10.0
+        assert c.mean_rate(2.0, 3.0) == 5.0
+        _starts, rates = c.rate_series(1.0, t_end=3.0)
+        np.testing.assert_allclose(rates, [0.0, 5.0, 5.0])
+        # The stored curve ends at the last breakpoint.
+        assert c.breakpoints()[0].tolist() == [0.0, 1.0]
+
+    def test_a_lump_lands_on_the_sloped_total(self):
+        c = CounterMonitor()
+        c.set_rate(0.0, 2.0)
+        c.add(3.0, 1.0)
+        assert c.breakpoints()[1].tolist() == [0.0, 7.0]
+        with pytest.raises(ValueError):
+            c.set_rate(2.0, 1.0)
+
+
 class TestWindowedEdgeCases:
     """Windowed statistics on degenerate windows (observability PR)."""
 

@@ -572,3 +572,13 @@ class TestProfileFlags:
         assert main(["trace", "mobilenetv2", "--backend", "local",
                      "--smoke", "--timeline-width", "24"]) == 0
         assert "trace OK" in capsys.readouterr().out
+
+
+def test_elasticity_output_is_key_sorted_json(capsys, tmp_path):
+    out_path = tmp_path / "elasticity.json"
+    assert main(["elasticity", "--smoke", "--output", str(out_path)]) == 0
+    assert f"wrote {out_path}\n" in capsys.readouterr().out
+    text = out_path.read_text()
+    study = json.loads(text)
+    assert study["acceptance"]["completed"]
+    assert text == json.dumps(study, indent=2, sort_keys=True) + "\n"
