@@ -11,6 +11,7 @@ from conftest import emit
 from repro.experiments import (
     TopologyRecommender,
     degraded_uplink_study,
+    gpu_config_sweep,
     reconfiguration_study,
     render_table,
     ring_placement_study,
@@ -55,10 +56,15 @@ def test_futurework_advanced_mode_and_reconfiguration(benchmark):
 
 def test_futurework_topology_recommender(benchmark):
     recommender = TopologyRecommender()
-    rec_vision = benchmark.pedantic(
-        lambda: recommender.evaluate("resnet50", sim_steps=6),
-        rounds=1, iterations=1)
-    rec_nlp = recommender.evaluate("bert-large", sim_steps=6)
+
+    def recommend(key):
+        sweep = gpu_config_sweep(benchmarks=[key], sim_steps=6)
+        return recommender.recommend_from_records(
+            list(sweep[key].values()))
+
+    rec_vision = benchmark.pedantic(lambda: recommend("resnet50"),
+                                    rounds=1, iterations=1)
+    rec_nlp = recommend("bert-large")
 
     for rec in (rec_vision, rec_nlp):
         emit(render_table(

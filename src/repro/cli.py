@@ -7,8 +7,10 @@ names every command with the benchmarks and configurations.
 Every command prints the same rows the paper's tables/figures report.
 ``trace`` writes a Chrome/Perfetto ``trace_event`` JSON (open in
 ``chrome://tracing`` or https://ui.perfetto.dev) and prints the per-step
-compute/comm/stall/checkpoint attribution; non-local backends also trace
-a local baseline and print the Fig. 11 overhead split derived from spans.
+critical-path attribution from the profiler; non-local backends also
+trace a local baseline and print the Fig. 11 overhead split per
+critical-path category.  ``recommend`` scores the ``experiment`` cells
+``fig11`` caches, so after ``fig11`` it trains nothing.
 """
 
 from __future__ import annotations
@@ -695,9 +697,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "recommend":
+        from .experiments import ResultCache
+        # Fig. 11's cells: `fig11 --steps N` fills what this reads.
+        sweep = gpu_config_sweep(benchmarks=[args.benchmark],
+                                 sim_steps=args.steps, cache=ResultCache())
         recommender = TopologyRecommender(tolerance_pct=args.tolerance)
-        recommendation = recommender.evaluate(args.benchmark,
-                                              sim_steps=args.steps)
+        recommendation = recommender.recommend_from_records(
+            list(sweep[args.benchmark].values()))
         out(render_table(
             ["Configuration", "Total s", "Samples/s", "Cost",
              "Slowdown %", "Tput/cost", "Note"],
@@ -737,34 +743,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "trace":
         from .experiments import overhead_split, traced_run
-        from .experiments.tracing import CATEGORIES
         from .telemetry import (
+            ATTRIBUTION_CATEGORIES,
             render_ascii_timeline,
             render_flame_summary,
             to_chrome_trace,
             validate_chrome_trace,
             write_chrome_trace,
         )
+        from .training.loop import WARMUP_STEPS
 
         steps = max(3, args.steps // 3) if args.smoke else args.steps
         configuration = TRACE_BACKENDS[args.backend]
 
         def show(run, label):
+            profile = run.profile
             out(render_table(
                 ["Step", "Wall ms",
-                 *(f"{c} ms" for c in CATEGORIES)],
-                run.attribution_rows(),
+                 *(f"{c} ms" for c in ATTRIBUTION_CATEGORIES)],
+                [(w.index, round(w.wall * 1e3, 3),
+                  *(round(w.attr.seconds.get(c, 0.0) * 1e3, 3)
+                    for c in ATTRIBUTION_CATEGORIES))
+                 for w in profile.steps],
                 title=f"{args.benchmark} on {label}: "
-                      "per-step attribution") + "\n")
-            split = run.mean_step_split()
-            parts = ", ".join(f"{c} {split[c] * 1e3:.3f}"
-                              for c in CATEGORIES)
-            out(f"steady step: {run.mean_step_seconds * 1e3:.3f} ms "
-                f"({parts} ms)\n")
-            out(f"span-reconstructed total: "
-                f"{run.reconstructed_total:.3f} s vs reported "
+                      "per-step attribution (critical path)") + "\n")
+            steady = profile.steady_attr
+            parts = ", ".join(f"{c} {steady.seconds.get(c, 0.0) * 1e3:.3f}"
+                              for c in ATTRIBUTION_CATEGORIES)
+            out(f"steady step: {steady.wall * 1e3:.3f} ms ({parts} ms)\n")
+            out(f"reconstructed total: "
+                f"{profile.reconstructed_total_s:.3f} s vs reported "
                 f"{run.record.total_time:.3f} s "
-                f"(error {run.reconciliation_error * 100:.3f}%)\n\n")
+                f"(rel err {profile.reconciliation_rel_err:.2e})\n\n")
 
         if args.backend == "local":
             run = traced_run(args.benchmark, configuration,
@@ -784,10 +794,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       f"(+{split.overhead_pct:.1f}% total)") + "\n\n")
 
         out(render_flame_summary(run.tracer) + "\n\n")
-        if run.steps:
-            first = run.steady_steps[0]
+        windows = run.profile.steps
+        if windows:
+            first = (windows[WARMUP_STEPS:] or windows)[0]
             out("steady-state step timeline "
-                f"(rank 0, step {first.step}):\n")
+                f"(rank 0, step {first.index}):\n")
             out(render_ascii_timeline(run.tracer, run.track,
                                       first.start, first.end,
                                       width=args.timeline_width) + "\n")

@@ -178,20 +178,28 @@ def _injector(system: ComposableSystem) -> FaultInjector:
                          falcon=system.falcon, event_log=system.mcs.log)
 
 
+def _on_global_step(ft, callback) -> None:
+    """Call ``callback(global_step, now)`` as each optimizer step of
+    every attempt completes.  An attempt ``job`` trains the run's last
+    ``job.config.sim_steps`` steps, so its step ``n`` is global step
+    ``ft.config.sim_steps - job.config.sim_steps + n``."""
+    def arm(job, attempt):
+        job.add_step_listener(lambda steps_done, now: callback(
+            ft.config.sim_steps - job.config.sim_steps + steps_done, now))
+
+    ft.on_attempt.append(arm)
+
+
 def _drop_at_step(ft, injector, node: str, at_step: int) -> None:
     """Arm a one-shot GPU drop when global step ``at_step`` completes."""
     fired = {}
-    total = ft.config.sim_steps
 
-    def arm(job, attempt):
-        def on_step(steps_done, now):
-            gstep = total - job.config.sim_steps + steps_done
-            if gstep == at_step and "done" not in fired:
-                fired["done"] = True
-                injector.apply(FaultEvent(now, "gpu_drop", f"node:{node}"))
-        job.add_step_listener(on_step)
+    def on_step(gstep, now):
+        if gstep == at_step and "done" not in fired:
+            fired["done"] = True
+            injector.apply(FaultEvent(now, "gpu_drop", f"node:{node}"))
 
-    ft.on_attempt.append(arm)
+    _on_global_step(ft, on_step)
 
 
 def _resize_at_steps(ft, schedule: dict) -> None:
@@ -202,20 +210,16 @@ def _resize_at_steps(ft, schedule: dict) -> None:
     the spare pool, where a later grow can reclaim it).
     """
     fired = set()
-    total = ft.config.sim_steps
 
-    def arm(job, attempt):
-        def on_step(steps_done, now):
-            gstep = total - job.config.sim_steps + steps_done
-            kind = schedule.get(gstep)
-            if kind is None or gstep in fired:
-                return
-            fired.add(gstep)
-            targets = (ft.gpus[-1].name,) if kind == "shrink" else ()
-            ft.request_resize(kind, targets, reason=f"scheduled@{gstep}")
-        job.add_step_listener(on_step)
+    def on_step(gstep, now):
+        kind = schedule.get(gstep)
+        if kind is None or gstep in fired:
+            return
+        fired.add(gstep)
+        targets = (ft.gpus[-1].name,) if kind == "shrink" else ()
+        ft.request_resize(kind, targets, reason=f"scheduled@{gstep}")
 
-    ft.on_attempt.append(arm)
+    _on_global_step(ft, on_step)
 
 
 def elastic_resize_run(benchmark: str = "resnet50", sim_steps: int = 10,
@@ -336,16 +340,12 @@ def autoscaler_comparison(benchmark: str = "resnet50",
 
         released = {}
 
-        def arm(job, attempt, _s=system, _ft=ft, _r=released):
-            def on_step(steps_done, now):
-                gstep = _ft.config.sim_steps - job.config.sim_steps \
-                    + steps_done
-                if gstep >= release_step and "done" not in _r:
-                    _r["done"] = True
-                    _s.inventory.detach("falcon0/gpu3")
-            job.add_step_listener(on_step)
+        def on_step(gstep, now, _s=system, _r=released):
+            if gstep >= release_step and "done" not in _r:
+                _r["done"] = True
+                _s.inventory.detach("falcon0/gpu3")
 
-        ft.on_attempt.append(arm)
+        _on_global_step(ft, on_step)
         results[label] = _record(f"autoscaler-{label}", benchmark, ft,
                                  ft.run())
     return results

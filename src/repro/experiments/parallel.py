@@ -191,8 +191,8 @@ def _strategy_spec(strategy) -> Optional[dict]:
 
     Strategies are tiny value objects whose instance dict mirrors their
     constructor signature.  A type :data:`STRATEGY_REGISTRY` does not
-    hold, or a non-JSON knob, is not cell-serializable and returns
-    ``None`` (callers then bypass the cache).
+    hold, or a non-JSON knob, cannot be rebuilt from a cell and raises
+    :class:`ValueError`.
     """
     if strategy is None:
         return None
@@ -200,12 +200,15 @@ def _strategy_spec(strategy) -> Optional[dict]:
     name = {cls: key for key, cls in STRATEGY_REGISTRY.items()}.get(
         type(strategy))
     if name is None:
-        return None
+        raise ValueError(
+            f"strategy {type(strategy).__name__} is not a "
+            f"STRATEGY_REGISTRY type; one of {tuple(STRATEGY_REGISTRY)}")
     kwargs = dict(sorted(vars(strategy).items()))
     try:
         json.dumps(kwargs)
     except (TypeError, ValueError):
-        return None
+        raise ValueError(f"strategy {name!r} has knobs that are not "
+                         f"JSON values: {kwargs!r}") from None
     return {"name": name, "kwargs": kwargs}
 
 
@@ -216,8 +219,7 @@ def _passes_spec(plan_passes):
     chunk target), not the spelling of the spec: ``"bucketing"`` and
     ``GradientBucketing(cap_bytes=25e6)`` compile different plans and
     may not alias in the cache.  Returns ``None`` for ``None`` and
-    raises for specs :func:`resolve_passes` cannot build (callers treat
-    that as not-cacheable).
+    raises for specs :func:`resolve_passes` cannot build.
     """
     if plan_passes is None:
         return None
@@ -227,16 +229,21 @@ def _passes_spec(plan_passes):
 
 def _training_cell(kind: str, benchmark: str, configuration: str,
                    strategy, policy, global_batch: Optional[int],
-                   train_kwargs: dict, **fields) -> Optional[dict]:
-    """The cell dict shared by ``experiment`` and ``step`` cells, or
-    ``None`` when the arguments are not serializable."""
+                   train_kwargs: dict, **fields) -> dict:
+    """The cell dict shared by ``experiment`` and ``step`` cells.
+
+    Raises :class:`ValueError` naming the argument a cell cannot hold:
+    an unregistered or non-JSON strategy, unresolvable ``plan_passes``,
+    or a non-JSON training kwarg.
+    """
+    from ..plan.passes import PassError
     train_kwargs = dict(sorted(train_kwargs.items()))
     if "plan_passes" in train_kwargs:
         try:
             train_kwargs["plan_passes"] = _passes_spec(
                 train_kwargs["plan_passes"])
-        except Exception:
-            return None
+        except PassError as exc:
+            raise ValueError(f"plan_passes: {exc}") from None
     cell = {
         "kind": kind,
         "benchmark": benchmark,
@@ -247,12 +254,11 @@ def _training_cell(kind: str, benchmark: str, configuration: str,
         **fields,
         "train_kwargs": train_kwargs,
     }
-    if strategy is not None and cell["strategy"] is None:
-        return None
     try:
         json.dumps(cell)
     except (TypeError, ValueError):
-        return None
+        raise ValueError(f"training kwargs are not JSON values: "
+                         f"{train_kwargs!r}") from None
     return cell
 
 
@@ -260,12 +266,11 @@ def experiment_cell(benchmark: str, configuration: str,
                     strategy=None, policy=None,
                     global_batch: Optional[int] = None,
                     sim_steps: int = 10, sim_checkpoints: int = 1,
-                    **train_kwargs) -> Optional[dict]:
+                    **train_kwargs) -> dict:
     """A cell for one :func:`~repro.experiments.run_configuration` call.
 
-    Returns ``None`` when the call cannot be expressed as a pure,
-    serializable cell (exotic strategy or non-JSON kwargs) — callers
-    fall back to running in-process without the cache.
+    Raises :class:`ValueError` when the call cannot be expressed as a
+    pure, serializable cell (see :func:`_training_cell`).
     """
     return _training_cell("experiment", benchmark, configuration,
                           strategy, policy, global_batch, train_kwargs,
@@ -276,7 +281,7 @@ def experiment_cell(benchmark: str, configuration: str,
 def step_cell(benchmark: str, configuration: str,
               strategy=None, policy=None,
               global_batch: Optional[int] = None,
-              **train_kwargs) -> Optional[dict]:
+              **train_kwargs) -> dict:
     """A cell for one evaluation of a training job's step plan.
 
     Its value is ``{"step_time", "exposed_sync", "engine"}``: the
@@ -285,8 +290,8 @@ def step_cell(benchmark: str, configuration: str,
     :func:`~repro.plan.executor.exposed_comm_seconds`), and the engine
     that produced them (``fastpath``, or ``executor`` when the fast
     path refused).  No step count: one plan evaluation is the step
-    time, so nothing is trained.  ``None`` under the same conditions
-    as :func:`experiment_cell`.
+    time, so nothing is trained.  Raises :class:`ValueError` under the
+    same conditions as :func:`experiment_cell`.
     """
     return _training_cell("step", benchmark, configuration, strategy,
                           policy, global_batch, train_kwargs)

@@ -4,7 +4,8 @@
 configured runs, and recommend the optimal system level topology for AI
 and HPC workloads."  This module is that framework over the simulator:
 
-1. run (or accept) one instrumented record per candidate configuration,
+1. accept one instrumented record per candidate configuration (the
+   ``repro recommend`` command reads them from Fig. 11's cached sweep),
 2. price each configuration — locally attached NVLink GPUs are the
    scarce premium resource, Falcon-attached GPUs the cheap flexible pool,
 3. recommend the *cheapest* configuration whose slowdown against the
@@ -17,11 +18,10 @@ decision, plus a one-line rationale per rejected candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from .runner import ExperimentRecord, run_configuration
-from .sweeps import GPU_CONFIGS, STORAGE_CONFIGS
+from .runner import ExperimentRecord
 
 __all__ = ["ResourcePricing", "ScoredConfiguration", "Recommendation",
            "TopologyRecommender"]
@@ -100,16 +100,6 @@ class TopologyRecommender:
             raise ValueError("tolerance must be non-negative")
         self.pricing = pricing or ResourcePricing()
         self.tolerance_pct = tolerance_pct
-
-    # -- entry points -----------------------------------------------------
-    def evaluate(self, benchmark: str,
-                 configurations: Iterable[str] = GPU_CONFIGS,
-                 sim_steps: int = 8) -> Recommendation:
-        """Run the candidate configurations and recommend one."""
-        records = [run_configuration(benchmark, config,
-                                     sim_steps=sim_steps)
-                   for config in configurations]
-        return self.recommend_from_records(records)
 
     def recommend_from_records(self, records: list[ExperimentRecord]
                                ) -> Recommendation:

@@ -84,8 +84,6 @@ def run_configuration(benchmark: str, configuration: str,
                       global_batch: Optional[int] = None,
                       sim_steps: int = DEFAULT_SIM_STEPS,
                       sim_checkpoints: int = 1,
-                      system: Optional[ComposableSystem] = None,
-                      tracer=None,
                       **train_kwargs) -> ExperimentRecord:
     """Run one benchmark on one configuration and collect all metrics.
 
@@ -93,7 +91,7 @@ def run_configuration(benchmark: str, configuration: str,
     are forwarded verbatim into the :class:`TrainingConfig`.  Memoized
     grids go through :func:`~repro.experiments.parallel.run_cells`.
     """
-    system = system or ComposableSystem()
+    system = ComposableSystem()
     result = system.train(
         benchmark,
         configuration=configuration,
@@ -102,9 +100,15 @@ def run_configuration(benchmark: str, configuration: str,
         global_batch=global_batch,
         sim_steps=sim_steps,
         sim_checkpoints=sim_checkpoints,
-        tracer=tracer,
         **train_kwargs,
     )
+    return experiment_record(system, benchmark, configuration, result)
+
+
+def experiment_record(system: ComposableSystem, benchmark: str,
+                      configuration: str,
+                      result: TrainingResult) -> ExperimentRecord:
+    """The record of a finished run of ``benchmark`` on ``system``."""
     collector = result.collector
     windows = result.steady_windows()
     span_total = sum(t1 - t0 for t0, t1 in windows)

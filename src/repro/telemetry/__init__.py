@@ -6,7 +6,7 @@ The subsystem has three pillars (see DESIGN.md "Observability"):
 - :mod:`repro.telemetry.registry` — namespaced metrics directory
   unifying :class:`~repro.sim.TimeSeries`, counters, and derived gauges,
 - :mod:`repro.telemetry.export` — Chrome/Perfetto trace_event JSON,
-  flat JSONL, flame summary, and span-based step attribution (Fig. 11),
+  flat JSONL, flame summary and ASCII timeline,
 - :mod:`repro.telemetry.profile` — the plan-level profiler: measured
   critical-path attribution, per-resource utilization, what-if speedup
   ceilings, and the :class:`BottleneckReport` (Figs. 11/16 diagnosis).
@@ -18,11 +18,9 @@ utilization figures (9/10/13/14); it can publish its series into a
 
 from .collector import MetricsCollector
 from .export import (
-    StepAttribution,
     flame_rows,
     render_ascii_timeline,
     render_flame_summary,
-    step_attribution,
     to_chrome_trace,
     to_jsonl,
     validate_chrome_trace,
@@ -86,8 +84,6 @@ __all__ = [
     "Track",
     "Category",
     "NULL_TRACER",
-    "StepAttribution",
-    "step_attribution",
     "flame_rows",
     "render_flame_summary",
     "render_ascii_timeline",

@@ -1,4 +1,4 @@
-"""Trace exporters and span-based attribution.
+"""Trace exporters and span summaries.
 
 Three export formats for :class:`~repro.telemetry.trace.Tracer` data:
 
@@ -13,11 +13,6 @@ Three export formats for :class:`~repro.telemetry.trace.Tracer` data:
 - **text flame summary** (:func:`render_flame_summary`): aggregate time
   per (category, name), the "where did the step go" view.
 
-:func:`step_attribution` decomposes each training step's wall time into
-compute / comm / stall / checkpoint / data from the rank-0 track's spans
-alone — the span-level reproduction of the paper's Fig. 11 overhead
-split (aggregate-subtraction replaced by direct measurement).
-
 :func:`validate_chrome_trace` is the schema check used by the CI smoke
 job and the tracer property test: structural validity plus the per-tid
 non-overlap invariant Perfetto's rendering relies on.
@@ -26,7 +21,6 @@ non-overlap invariant Perfetto's rendering relies on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -37,8 +31,6 @@ __all__ = [
     "write_chrome_trace",
     "to_jsonl",
     "validate_chrome_trace",
-    "StepAttribution",
-    "step_attribution",
     "flame_rows",
     "render_flame_summary",
     "render_ascii_timeline",
@@ -243,52 +235,8 @@ def validate_chrome_trace(trace: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Step attribution (Fig. 11 from spans)
+# Leaf spans, flame summary + ASCII timeline
 # ---------------------------------------------------------------------------
-
-#: Categories reported as explicit columns; everything else folds into
-#: ``other`` (structural/step-container spans are excluded entirely).
-_ATTRIBUTION_CATEGORIES = (Category.COMPUTE, Category.COMM, Category.STALL,
-                           Category.CHECKPOINT, Category.DATA)
-
-
-@dataclass
-class StepAttribution:
-    """Wall-time decomposition of one optimizer step (one rank's view)."""
-
-    step: int
-    start: float
-    end: float
-    #: Seconds per category; residual (uninstrumented) time lands in
-    #: ``stall`` so the categories always sum exactly to ``wall``.
-    compute: float = 0.0
-    comm: float = 0.0
-    stall: float = 0.0
-    checkpoint: float = 0.0
-    data: float = 0.0
-    other: float = 0.0
-
-    @property
-    def wall(self) -> float:
-        return self.end - self.start
-
-    @property
-    def accounted(self) -> float:
-        return (self.compute + self.comm + self.stall + self.checkpoint
-                + self.data + self.other)
-
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "wall": self.wall,
-            "compute": self.compute,
-            "comm": self.comm,
-            "stall": self.stall,
-            "checkpoint": self.checkpoint,
-            "data": self.data,
-            "other": self.other,
-        }
-
 
 def _leaf_spans(spans: list[Span]) -> list[Span]:
     """Spans (within one track) that contain no other span.
@@ -322,69 +270,6 @@ def _leaf_spans(spans: list[Span]) -> list[Span]:
     pop_finished(float("inf"))
     return leaves
 
-
-def step_attribution(tracer: Tracer, track: Track,
-                     step_name: str = "step") -> list[StepAttribution]:
-    """Decompose every step span on ``track`` into category seconds.
-
-    Only *leaf* spans contribute (a parent's time is represented by its
-    children plus residual), and any step time not covered by an
-    instrumented span is attributed to ``stall`` — so the per-step sum
-    ``compute + comm + stall + checkpoint + data + other`` equals the
-    step's wall time exactly, by construction.
-    """
-    on_track = [s for s in tracer.spans
-                if s.track == track and s.end is not None]
-    steps = sorted((s for s in on_track if s.name == step_name),
-                   key=lambda s: s.start)
-    leaves = _leaf_spans([s for s in on_track if s.name != step_name])
-    out: list[StepAttribution] = []
-    for index, span in enumerate(steps):
-        attribution = StepAttribution(
-            step=int(span.attrs.get("step", index)),
-            start=span.start, end=span.end)
-        covered = 0.0
-        for leaf in leaves:
-            lo = max(leaf.start, span.start)
-            hi = min(leaf.end, span.end)
-            if hi <= lo:
-                continue
-            _add_category(attribution, leaf.category, hi - lo)
-            covered += hi - lo
-        residual = max(0.0, attribution.wall - covered)
-        attribution.stall += residual
-        out.append(attribution)
-    return out
-
-
-def checkpoint_spans(tracer: Tracer, track: Track,
-                     name: str = "checkpoint") -> list[Span]:
-    """Top-level checkpoint spans on a track, time-ordered."""
-    return sorted((s for s in tracer.spans
-                   if s.track == track and s.name == name
-                   and s.end is not None),
-                  key=lambda s: s.start)
-
-
-def _add_category(attribution: StepAttribution, category: Category,
-                  seconds: float) -> None:
-    if category is Category.COMPUTE:
-        attribution.compute += seconds
-    elif category is Category.COMM:
-        attribution.comm += seconds
-    elif category is Category.STALL:
-        attribution.stall += seconds
-    elif category is Category.CHECKPOINT:
-        attribution.checkpoint += seconds
-    elif category is Category.DATA:
-        attribution.data += seconds
-    else:
-        attribution.other += seconds
-
-
-# ---------------------------------------------------------------------------
-# Flame summary + ASCII timeline
-# ---------------------------------------------------------------------------
 
 def flame_rows(tracer: Tracer,
                process: Optional[str] = None) -> list[dict]:

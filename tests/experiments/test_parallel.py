@@ -23,6 +23,7 @@ from repro.experiments.parallel import (
     record_from_value,
     record_to_value,
     run_cells,
+    step_cell,
 )
 from repro.training import (
     STRATEGY_REGISTRY,
@@ -89,7 +90,8 @@ class TestKeying:
         json.dumps(cell)  # still fully serializable
 
     def test_unresolvable_passes_disable_the_cell(self):
-        assert cheap_cell(plan_passes="no-such-pass") is None
+        with pytest.raises(ValueError, match="plan_passes"):
+            cheap_cell(plan_passes="no-such-pass")
 
     @pytest.mark.parametrize(
         "source",
@@ -146,7 +148,20 @@ class TestKeying:
     def test_unserializable_strategy_disables_the_cell(self):
         strategy = ShardedDataParallel()
         strategy.scribble = object()  # not JSONable
-        assert cheap_cell(strategy=strategy) is None
+        with pytest.raises(ValueError, match="strategy 'sharded'"):
+            cheap_cell(strategy=strategy)
+
+    @pytest.mark.parametrize("build", [experiment_cell, step_cell],
+                             ids=["experiment", "step"])
+    def test_bad_arguments_raise_naming_them(self, build):
+        # A cell builder never hands run_cells a None: each argument a
+        # cell cannot hold raises, naming it.
+        with pytest.raises(ValueError, match="plan_passes"):
+            build("resnet50", "localGPUs", plan_passes="voodoo")
+        with pytest.raises(ValueError, match="strategy object"):
+            build("resnet50", "localGPUs", strategy=object())
+        with pytest.raises(ValueError, match="training kwargs"):
+            build("resnet50", "localGPUs", transport_penalty={1: object()})
 
 
 #: A non-default constructor knob for every registry strategy.
@@ -183,8 +198,10 @@ class TestStrategySpec:
         class CustomDDP(DistributedDataParallel):
             pass
 
-        assert _strategy_spec(CustomDDP()) is None
-        assert cheap_cell(strategy=CustomDDP()) is None
+        with pytest.raises(ValueError, match="CustomDDP"):
+            _strategy_spec(CustomDDP())
+        with pytest.raises(ValueError, match="CustomDDP"):
+            cheap_cell(strategy=CustomDDP())
 
 
 class TestCacheRoundTrip:

@@ -1,7 +1,10 @@
-"""Tests for traced runs, span attribution, and the Fig. 11 split.
+"""Tests for traced runs, their critical-path attribution, and the
+Fig. 11 split.
 
-The PR's acceptance bound lives here: the per-step span sum must
-reconcile with ``TrainingResult.total_time`` within 1%.
+A traced run is profiled by :func:`~repro.telemetry.profile_run`, so its
+attribution is the profiler's: per-step categories tile each step
+window, and the reconstructed total matches ``TrainingResult.total_time``
+to float rounding.
 """
 
 import json
@@ -16,8 +19,12 @@ from repro.experiments.export import (
     summarize_trace,
     write_records,
 )
-from repro.experiments.tracing import CATEGORIES
-from repro.telemetry import to_chrome_trace, validate_chrome_trace
+from repro.experiments.profiling import profile_cell
+from repro.telemetry import (
+    ATTRIBUTION_CATEGORIES,
+    to_chrome_trace,
+    validate_chrome_trace,
+)
 from repro.training.loop import WARMUP_STEPS
 
 
@@ -33,31 +40,44 @@ def split():
 
 
 class TestTracedRun:
-    def test_reconciles_within_one_percent(self, local_run):
-        assert local_run.reconciliation_error < 0.01
-        assert local_run.reconstructed_total == pytest.approx(
-            local_run.record.total_time, rel=0.01)
+    def test_reconciles_to_float_rounding(self, local_run):
+        profile = local_run.profile
+        assert profile.reconciliation_rel_err <= 1e-9
+        assert profile.reconstructed_total_s == pytest.approx(
+            local_run.record.total_time, rel=1e-9)
 
     def test_one_attribution_per_step(self, local_run):
-        assert len(local_run.steps) == 5
-        assert [s.step for s in local_run.steps] == list(range(5))
+        assert len(local_run.profile.steps) == 5
+        assert [w.index for w in local_run.profile.steps] == list(range(5))
 
     def test_steady_steps_exclude_warmup(self, local_run):
-        assert len(local_run.steady_steps) == 5 - WARMUP_STEPS
+        steps = local_run.profile.steps
+        steady = steps[WARMUP_STEPS:]
+        assert len(steady) == 5 - WARMUP_STEPS
+        mean_wall = sum(w.wall for w in steady) / len(steady)
+        assert local_run.profile.steady_attr.wall == pytest.approx(
+            mean_wall, rel=1e-12)
 
     def test_categories_sum_to_wall_every_step(self, local_run):
-        for step in local_run.steps:
-            assert step.accounted == pytest.approx(step.wall, rel=1e-6)
+        for window in local_run.profile.steps:
+            assert set(window.attr.seconds) <= set(ATTRIBUTION_CATEGORIES)
+            assert sum(window.attr.seconds.values()) == pytest.approx(
+                window.wall, rel=1e-9)
 
     def test_mean_split_covers_step(self, local_run):
-        split = local_run.mean_step_split()
-        assert set(split) == set(CATEGORIES)
-        assert sum(split.values()) == pytest.approx(
-            local_run.mean_step_seconds, rel=1e-6)
+        steady = local_run.profile.steady_attr
+        assert set(steady.seconds) <= set(ATTRIBUTION_CATEGORIES)
+        assert steady.total == pytest.approx(steady.wall, rel=1e-9)
+        assert local_run.record.step_time == pytest.approx(
+            steady.wall, rel=1e-9)
 
     def test_checkpoint_spans_captured(self, local_run):
-        assert len(local_run.checkpoint_seconds) == 1
-        assert local_run.mean_checkpoint_seconds == pytest.approx(
+        spans = [s for s in local_run.tracer.spans
+                 if s.track == local_run.track and s.name == "checkpoint"]
+        (window,) = local_run.profile.checkpoints
+        assert len(spans) == 1
+        assert window.wall == pytest.approx(spans[0].duration, rel=1e-9)
+        assert window.wall == pytest.approx(
             local_run.record.checkpoint_time, rel=0.01)
 
     def test_trace_exports_valid(self, local_run):
@@ -71,18 +91,36 @@ class TestTracedRun:
         assert any(e["ph"] == "i" for e in trace["traceEvents"])
 
 
+def test_trace_and_profile_report_one_attribution():
+    # `repro trace` and `repro profile` read one attribution: the same
+    # cell and step count give equal steady seconds per category.
+    run = traced_run("bert-large", "falconGPUs", sim_steps=3)
+    report = profile_cell("bert-large", "falconGPUs", sim_steps=3,
+                          evaluate_what_ifs=False)
+    traced = run.profile.steady_attr
+    profiled = report.run_profile.steady_attr
+    assert set(traced.seconds) == set(profiled.seconds)
+    assert traced.seconds["contention"] > 0  # the composed fabric's cost
+    for category, seconds in profiled.seconds.items():
+        assert traced.seconds[category] == pytest.approx(seconds,
+                                                         rel=1e-12)
+    assert traced.contention_by_source == pytest.approx(
+        profiled.contention_by_source, rel=1e-12)
+    assert run.profile.reconciliation_rel_err <= 1e-9
+
+
 class TestOverheadSplit:
     def test_falcon_is_slower_and_comm_dominates(self, split):
         assert split.overhead_pct > 0
         rows = {r[0]: r for r in split.split_rows()}
-        assert set(rows) == set(CATEGORIES)
+        assert set(rows) == set(ATTRIBUTION_CATEGORIES)
         # Fig. 11: composed overhead is communication, not compute
         assert rows["comm"][4] > 50.0  # share %
         assert rows["comm"][3] > 0  # delta ms
 
     def test_both_runs_reconcile(self, split):
-        assert split.baseline.reconciliation_error < 0.01
-        assert split.composed.reconciliation_error < 0.01
+        assert split.baseline.profile.reconciliation_rel_err <= 1e-9
+        assert split.composed.profile.reconciliation_rel_err <= 1e-9
 
 
 class TestSummaryEmbedding:

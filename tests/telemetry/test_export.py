@@ -1,4 +1,4 @@
-"""Tests for trace exporters and attribution (repro.telemetry.export)."""
+"""Tests for trace exporters and span summaries (repro.telemetry.export)."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.telemetry import (
     Track,
     render_ascii_timeline,
     render_flame_summary,
-    step_attribution,
     to_chrome_trace,
     to_jsonl,
     validate_chrome_trace,
@@ -152,33 +151,6 @@ class TestLeafSpans:
         fwd.close()
         leaves = _leaf_spans(tracer.spans)
         assert [s.name for s in leaves] == ["forward"]
-
-
-class TestStepAttribution:
-    def test_categories_sum_to_wall(self):
-        _, tracer = build_simple_trace()
-        (step,) = step_attribution(tracer, TRACK)
-        assert step.wall == pytest.approx(4.0)
-        assert step.accounted == pytest.approx(step.wall)
-        assert step.compute == pytest.approx(3.0)
-        assert step.comm == pytest.approx(1.0)
-
-    def test_uninstrumented_time_lands_in_stall(self):
-        clock = FakeClock()
-        tracer = Tracer(clock)
-        step = tracer.span("step", Category.OTHER, TRACK, step=0)
-        fwd = tracer.span("forward", Category.COMPUTE, TRACK)
-        clock.now = 1.0
-        fwd.close()
-        clock.now = 3.0  # two seconds nothing was instrumented
-        step.close()
-        (attr,) = step_attribution(tracer, TRACK)
-        assert attr.stall == pytest.approx(2.0)
-        assert attr.accounted == pytest.approx(attr.wall)
-
-    def test_only_requested_track(self):
-        _, tracer = build_simple_trace()
-        assert step_attribution(tracer, Track("host0", "gpu9")) == []
 
 
 class TestRendering:

@@ -75,6 +75,30 @@ class TestSimulationCommands:
         assert "recommended" in out
         assert "->" in out
 
+    def test_recommend_reads_the_fig11_cells(self, capsys, monkeypatch,
+                                             tmp_path):
+        # Once the Fig. 11 sweep has filled the default cache,
+        # `recommend` at its default --steps trains nothing and prints
+        # what a cold run prints.
+        from repro.experiments import ResultCache, gpu_config_sweep
+        from repro.experiments.parallel import CACHE_DIR_ENV
+        from repro.training.loop import TrainingJob
+
+        assert main(["recommend", "bert-large"]) == 0
+        cold = capsys.readouterr().out
+
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "fig11"))
+        gpu_config_sweep(benchmarks=["bert-large"], sim_steps=8,
+                         cache=ResultCache())
+
+        def no_training(self):
+            raise AssertionError("recommend trained a job")
+
+        monkeypatch.setattr(TrainingJob, "start", no_training)
+        assert main(["recommend", "bert-large"]) == 0
+        assert capsys.readouterr().out == cold
+        assert "recommended = localGPUs" in cold
+
 
 class TestHelpSmoke:
     def test_every_subcommand_help_exits_zero(self, capsys):
@@ -163,8 +187,8 @@ class TestTraceCommand:
                      "--steps", "4"]) == 0
         out = capsys.readouterr().out
         assert "Fig 11 split" in out
-        assert "comm" in out
-        assert "span-reconstructed total" in out
+        assert "comm" in out and "contention" in out
+        assert "reconstructed total" in out
 
     def test_trace_validates_backend(self):
         with pytest.raises(SystemExit):
