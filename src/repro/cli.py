@@ -56,9 +56,20 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
 
 
-def _add_steps_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--steps", type=int, default=8,
-                        help="simulated optimizer steps per run")
+def _positive_int(text: str) -> int:
+    """argparse ``type``: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _add_steps_arg(parser: argparse.ArgumentParser,
+                   default: Optional[int] = 8,
+                   help: str = "simulated optimizer steps per run") -> None:
+    """``--steps``; every command takes it through :func:`_positive_int`."""
+    parser.add_argument("--steps", type=_positive_int, default=default,
+                        help=help)
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
@@ -80,7 +91,7 @@ def _add_fault_tolerance_args(ft: argparse.ArgumentParser) -> None:
                     choices=benchmark_names())
     ft.add_argument("--config", default="falconGPUs",
                     choices=CONFIGURATION_ORDER)
-    ft.add_argument("--steps", type=int, default=8)
+    _add_steps_arg(ft)
     ft.add_argument("--interval", type=int, default=2,
                     help="checkpoint every N optimizer steps")
     ft.add_argument("--seed", type=int, default=None,
@@ -95,7 +106,7 @@ def _add_fault_tolerance_args(ft: argparse.ArgumentParser) -> None:
 def _add_elasticity_args(el: argparse.ArgumentParser) -> None:
     el.add_argument("--benchmark", default="resnet50",
                     choices=benchmark_names())
-    el.add_argument("--steps", type=int, default=12)
+    _add_steps_arg(el, default=12)
     el.add_argument("--smoke", action="store_true",
                     help="small run for CI; also verifies the batch "
                          "invariant and exits non-zero on violation")
@@ -105,7 +116,7 @@ def _add_elasticity_args(el: argparse.ArgumentParser) -> None:
 
 def _add_recommend_args(rec: argparse.ArgumentParser) -> None:
     rec.add_argument("benchmark", choices=benchmark_names())
-    rec.add_argument("--steps", type=int, default=8)
+    _add_steps_arg(rec)
     rec.add_argument("--tolerance", type=float, default=7.0,
                      help="acceptable slowdown vs fastest, percent")
 
@@ -114,7 +125,7 @@ def _add_train_args(train: argparse.ArgumentParser) -> None:
     train.add_argument("benchmark", choices=benchmark_names())
     train.add_argument("--config", default="localGPUs",
                        choices=CONFIGURATION_ORDER)
-    train.add_argument("--steps", type=int, default=10)
+    _add_steps_arg(train, default=10)
     train.add_argument("--export", default=None,
                        help="write the record to a .json or .csv file")
     train.add_argument("--trace-out", default=None,
@@ -129,7 +140,7 @@ def _add_trace_args(trace: argparse.ArgumentParser) -> None:
                        help="GPU attachment to trace (default: falcon; "
                             "non-local backends also trace a local "
                             "baseline for the overhead split)")
-    trace.add_argument("--steps", type=int, default=10)
+    _add_steps_arg(trace, default=10)
     trace.add_argument("--trace-out", default=None,
                        help="write the Chrome trace_event JSON here")
     trace.add_argument("--smoke", action="store_true",
@@ -142,10 +153,10 @@ def _add_trace_args(trace: argparse.ArgumentParser) -> None:
 
 
 def _add_fig16_opt_args(fig16: argparse.ArgumentParser) -> None:
-    fig16.add_argument("--steps", type=int, default=6,
-                       help="simulated optimizer steps of the "
-                            "--trace-out run (the table itself is one "
-                            "plan evaluation per pipeline)")
+    _add_steps_arg(fig16, default=6,
+                   help="simulated optimizer steps of the --trace-out "
+                        "run (the table itself is one plan evaluation "
+                        "per pipeline)")
     fig16.add_argument("--trace-out", default=None,
                        help="write a Chrome trace of the optimized run")
     fig16.add_argument("--profile", action="store_true",
@@ -172,9 +183,9 @@ def _add_profile_args(profile: argparse.ArgumentParser) -> None:
                          help="GPU attachment (default: falcon)")
     profile.add_argument("--strategy", default="ddp",
                          choices=tuple(STRATEGY_REGISTRY))
-    profile.add_argument("--steps", type=int, default=None,
-                         help="simulated optimizer steps (default: the "
-                              "training config's)")
+    _add_steps_arg(profile, default=None,
+                   help="simulated optimizer steps (default: the "
+                        "training config's)")
     profile.add_argument("--opt", default=None, metavar="PASS[,PASS...]",
                          help="apply optimization passes before "
                               "profiling (names or 'all')")
@@ -200,9 +211,9 @@ def _add_matrix_args(matrix: argparse.ArgumentParser) -> None:
     matrix.add_argument("--smoke", action="store_true",
                         help="two-model slice for CI; exits non-zero "
                              "unless a crossover model is found")
-    matrix.add_argument("--steps", type=int, default=6,
-                        help="accepted for compatibility; sizes nothing, "
-                             "since each cell is one step-plan evaluation")
+    _add_steps_arg(matrix, default=6,
+                   help="accepted for compatibility; sizes nothing, "
+                        "since each cell is one step-plan evaluation")
     matrix.add_argument("--models", default=None,
                         metavar="NAME[,NAME...]",
                         help="benchmark subset (default: all)")
@@ -338,6 +349,15 @@ def _unknown_pass(spec: Optional[str]) -> bool:
             sys.stdout.write(f"error: {exc}\n")
             return True
     return False
+
+
+def _unknown_names(kind: str, names, known) -> bool:
+    """Print ``error: ...`` and return True if a name is not ``known``."""
+    bad = [name for name in names if name not in known]
+    if bad:
+        sys.stdout.write(f"error: unknown {kind} {', '.join(bad)}; "
+                         f"one of {', '.join(known)}\n")
+    return bool(bad)
 
 
 def _does_not_fit(exc: Exception) -> int:
@@ -924,13 +944,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       if args.strategies else None)
         if models is None:
             models = SMOKE_MODELS if args.smoke else MATRIX_MODELS
-        known = benchmark_names()
-        bad = [m for m in models if m not in known]
-        if bad:
-            out(f"error: unknown benchmark(s) {', '.join(bad)}; "
-                f"one of {', '.join(known)}\n")
-            return 2
-        if _unknown_pass(args.opt):
+        if (_unknown_names("benchmark(s)", models, benchmark_names())
+                or _unknown_names("strategy(ies)", strategies or (),
+                                  tuple(STRATEGY_REGISTRY))
+                or _unknown_pass(args.opt)):
             return 2
         report = run_matrix(models=models, strategies=strategies,
                             plan_passes=args.opt, **sweep_kwargs())

@@ -7,10 +7,10 @@ synchronization and checkpointing.  This module runs each benchmark with
 several checkpoints and returns the sampled utilization trace, plus
 helpers to detect the dips programmatically.
 
-The tracer is two-phase: a short probe run estimates the steady step
-time, then the main run samples at one-step granularity — the paper's
-wandb sampling is similarly coarse relative to a step, which is what
-makes the plateau smooth and the checkpoint dips sharp.
+The tracer is two-phase: one evaluation of the job's step plan gives
+the steady step time, then the run samples at one-step granularity —
+the paper's wandb sampling is similarly coarse relative to a step, which
+is what makes the plateau smooth and the checkpoint dips sharp.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ComposableSystem
+from ..plan.fastpath import evaluate_plan
 from ..training import DistributedDataParallel
 
 __all__ = ["UtilizationTrace", "gpu_utilization_trace", "count_dips"]
@@ -55,11 +56,10 @@ class UtilizationTrace:
 
 
 def _probe_step_time(benchmark: str, configuration: str) -> float:
-    system = ComposableSystem()
-    result = system.train(benchmark, configuration=configuration,
-                          strategy=DistributedDataParallel(),
-                          sim_steps=4, sim_checkpoints=0)
-    return result.step_time
+    """The DDP step time: one evaluation of the job's step plan."""
+    job = ComposableSystem().job(benchmark, configuration,
+                                 DistributedDataParallel())
+    return evaluate_plan(job.step_plan, job._exec_ctx).makespan
 
 
 def gpu_utilization_trace(benchmark: str, configuration: str = "localGPUs",
@@ -69,7 +69,7 @@ def gpu_utilization_trace(benchmark: str, configuration: str = "localGPUs",
     """Train with periodic checkpoints and return the utilization trace.
 
     ``sample_interval=None`` (default) samples at one-step granularity,
-    estimated by a short probe run.
+    the makespan of one step-plan evaluation.
     """
     if sample_interval is None:
         sample_interval = max(1e-3, _probe_step_time(benchmark,

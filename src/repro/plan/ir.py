@@ -161,7 +161,8 @@ class Collective(Op):
     validator's rank-symmetry pass.
 
     ``group`` restricts the collective to a subset of world ranks
-    (``None`` = world-wide): a sorted tuple of world rank indices that
+    (``None`` = world-wide, which :class:`PlanBuilder` also stores for a
+    group of every rank): a sorted tuple of world rank indices that
     rendezvous on their own sub-communicator.  ``root`` stays a *world*
     rank index and must be a group member.  This is how 2D parallelism
     expresses intra-TP-group vs. cross-DP-group communicators.
@@ -433,6 +434,8 @@ class PlanBuilder:
                 raise PlanError(f"rank {rank} not in its group {group}")
             if root is not None and root not in group:
                 raise PlanError(f"root {root} not in group {group}")
+            if len(group) == self.world_size:
+                group = None
         return self._add(Collective, rank, name, deps, comm=comm,
                          bytes=nbytes, root=root, payload=payload,
                          category=category, group=group, traced=traced)

@@ -99,24 +99,20 @@ class PassReport:
 class PassManager:
     """Run an ordered pipeline of passes, validating after each one."""
 
-    def __init__(self, passes: Sequence[PlanPass], validate: bool = True):
+    def __init__(self, passes: Sequence[PlanPass]):
         for p in passes:
             if not isinstance(p, PlanPass):
                 raise PassError(f"not a PlanPass: {p!r}")
         self.passes = list(passes)
-        self.validate = validate
         self.reports: list[PassReport] = []
 
     def run(self, plan: StepPlan,
             ctx: Optional[PassContext] = None) -> StepPlan:
         ctx = ctx or PassContext()
-        if self.validate:
-            assert_valid(plan)
+        assert_valid(plan)
         self.reports = []
         for p in self.passes:
-            rewritten = p.run(plan, ctx)
-            if self.validate:
-                assert_valid(rewritten)
+            rewritten = assert_valid(p.run(plan, ctx))
             self.reports.append(PassReport(
                 pass_name=p.name, ops_before=len(plan),
                 ops_after=len(rewritten),

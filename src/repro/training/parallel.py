@@ -1,8 +1,8 @@
 """Parallel training strategies as *plan compilers*: DP, DDP, sharded,
-and pipeline.
+pipeline, tensor, 2D (tensor x data) and fully sharded.
 
 These reproduce the software-level optimization axis of the paper's
-§V-C.4 / Fig. 16:
+§V-C.4 / Fig. 16, and extend it to the strategy matrix:
 
 - :class:`DataParallel` (PyTorch ``nn.DataParallel``): one master GPU
   broadcasts parameters every iteration and gathers all gradients back —
@@ -19,6 +19,11 @@ These reproduce the software-level optimization axis of the paper's
   stages; it exists here to prove the compiler/executor split pays — the
   strategy is *only* a plan compiler, and the generic executor runs it
   unchanged.
+- :class:`TwoDParallel` (Megatron-style): tensor parallelism inside
+  rank blocks, data parallelism across them; :class:`TensorParallel` is
+  its one-block case.
+- :class:`FullyShardedDataParallel` (ZeRO-3): parameters all-gathered
+  per unit before use, gradients reduce-scattered per unit.
 
 Each strategy provides a *memory model* (what fits on a 16 GB V100) and a
 *step compiler* (:meth:`ParallelStrategy.compile_step`), which emits a
@@ -528,106 +533,6 @@ def _boundary_activation_bytes(costs: StepCosts, samples: float) -> float:
     return per_layer * samples
 
 
-class TensorParallel(ParallelStrategy):
-    """Megatron-style tensor parallelism as a pure plan compiler.
-
-    Every rank holds ``1/N`` of each layer's parameters and runs the
-    *full* batch through its shard.  The model's layers are grouped into
-    ``layer_groups`` column/row-parallel blocks; after each block's
-    forward the sharded outputs are assembled with an **all-gather**
-    (column-parallel ``g`` operator), and each block's backward ends in
-    an **all-reduce** of the input gradients (row-parallel ``f``
-    operator) — the two conjugate collectives of Megatron-LM §3.  Rank 0
-    ingests the batch and an in-plan broadcast fans the input out.
-
-    Weight gradients are rank-local (each rank owns its shard outright),
-    so TP moves *zero* gradient bytes — its communication bill is
-    per-layer activation traffic, which scales with batch rather than
-    parameter count.  Memory: weights/grads/optimizer state divide by
-    the world size, while layer outputs stay replicated (only autograd's
-    saved intermediates shard with the weights).
-    """
-
-    name = "tp"
-    sharded = True
-
-    def __init__(self, layer_groups: int = 4):
-        if layer_groups < 1:
-            raise ValueError("layer_groups must be >= 1")
-        self.layer_groups = layer_groups
-
-    # -- batch placement ---------------------------------------------------
-    def rank_batch(self, global_batch: int, world_size: int) -> int:
-        """Every rank sees the whole batch (the weights are what shard)."""
-        return global_batch
-
-    def input_ranks(self, world_size: int) -> tuple:
-        """Rank 0 ingests; the in-plan broadcast distributes."""
-        return (0,)
-
-    # -- memory model ------------------------------------------------------
-    def memory_per_gpu(self, model: ModelGraph, policy: PrecisionPolicy,
-                       batch_per_gpu: int, world_size: int) -> float:
-        weights = model.weight_bytes(policy.compute) / world_size
-        grads = model.gradient_bytes(policy.compute) / world_size
-        opt = _optimizer_state_bytes(model, policy) / world_size
-        # Layer outputs are assembled on every rank (replicated); the
-        # autograd extras beyond them shard with the weights.
-        factor = 1.0 + (activation_factor(model) - 1.0) / world_size
-        activations = (model.activation_bytes_per_sample(policy.compute)
-                       * batch_per_gpu * factor)
-        return (FRAMEWORK_OVERHEAD_BYTES + weights + grads + opt
-                + activations)
-
-    # -- step compiler -----------------------------------------------------
-    def compile_step(self, ctx: CompileContext) -> StepPlan:
-        costs = ctx.costs
-        world = ctx.world_size
-        groups = self.layer_groups
-        boundary = _boundary_activation_bytes(costs, costs.batch_per_gpu)
-        b = PlanBuilder(f"{self.name}-step", world,
-                        meta={"strategy": self.name,
-                              "layer_groups": groups})
-        b.declare_conservation(
-            "input", ctx.accumulation * world * boundary)
-        b.declare_conservation(
-            "activations",
-            ctx.accumulation * world * groups * 2.0 * boundary)
-        for rank in range(world):
-            prev = None
-            for _ in range(ctx.accumulation):
-                # Rank 0 holds the micro-batch; everyone receives it.
-                prev = b.collective(
-                    rank, "input-bcast", "broadcast", boundary, root=0,
-                    deps=[prev] if prev else (), payload="input")
-                for g in range(groups):
-                    fwd = self._compute_op(
-                        b, rank, f"forward-g{g}", costs,
-                        costs.forward_flops / (groups * world),
-                        costs.forward_hbm_bytes / (groups * world),
-                        deps=[prev])
-                    # Column-parallel output assembly.
-                    prev = b.collective(rank, "act-gather", "all_gather",
-                                        boundary, deps=[fwd],
-                                        payload="activations")
-                for g in reversed(range(groups)):
-                    bwd = self._compute_op(
-                        b, rank, f"backward-g{g}", costs,
-                        costs.backward_flops / (groups * world),
-                        costs.backward_hbm_bytes / (groups * world),
-                        deps=[prev])
-                    # Row-parallel input-gradient reduction.
-                    prev = b.collective(rank, "grad-input-reduce",
-                                        "allreduce", boundary,
-                                        deps=[bwd],
-                                        payload="activations")
-            # Weight gradients are shard-local: no gradient collective.
-            opt = self._optimizer_op(b, rank, costs, deps=[prev],
-                                     shard=1.0 / world)
-            self._overhead_op(b, rank, costs, deps=[opt])
-        return b.build()
-
-
 class TwoDParallel(ParallelStrategy):
     """Tensor x data hybrid over a ``tp_degree x dp`` rank grid.
 
@@ -639,7 +544,15 @@ class TwoDParallel(ParallelStrategy):
     all-reduce (1/tp of the gradients per rank) strides across the
     chassis/fleet fabric.  Both flavours are emitted as *grouped*
     plan-IR collectives, each rendezvousing on its own
-    sub-communicator.
+    sub-communicator; a group of every rank is the world communicator.
+
+    Inside a TP group (Megatron-LM §3) each member holds ``1/tp`` of
+    every layer and runs its replica's whole batch slice, which the
+    group's leader ingests and broadcasts.  Each of ``layer_groups``
+    blocks ends its forward in an **all-gather** of the sharded outputs
+    and its backward in an **all-reduce** of the input gradients.
+    Weights, grads and optimizer state divide by ``tp``; layer outputs
+    stay replicated.
     """
 
     name = "2d"
@@ -654,47 +567,49 @@ class TwoDParallel(ParallelStrategy):
         self.layer_groups = layer_groups
 
     # -- the rank grid -----------------------------------------------------
-    def _dp_degree(self, world_size: int) -> int:
-        if world_size % self.tp_degree != 0:
+    def _grid(self, world_size: int) -> tuple:
+        """``(tp, dp)``: ranks per TP group (``tp_degree=None`` puts
+        every rank in one) and the number of TP groups."""
+        tp = self.tp_degree or world_size
+        if world_size % tp != 0:
             raise ValueError(
-                f"world size {world_size} not divisible by tp_degree "
-                f"{self.tp_degree}")
-        return world_size // self.tp_degree
+                f"world size {world_size} not divisible by tp_degree {tp}")
+        return tp, world_size // tp
 
     def tp_group(self, rank: int, world_size: int) -> tuple:
         """The contiguous TP block this rank belongs to."""
-        self._dp_degree(world_size)
-        d = rank // self.tp_degree
-        return tuple(range(d * self.tp_degree, (d + 1) * self.tp_degree))
+        tp, _ = self._grid(world_size)
+        d = rank // tp
+        return tuple(range(d * tp, (d + 1) * tp))
 
     def dp_group(self, rank: int, world_size: int) -> tuple:
         """The strided cross-replica group this rank belongs to."""
-        dp = self._dp_degree(world_size)
-        t = rank % self.tp_degree
-        return tuple(t + d * self.tp_degree for d in range(dp))
+        tp, dp = self._grid(world_size)
+        return tuple(rank % tp + d * tp for d in range(dp))
 
     # -- batch placement ---------------------------------------------------
     def rank_batch(self, global_batch: int, world_size: int) -> int:
         """Each DP replica (one TP group) takes its slice of the batch."""
-        dp = self._dp_degree(world_size)
+        _, dp = self._grid(world_size)
         if global_batch % dp != 0:
-            raise ValueError(
-                f"global batch {global_batch} not divisible by "
-                f"dp degree {dp}")
+            raise ValueError(f"global batch {global_batch} not divisible "
+                             f"by dp degree {dp}")
         return global_batch // dp
 
     def input_ranks(self, world_size: int) -> tuple:
         """Each TP group's leader ingests its replica's batch slice."""
-        dp = self._dp_degree(world_size)
-        return tuple(d * self.tp_degree for d in range(dp))
+        tp, dp = self._grid(world_size)
+        return tuple(d * tp for d in range(dp))
 
     # -- memory model ------------------------------------------------------
     def memory_per_gpu(self, model: ModelGraph, policy: PrecisionPolicy,
                        batch_per_gpu: int, world_size: int) -> float:
-        tp = self.tp_degree
+        tp, _ = self._grid(world_size)
         weights = model.weight_bytes(policy.compute) / tp
         grads = model.gradient_bytes(policy.compute) / tp
         opt = _optimizer_state_bytes(model, policy) / tp
+        # Layer outputs are assembled on every rank (replicated); the
+        # autograd extras beyond them shard with the weights.
         factor = 1.0 + (activation_factor(model) - 1.0) / tp
         activations = (model.activation_bytes_per_sample(policy.compute)
                        * batch_per_gpu * factor)
@@ -705,29 +620,25 @@ class TwoDParallel(ParallelStrategy):
     def compile_step(self, ctx: CompileContext) -> StepPlan:
         costs = ctx.costs
         world = ctx.world_size
-        tp = self.tp_degree
-        dp = self._dp_degree(world)
+        tp, dp = self._grid(world)
         groups = self.layer_groups
         boundary = _boundary_activation_bytes(costs, costs.batch_per_gpu)
         grad_shard = costs.gradient_bytes / tp
         b = PlanBuilder(f"{self.name}-step", world,
                         meta={"strategy": self.name, "tp_degree": tp,
                               "dp_degree": dp, "layer_groups": groups})
+        b.declare_conservation("input", ctx.accumulation * world * boundary)
         b.declare_conservation(
-            "input", ctx.accumulation * world * boundary)
-        b.declare_conservation(
-            "activations",
-            ctx.accumulation * world * groups * 2.0 * boundary)
-        b.declare_conservation("gradients", world * grad_shard)
+            "activations", ctx.accumulation * world * groups * 2.0 * boundary)
+        if dp > 1:
+            b.declare_conservation("gradients", world * grad_shard)
         for rank in range(world):
             tgroup = self.tp_group(rank, world)
-            dgroup = self.dp_group(rank, world)
-            leader = tgroup[0]
             prev = None
             for _ in range(ctx.accumulation):
                 prev = b.collective(
                     rank, "input-bcast", "broadcast", boundary,
-                    root=leader, group=tgroup,
+                    root=tgroup[0], group=tgroup,
                     deps=[prev] if prev else (), payload="input")
                 for g in range(groups):
                     fwd = self._compute_op(
@@ -735,9 +646,9 @@ class TwoDParallel(ParallelStrategy):
                         costs.forward_flops / (groups * tp),
                         costs.forward_hbm_bytes / (groups * tp),
                         deps=[prev])
+                    # Column-parallel output assembly.
                     prev = b.collective(rank, "act-gather", "all_gather",
-                                        boundary, group=tgroup,
-                                        deps=[fwd],
+                                        boundary, group=tgroup, deps=[fwd],
                                         payload="activations")
                 for g in reversed(range(groups)):
                     bwd = self._compute_op(
@@ -745,20 +656,40 @@ class TwoDParallel(ParallelStrategy):
                         costs.backward_flops / (groups * tp),
                         costs.backward_hbm_bytes / (groups * tp),
                         deps=[prev])
+                    # Row-parallel input-gradient reduction.
                     prev = b.collective(rank, "grad-input-reduce",
                                         "allreduce", boundary,
                                         group=tgroup, deps=[bwd],
                                         payload="activations")
-            # Each rank owns 1/tp of the gradients; average that shard
-            # across its DP group (chained after the last TP collective
-            # so the comm stream order is deterministic).
-            prev = b.collective(rank, "grad-allreduce", "allreduce",
-                                grad_shard, group=dgroup, deps=[prev],
-                                payload="gradients")
+            if dp > 1:
+                # Average this rank's 1/tp gradient shard across its DP
+                # group, after the last TP collective (stream order).
+                prev = b.collective(rank, "grad-allreduce", "allreduce",
+                                    grad_shard,
+                                    group=self.dp_group(rank, world),
+                                    deps=[prev], payload="gradients")
             opt = self._optimizer_op(b, rank, costs, deps=[prev],
                                      shard=1.0 / tp)
             self._overhead_op(b, rank, costs, deps=[opt])
         return b.build()
+
+
+class TensorParallel(TwoDParallel):
+    """Megatron-style tensor parallelism: the 2D grid with one TP group.
+
+    Each rank owns its ``1/N`` weight shard outright, so TP moves no
+    gradient bytes: its traffic is per-layer activations, which scale
+    with batch rather than parameter count.
+    """
+
+    name = "tp"
+    #: The TP group spans the world, whatever its size.
+    tp_degree = None
+
+    def __init__(self, layer_groups: int = 4):
+        if layer_groups < 1:
+            raise ValueError("layer_groups must be >= 1")
+        self.layer_groups = layer_groups
 
 
 class FullyShardedDataParallel(ParallelStrategy):

@@ -3,21 +3,27 @@
 Hypothesis builds small plans whose events collide on purpose: kernels
 of a few fixed sizes (so stream ends coincide), delays of one or two
 kernels, many roots, world and pair-group collectives, barriers, copies
-and storage I/O against a shallow command queue.  Every plan must
-either run on the fast path with per-op times equal to the event-loop
-executor's at 1e-9, or be refused with a typed reason.  The
+and storage I/O against a shallow command queue.  A pair at world 2
+names every rank, so the builder puts it on the world communicator; a
+proper subgroup is a pair at world 3.  The same plans also run behind
+an elastic-resize reshard (``splice_plans(compile_reshard(...), plan)``):
+replica restores and a shard re-partition, then the plan.  Every plan
+must either run on the fast path with per-op times equal to the
+event-loop executor's at 1e-9, or be refused with a typed reason.  The
 counterexamples that keep refusals in the fast path are pinned.
 
 Run it deeper with ``--hypothesis-profile=deep`` (registered in
 ``tests/conftest.py``).
 """
 
+import itertools
 import re
 
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.plan import FastPathUnsupported, PlanBuilder, evaluate_plan
+from repro.plan.reshard import compile_reshard, splice_plans
 
 from .test_fastpath import _compute, make_ctx
 from .test_fastpath_refusals import (
@@ -59,7 +65,10 @@ def tie_plans(draw):
         name = f"op{slot}"
         kind = draw(st.sampled_from(LOCAL_KINDS + SHARED_KINDS))
         if kind in SHARED_KINDS:
-            group = (0, 1) if kind == "pair" and world >= 2 else None
+            group = None
+            if kind == "pair" and world >= 2:
+                group = draw(st.sampled_from(
+                    list(itertools.combinations(range(world), 2))))
             comm = draw(st.sampled_from(COLLECTIVES))
             nbytes = draw(st.sampled_from((0.0, 1e6, 4e6)))
             for rank in group or range(world):
@@ -96,14 +105,23 @@ def tie_plans(draw):
     return b.build(), depth
 
 
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(tie_plans())
-@example((cross_rank_storage_tie_plan(), 1))
-@example((differently_released_stream_tie_plan(), 32))
-@example((jointly_released_stream_tie_plan(), 32))
-@example((differently_released_rendezvous_tie_plan(), 32))
-def test_fast_path_agrees_or_refuses(case):
-    plan, depth = case
+@st.composite
+def spliced_plans(draw):
+    """``(plan, queue_depth)``: a tie plan behind a random reshard."""
+    plan, depth = draw(tie_plans())
+    new = [f"gpu{rank}" for rank in range(plan.world_size)]
+    survivors = draw(st.lists(st.sampled_from(new), min_size=1,
+                              unique=True))
+    departed = draw(st.lists(st.sampled_from(("gone0", "gone1")),
+                             unique=True))
+    reshard = compile_reshard(
+        new, survivors + departed,
+        replica_bytes=draw(st.sampled_from((0.0, 1e6, 4e6))),
+        shard_bytes=draw(st.sampled_from((0.0, 1e6))))
+    return splice_plans(reshard, plan), depth
+
+
+def _agrees_or_refuses(plan, depth):
     # The fast path is pure, so the executor leg can reuse its context.
     ctx = make_ctx(world=plan.world_size, queue_depth=depth)
     try:
@@ -114,3 +132,19 @@ def test_fast_path_agrees_or_refuses(case):
         event(f"refused: {reason.group()}")
         return
     event("agreed")
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tie_plans())
+@example((cross_rank_storage_tie_plan(), 1))
+@example((differently_released_stream_tie_plan(), 32))
+@example((jointly_released_stream_tie_plan(), 32))
+@example((differently_released_rendezvous_tie_plan(), 32))
+def test_fast_path_agrees_or_refuses(case):
+    _agrees_or_refuses(*case)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spliced_plans())
+def test_reshard_spliced_plans_agree_or_refuse(case):
+    _agrees_or_refuses(*case)

@@ -91,6 +91,22 @@ class TestBuilderGroupValidation:
     def test_valid_group_accepted(self):
         self.build(group=(0, 1), root=1)
 
+    @pytest.mark.parametrize("world", [1, 2, 4])
+    def test_group_of_every_rank_is_the_world_communicator(self, world):
+        b = PlanBuilder("p", world_size=world)
+        every = tuple(range(world))
+        for rank in every:
+            b.collective(rank, "c", "broadcast", 1e6, root=0, group=every)
+        plan = b.build()
+        assert [op.group for op in plan] == [None] * world
+        assert list(sync_sequences(plan)) == [None]
+
+    def test_proper_subgroup_is_kept(self):
+        b = PlanBuilder("p", world_size=3)
+        for rank in (0, 1):
+            b.collective(rank, "c", "allreduce", 1e6, group=(0, 1))
+        assert [op.group for op in b.build()] == [(0, 1)] * 2
+
 
 # -- communicator subgroups --------------------------------------------------
 

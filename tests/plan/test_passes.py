@@ -72,17 +72,6 @@ class TestPassManager:
         with pytest.raises(PlanValidationError):
             PassManager([Desync()]).run(_ddp_like_plan())
 
-    def test_validate_false_skips_the_net(self):
-        class Noop(PlanPass):
-            name = "noop"
-
-            def run(self, plan, ctx):
-                return plan
-
-        plan = _ddp_like_plan()
-        out = PassManager([Noop()], validate=False).run(plan)
-        assert out.meta["opt"] == "noop"
-
     def test_reports_and_meta_stamp(self):
         manager = PassManager([GradientBucketing(cap_bytes=25e6)])
         out = manager.run(_ddp_like_plan())

@@ -606,3 +606,46 @@ def test_elasticity_output_is_key_sorted_json(capsys, tmp_path):
     study = json.loads(text)
     assert study["acceptance"]["completed"]
     assert text == json.dumps(study, indent=2, sort_keys=True) + "\n"
+
+
+#: The positional arguments each command needs to parse.
+_POSITIONALS = {"recommend": ["bert-large"], "train": ["resnet50"],
+                "trace": ["resnet50"], "profile": ["bert-large"],
+                "plan": ["bert-large"]}
+
+
+def _takes_steps(command: str) -> bool:
+    args = build_parser(command).parse_args(
+        [command, *_POSITIONALS.get(command, [])])
+    return hasattr(args, "steps")
+
+
+class TestBadArguments:
+    """Bad arguments print one ``error:`` line and exit 2, never a
+    traceback."""
+
+    @pytest.mark.parametrize("steps", ["0", "-2", "four"])
+    @pytest.mark.parametrize(
+        "command", [c for c in COMMANDS if _takes_steps(c)])
+    def test_steps_must_be_a_positive_integer(self, capsys, command,
+                                              steps):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, *_POSITIONALS.get(command, []),
+                  "--steps", steps])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --steps: {steps!r} is not a positive integer" \
+            in err
+
+    def test_every_steps_command_is_checked(self):
+        takes = {c for c in COMMANDS if _takes_steps(c)}
+        assert {"fig9", "sharing", "scaleout", "train", "trace",
+                "fault-tolerance", "elasticity", "recommend",
+                "matrix"} <= takes
+
+    def test_matrix_rejects_an_unknown_strategy(self, capsys):
+        assert main(["matrix", "--models", "resnet50",
+                     "--strategies", "ddp,foo"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: unknown strategy(ies) foo; one of ")
+        assert out.count("\n") == 1

@@ -149,3 +149,30 @@ def test_compile_memo_distinguishes_layer_groups():
     build_job(TensorParallel(layer_groups=4))
     build_job(TensorParallel(layer_groups=2))
     assert plan_compile_stats() == {"hits": 0, "misses": 2}
+
+
+def _op_shape(plan):
+    return [(op.uid, op.kind, getattr(op, "bytes", None), op.deps,
+             getattr(op, "group", None)) for op in plan]
+
+
+@pytest.mark.parametrize("accumulation", [1, 2])
+def test_tp_is_the_2d_grid_with_one_tensor_group(accumulation):
+    tp = build_job(TensorParallel(),
+                   accumulation_steps=accumulation).step_plan
+    grid = build_job(TwoDParallel(tp_degree=WORLD),
+                     accumulation_steps=accumulation).step_plan
+    assert _op_shape(grid) == _op_shape(tp)
+    # One data group: no gradient allreduce, and every tensor
+    # collective runs on the world communicator.
+    assert gradient_wire_bytes(grid) == 0.0
+    assert {op.group for op in grid if isinstance(op, Collective)} == {None}
+    assert "gradients" not in grid.meta["conservation"]
+    assert (tp.meta["tp_degree"], tp.meta["dp_degree"]) == (WORLD, 1)
+
+
+def test_tp_inherits_the_grid_rather_than_redefining_it():
+    for name in ("compile_step", "memory_per_gpu", "rank_batch",
+                 "input_ranks"):
+        assert name not in vars(TensorParallel), name
+    assert vars(TensorParallel()) == {"layer_groups": 4}
