@@ -41,7 +41,7 @@ TRACE_BACKENDS = {
 
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     """``--jobs``/``--no-cache``/``--cache-dir`` for the sweep commands."""
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="run sweep cells across N worker processes")
     _add_cache_args(parser)
 
@@ -61,6 +61,14 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse ``type``: an integer of at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative integer")
     return int(text)
 
 
@@ -92,8 +100,8 @@ def _add_fault_tolerance_args(ft: argparse.ArgumentParser) -> None:
     ft.add_argument("--config", default="falconGPUs",
                     choices=CONFIGURATION_ORDER)
     _add_steps_arg(ft)
-    ft.add_argument("--interval", type=int, default=2,
-                    help="checkpoint every N optimizer steps")
+    ft.add_argument("--interval", type=_non_negative_int, default=2,
+                    help="checkpoint every N optimizer steps (0: never)")
     ft.add_argument("--seed", type=int, default=None,
                     help="randomized scenario seed (default: scripted "
                          "cable-pull scenario)")
@@ -189,7 +197,7 @@ def _add_profile_args(profile: argparse.ArgumentParser) -> None:
     profile.add_argument("--opt", default=None, metavar="PASS[,PASS...]",
                          help="apply optimization passes before "
                               "profiling (names or 'all')")
-    profile.add_argument("--global-batch", type=int, default=None,
+    profile.add_argument("--global-batch", type=_positive_int, default=None,
                          help="override the benchmark's native global "
                               "batch (memory-hungry strategies may "
                               "need a smaller one)")
@@ -258,7 +266,7 @@ def _add_plan_args(plan: argparse.ArgumentParser) -> None:
                       choices=tuple(STRATEGY_REGISTRY))
     plan.add_argument("--config", default="localGPUs",
                       choices=CONFIGURATION_ORDER)
-    plan.add_argument("--global-batch", type=int, default=None,
+    plan.add_argument("--global-batch", type=_positive_int, default=None,
                       help="override the benchmark's default global batch")
     plan.add_argument("--accumulation", type=int, default=1,
                       help="gradient-accumulation micro-steps (shrinks "

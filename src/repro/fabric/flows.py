@@ -13,14 +13,28 @@ That timeline is written once, as the clock-agnostic
 runs it on the event loop (``env.timeout`` timers, ``Event``
 completions, link traffic accounting), and the fast-path plan engine
 (:mod:`repro.plan.fastpath`) runs it from its own event heap without
-touching the fabric.  Both stream at the same recompute points with the
-same floats.
+touching the fabric.  Both stream at the same points with the same
+floats.
+
+Rates are solved once per simulated instant.  Every event that adds,
+kills or retrains retires the drained flows at once, judged under the
+rates in force before the instant (:meth:`FluidTimeline.retire`); the
+solve, the re-anchor and the next drain timer follow once, after the
+instant's last event (:meth:`FluidTimeline.resolve`): on the event loop
+at the lowest priority, :attr:`~repro.sim.Environment.LAST`, and on the
+fast path at the end of the instant's heap entries.  A rate set
+between two events of one instant would last no time, so nothing is
+solved for it.  The drain timer takes the queue slot (event id, heap
+sequence number) of the instant's last retire, so it orders among
+same-time events as a timer armed at that retire would.  A reader that
+needs the rates in the middle of an instant solves first, as
+:meth:`FlowScheduler.assert_rates_equivalent` does.
 
 Rate assignment is **incremental** (:class:`~repro.fabric.maxmin.
 MaxMinSolver`): a flow add/remove/kill or a capacity change re-solves
 only the affected connected component of the contention graph, so a
 fleet of independent jobs sharing one scheduler stays O(component), not
-O(all flows), per event.  The batch water-filler
+O(all flows), per instant.  The batch water-filler
 (:func:`~repro.fabric.maxmin.water_fill`) is kept as the reference
 oracle: call :meth:`FlowScheduler.assert_rates_equivalent` to
 cross-check the incremental state at 1e-9.
@@ -67,7 +81,7 @@ _EPSILON_BYTES = 1e-6
 _EPSILON_SECONDS = 1e-9
 #: Below this rate the bytes rule can drain a flow more than
 #: ``_EPSILON_SECONDS`` ahead of its drain time, so such slow flows are
-#: checked at every recompute rather than only from the heap.
+#: checked at every retire rather than only from the heap.
 _SLOW_RATE = _EPSILON_BYTES / _EPSILON_SECONDS
 #: Heap entries due within this of now are checked against the drain
 #: rule: ``_EPSILON_SECONDS`` plus room for the rounding of
@@ -159,11 +173,13 @@ def _drained(flow: Flow, now: float) -> bool:
 class FluidTimeline:
     """Active flows, their fair rates and drain horizons, clock-agnostic.
 
-    Its owner keeps the clock and the timer.  After :meth:`add`, and
-    when a timer that is still :meth:`current` fires (after
-    :meth:`advance`), it completes the flows :meth:`recompute` returns
-    and arms a timer for :meth:`horizon`.  ``account=True`` streams
-    delivered bytes into the segments' link counters (Fig. 12 traffic).
+    Its owner keeps the clock and the timer.  After :meth:`add`, a
+    kill or a capacity change, and when a timer that is still
+    :meth:`current` fires (after :meth:`advance`), it completes the
+    flows :meth:`retire` returns.  Once per instant, after the last
+    event at it, it calls :meth:`resolve` and arms the timer that
+    returns.  ``account=True`` streams delivered bytes into the
+    segments' link counters (Fig. 12 traffic).
 
     The work per event is proportional to the flows whose rate changes,
     not to the live flows: a flow is re-anchored (``remaining`` and
@@ -185,7 +201,7 @@ class FluidTimeline:
         self._generation = 0
         #: ``(drain time, flow id, stamp)`` of the streaming flows.
         self._drains: list = []
-        #: Live flows below ``_SLOW_RATE``, checked at every recompute.
+        #: Live flows below ``_SLOW_RATE``, checked at every retire.
         self._slow: dict[int, Flow] = {}
 
     def add(self, segments: Sequence[Segment], nbytes: float, done,
@@ -224,11 +240,13 @@ class FluidTimeline:
         """Move the clock to ``now``; flows stream implicitly."""
         self._now = now
 
-    def recompute(self) -> list[Flow]:
-        """Retire drained flows (bytes, or horizon at a positive rate,
-        within epsilon, under the pre-solve rates), then re-rate the
-        affected components.  Returns the drained flows in arrival order.
+    def retire(self) -> list[Flow]:
+        """Retire the drained flows (bytes, or horizon at a positive
+        rate, within epsilon, under the rates of the last
+        :meth:`resolve`).  Returns them in arrival order.  Supersedes
+        every armed timer.
         """
+        self._generation += 1
         now = self._now
         drained = self._take_drained(now)
         for flow in drained:
@@ -241,11 +259,25 @@ class FluidTimeline:
                 # rounding.
                 for seg in flow.segments:
                     seg.counter.add(now, residual)
+        return drained
+
+    def resolve(self) -> Optional[tuple[int, float]]:
+        """Re-rate the affected components and re-anchor the flows whose
+        rate moved.  Returns the timer for the next drain, ``(generation,
+        seconds)``, current until the next :meth:`retire`; ``None`` when
+        no flow is streaming.
+        """
+        now = self._now
         changed: list = []
         self.solver.solve(changed)
         if changed:
             self._reanchor(changed, now)
-        return drained
+        heap = self._drains
+        while heap:
+            if self._live(heap[0]):
+                return self._generation, heap[0][0] - now
+            heappop(heap)
+        return None
 
     def _take_drained(self, now: float) -> list[Flow]:
         """Pop the drained flows off the heap, in arrival order.
@@ -318,17 +350,6 @@ class FluidTimeline:
         return flow if flow is not None and flow.stamp == entry[2] \
             else None
 
-    def horizon(self) -> Optional[tuple[int, float]]:
-        """``(generation, seconds to the next drain)``, superseding every
-        earlier timer; ``None`` when no flow is streaming."""
-        self._generation += 1
-        heap = self._drains
-        while heap:
-            if self._live(heap[0]):
-                return self._generation, heap[0][0] - self._now
-            heappop(heap)
-        return None
-
     def current(self, generation: int) -> bool:
         """Whether the timer armed as ``generation`` is still the latest."""
         return generation == self._generation
@@ -348,6 +369,10 @@ class FlowScheduler:
         self._timeline = FluidTimeline(env.now, account=True)
         #: Completed flow count (introspection / tests).
         self.completed = 0
+        #: Whether the instant's solve is queued, and the event id its
+        #: drain timer takes.
+        self._resolving = False
+        self._slot = 0
 
     @property
     def active_flows(self) -> list[Flow]:
@@ -407,19 +432,36 @@ class FlowScheduler:
 
     # -- equivalence oracle ------------------------------------------------
     def assert_rates_equivalent(self, rtol: float = 1e-9) -> None:
-        """Cross-check current rates against batch water-filling."""
+        """Cross-check current rates against batch water-filling (the
+        instant's pending solve runs first)."""
+        self._resolve()
         self._timeline.solver.assert_equivalent(rtol)
 
     # -- internals -------------------------------------------------------
     def _settle(self) -> None:
-        """Complete drained flows, then arm the timer for the next drain."""
-        for flow in self._timeline.recompute():
+        """Complete drained flows and queue the instant's solve.
+
+        The drain timer that solve arms takes the queue slot of the
+        instant's last settle, so it orders among same-time events as a
+        timer armed right here would.
+        """
+        for flow in self._timeline.retire():
             self.completed += 1
             flow.done.succeed(flow.nbytes)
-        timer = self._timeline.horizon()
+        self._slot = self.env.reserve()
+        if not self._resolving:
+            self._resolving = True
+            self.env.defer(self._resolve)
+
+    def _resolve(self, _event=None) -> None:
+        """Solve once for the instant and arm the next drain timer."""
+        if not self._resolving:
+            return
+        self._resolving = False
+        timer = self._timeline.resolve()
         if timer is not None:
             generation, seconds = timer
-            self.env.timeout(seconds).callbacks.append(
+            self.env.timeout(seconds, eid=self._slot).callbacks.append(
                 lambda _evt: self._on_timer(generation))
 
     def _on_timer(self, generation: int) -> None:

@@ -11,8 +11,9 @@ water-filling arithmetic but makes it *incremental*:
 - :class:`MaxMinSolver` maintains per-directed-link route-class indexes
   plus a dirty set, and re-solves only the **connected components** of
   the contention graph touched by a flow add/remove or a capacity
-  change.  A component whose shape it has filled before is not filled
-  again: the stored rates are replayed.
+  change.  A component of one route class is rated in closed form; one
+  whose shape it has filled before is not filled again: the stored
+  rates are replayed.
 
 Why the component solve is exact
 --------------------------------
@@ -51,6 +52,17 @@ capacity misses even if nobody touched its link.  The memo lives on the
 solver (one per fluid timeline, so a finished system's shapes die with
 it) and is cleared when it reaches :data:`_MEMO_ENTRIES`.
 
+Why the one-class closed form is exact
+--------------------------------------
+A component that holds a single route class has every member on every
+one of its links, so the first bottleneck is the link of least
+capacity and it freezes them all at ``capacity / members``.  Dividing
+by the same count is monotone under rounding, so the least quotient
+``water_fill`` finds is ``min(capacities) / members`` bit for bit: a
+dead link gives 0.0, all-unbounded links give ``inf``.  Such components
+are nearly every solve on the e2e workloads, and they skip the
+signature and the memo.
+
 A flow object is anything with a ``segments`` sequence (each segment
 exposing ``key`` — the hashable directed-capacity identity — and
 ``capacity``) and a writable ``rate``, such as the
@@ -66,6 +78,7 @@ __all__ = ["MaxMinSolver", "water_fill", "apply_rates"]
 
 #: Component fills one solver remembers before it starts over.
 _MEMO_ENTRIES = 4096
+_INF = float("inf")
 
 
 def _route(flow) -> tuple:
@@ -133,7 +146,7 @@ class MaxMinSolver:
 
     The owner registers every active flow (:meth:`add` / :meth:`remove`),
     reports capacity changes (:meth:`touch` / :meth:`touch_all`), and
-    calls :meth:`solve` at each recompute point.  Only flows in
+    calls :meth:`solve` once per instant.  Only flows in
     contention-graph components reachable from a dirty link are re-rated;
     all other flows keep their previously assigned rates.  Flows on the
     same route form one class, and the index, the component walk and
@@ -272,21 +285,31 @@ class MaxMinSolver:
         fills = self._fills
         rerated = 0
         for component in components:
-            component.sort()
-            classes = [members[cid] for cid in component]
-            firsts = [next(iter(flows)) for flows in classes]
-            signature = tuple(
-                (cid, len(flows), tuple([seg.capacity
-                                         for seg in first.segments]))
-                for cid, flows, first in zip(component, classes, firsts))
-            rates = fills.get(signature)
-            if rates is None:
-                fill = water_fill(
-                    [flow for flows in classes for flow in flows])
-                rates = tuple([fill[first] for first in firsts])
-                if len(fills) >= _MEMO_ENTRIES:
-                    fills.clear()
-                fills[signature] = rates
+            if len(component) == 1:
+                # One route class: the first bottleneck freezes every
+                # member at the smallest capacity over the member count.
+                flows = members[component[0]]
+                classes = (flows,)
+                rates = (min([seg.capacity
+                              for seg in next(iter(flows)).segments],
+                             default=_INF) / len(flows),)
+            else:
+                component.sort()
+                classes = [members[cid] for cid in component]
+                firsts = [next(iter(flows)) for flows in classes]
+                signature = tuple(
+                    (cid, len(flows), tuple([seg.capacity
+                                             for seg in first.segments]))
+                    for cid, flows, first in zip(component, classes,
+                                                 firsts))
+                rates = fills.get(signature)
+                if rates is None:
+                    fill = water_fill(
+                        [flow for flows in classes for flow in flows])
+                    rates = tuple([fill[first] for first in firsts])
+                    if len(fills) >= _MEMO_ENTRIES:
+                        fills.clear()
+                    fills[signature] = rates
             for flows, rate in zip(classes, rates):
                 rerated += len(flows)
                 moved = [(flow, flow.rate) for flow in flows

@@ -24,15 +24,16 @@ in the identical order:
 - every transfer pays ``transfer_overhead + route.latency`` and then
   streams through one global
   :class:`~repro.fabric.flows.FluidTimeline` — the same timeline class
-  ``FlowScheduler`` runs — recomputed at the same points (every flow
-  arrival, every completion horizon);
+  ``FlowScheduler`` runs — retired at the same points (every flow
+  arrival, every completion horizon) and solved once per instant, after
+  the instant's last event, as the event loop's lowest priority does;
 - storage I/O mirrors the queue-depth admission of ``StorageDevice``
   and pays the fixed latency and streamed bytes of
   :func:`~repro.plan.ir.storage_leg`.
 
-Because the recompute points and the arithmetic are the same floats in
-the same order, the computed timeline *is* the event-loop timeline — not
-merely close to it.  Where the kernel may order a same-instant tie
+Because the retire and solve points and the arithmetic are the same
+floats in the same order, the computed timeline *is* the event-loop
+timeline — not merely close to it.  Where the kernel may order a same-instant tie
 otherwise and the order would change a time (see
 :meth:`_Engine._check_ties`), or a watchdog races a completion, the
 engine refuses with :class:`FastPathUnsupported` instead of guessing, and
@@ -211,6 +212,10 @@ class _Engine:
         self._last_io_ready: Optional[float] = None
         # Global fluid timeline; it accounts no link traffic.
         self._timeline = FluidTimeline()
+        # Whether the instant's solve is queued, and the heap slot its
+        # drain timer takes.
+        self._resolving = False
+        self._slot = 0
 
     # -- event plumbing ---------------------------------------------------
     def _schedule(self, time: float, fn) -> None:
@@ -478,14 +483,25 @@ class _Engine:
             self._settle(now)
 
     def _settle(self, now: float) -> None:
-        """Complete drained flows, then arm the timer for the next drain."""
-        for flow in self._timeline.recompute():
+        """Complete drained flows and queue the instant's solve, after
+        every other event at ``now``; its drain timer takes the heap
+        slot of the instant's last settle."""
+        for flow in self._timeline.retire():
             self._schedule(now, flow.done)
-        timer = self._timeline.horizon()
+        self._seq += 1
+        self._slot = self._seq
+        if not self._resolving:
+            self._resolving = True
+            heappush(self._heap, (now, math.inf, self._resolve))
+
+    def _resolve(self, now: float) -> None:
+        """Solve once for the instant and arm the next drain timer."""
+        self._resolving = False
+        timer = self._timeline.resolve()
         if timer is not None:
             generation, seconds = timer
-            self._schedule(now + seconds,
-                           lambda t: self._on_timer(t, generation))
+            heappush(self._heap, (now + seconds, self._slot,
+                                  lambda t: self._on_timer(t, generation)))
 
     def _on_timer(self, now: float, generation: int) -> None:
         if self._timeline.current(generation):

@@ -174,14 +174,15 @@ class Timeout(Event):
 
     __slots__ = ("_delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float, value: Any = None,
+                 eid: Optional[int] = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
         self._delay = delay
         self._ok = True
         self._value = value
-        env._schedule(self, delay=delay)
+        env._schedule(self, delay=delay, eid=eid)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Timeout delay={self._delay}>"
@@ -374,6 +375,8 @@ class Environment:
     URGENT = 0
     #: Default priority.
     NORMAL = 1
+    #: Priority for events that run after every other event at a time.
+    LAST = 2
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -400,9 +403,14 @@ class Environment:
         """A fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: Any = None,
+                eid: Optional[int] = None) -> Timeout:
+        """An event firing ``delay`` time units from now.
+
+        ``eid``, taken earlier from :meth:`reserve`, orders it among
+        same-time events as if it had been scheduled when reserved.
+        """
+        return Timeout(self, delay, value, eid)
 
     def process(self, generator: Generator) -> Process:
         """Start a new process from a generator."""
@@ -414,15 +422,31 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
+    def defer(self, callback: Callable[[Event], None]) -> None:
+        """Run ``callback`` after every other event at the current time,
+        those scheduled for it in the meantime included."""
+        event = Event(self)
+        event._ok = True
+        event._value = None
+        event.callbacks.append(callback)
+        self._schedule(event, priority=Environment.LAST)
+
     def exit(self, value: Any = None) -> None:
         """Return ``value`` from the active process (legacy spelling)."""
         raise StopProcess(value)
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, priority: int = NORMAL,
-                  delay: float = 0.0) -> None:
-        self._eid = eid = self._eid + 1
+                  delay: float = 0.0, eid: Optional[int] = None) -> None:
+        if eid is None:
+            self._eid = eid = self._eid + 1
         heappush(self._queue, (self._now + delay, priority, eid, event))
+
+    def reserve(self) -> int:
+        """Take the next event id now for an event scheduled later (see
+        :meth:`timeout`)."""
+        self._eid += 1
+        return self._eid
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

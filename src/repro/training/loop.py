@@ -196,6 +196,10 @@ class TrainingConfig:
             raise ValueError(
                 f"sim_steps must be a positive step count, "
                 f"got {self.sim_steps}")
+        if self.global_batch is not None and self.global_batch < 1:
+            raise ValueError(
+                f"global_batch must be None (the benchmark's) or >= 1, "
+                f"got {self.global_batch}")
         if self.accumulation_steps < 1:
             raise ValueError(
                 f"accumulation_steps must be >= 1, "
@@ -208,7 +212,9 @@ class TrainingConfig:
                 f"{self.checkpoint_interval_steps}")
 
     def resolved_global_batch(self) -> int:
-        return self.global_batch or self.benchmark.global_batch
+        if self.global_batch is None:
+            return self.benchmark.global_batch
+        return self.global_batch
 
     def resolved_epochs(self) -> int:
         return self.epochs or self.benchmark.epochs

@@ -257,3 +257,58 @@ def test_property_equal_flows_finish_together(n, bw):
     times = run_transfers([([seg], 2 * GB)] * n)
     assert all(t == pytest.approx(times[0], rel=1e-9) for t in times)
     assert times[0] == pytest.approx(n * 2 / bw, rel=1e-6)
+
+
+def test_flows_started_at_one_instant_solve_once():
+    # k processes start k flows at t = 0: each start retires, but the
+    # timeline solves once, after the instant's last event, and one
+    # drain timer is armed.
+    env = Environment()
+    sched = FlowScheduler(env)
+    link = make_link(10.0)
+    seg = Segment(link, "a", "b")
+    timeline = sched._timeline
+    resolves = []
+    timers = []
+    resolve, timeout = timeline.resolve, env.timeout
+    timeline.resolve = lambda: resolves.append(env.now) or resolve()
+    env.timeout = lambda delay, *a, **kw: (
+        timers.append(delay) or timeout(delay, *a, **kw))
+
+    def starter(i):
+        yield sched.start_flow([seg], (i + 1) * GB)
+
+    for i in range(5):
+        env.process(starter(i))
+    env.run(until=0.0)
+    assert resolves == [0.0]
+    assert timers == [pytest.approx(0.5)]
+    assert env.peek() == pytest.approx(0.5)
+    assert [flow.rate for flow in sched.active_flows] == [2 * GB] * 5
+
+
+@pytest.mark.parametrize("timeout_first, completed", [(True, 0),
+                                                      (False, 1)])
+def test_a_timeout_on_the_drain_instant_keeps_its_order(timeout_first,
+                                                        completed):
+    # The flow drains at exactly t = 1.  A timeout for t = 1 made before
+    # the flow starts fires before its drain timer; one made after it
+    # starts, at the same instant, fires after the timer has completed
+    # the flow, though the timer is armed only at the instant's end.
+    env = Environment()
+    sched = FlowScheduler(env)
+    seg = Segment(make_link(10.0), "a", "b")
+    log = []
+
+    def watch():
+        env.timeout(1.0).callbacks.append(
+            lambda _evt: log.append(("timeout", sched.completed)))
+
+    if timeout_first:
+        watch()
+    done = sched.start_flow([seg], 10 * GB)
+    if not timeout_first:
+        watch()
+    done.callbacks.append(lambda _evt: log.append(("done", env.now)))
+    env.run()
+    assert log == [("timeout", completed), ("done", 1.0)]

@@ -11,6 +11,7 @@ on the directional counters of the links it crossed.
 """
 
 import itertools
+import math
 import random
 import time
 
@@ -364,6 +365,45 @@ def test_property_replayed_fills_equal_a_fresh_fill(ops):
     for solver, alive in replay(ops, links=4):
         solver.solve()
         assert {f: f.rate for f in alive} == water_fill(alive)
+
+
+#: Pairwise disjoint routes, one crossing its link twice: every
+#: component holds one route class.
+DISJOINT_ROUTES = ((0,), (1, 2), (3, 3))
+#: Capacities for the closed form, a dead link and an unbounded one
+#: among them.
+CLOSED_FORM_CAPACITIES = st.one_of(
+    st.sampled_from((0.0, math.inf, 1.0, 10.0 / 3.0)),
+    st.floats(min_value=1e-3, max_value=1e12))
+
+
+@settings(deadline=None)
+@given(route=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       members=st.integers(1, 300),
+       capacities=st.lists(CLOSED_FORM_CAPACITIES, min_size=4,
+                           max_size=4))
+def test_property_one_route_class_is_rated_in_closed_form(route, members,
+                                                          capacities):
+    """A one-class component's rate is ``==`` what ``water_fill`` gives,
+    and it is rated without the fill memo."""
+    caps = dict(enumerate(capacities))
+    flows = [FakeFlow(i, route, caps) for i in range(members)]
+    solver = MaxMinSolver()
+    for flow in flows:
+        solver.add(flow)
+    assert solver.solve() == members
+    assert {f: f.rate for f in flows} == water_fill(flows)
+    assert not solver._fills
+
+
+@settings(deadline=None)
+@given(ops=mutation_ops(st.sampled_from(DISJOINT_ROUTES), st.integers(0, 3),
+                        CLOSED_FORM_CAPACITIES, max_ops=40))
+def test_property_one_class_scripts_leave_the_fill_memo_empty(ops):
+    for solver, alive in replay(ops, links=4):
+        solver.solve()
+        assert {f: f.rate for f in alive} == water_fill(alive)
+        assert not solver._fills
 
 
 # ---------------------------------------------------------------------------

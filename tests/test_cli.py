@@ -620,6 +620,12 @@ def _takes_steps(command: str) -> bool:
     return hasattr(args, "steps")
 
 
+def _takes_jobs(command: str) -> bool:
+    args = build_parser(command).parse_args(
+        [command, *_POSITIONALS.get(command, [])])
+    return hasattr(args, "jobs")
+
+
 class TestBadArguments:
     """Bad arguments print one ``error:`` line and exit 2, never a
     traceback."""
@@ -642,6 +648,52 @@ class TestBadArguments:
         assert {"fig9", "sharing", "scaleout", "train", "trace",
                 "fault-tolerance", "elasticity", "recommend",
                 "matrix"} <= takes
+
+    @pytest.mark.parametrize("batch", ["0", "-8", "many"])
+    @pytest.mark.parametrize("command", ["plan", "profile"])
+    def test_global_batch_must_be_a_positive_integer(self, capsys, command,
+                                                     batch):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "resnet50", "--global-batch", batch])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --global-batch: {batch!r} is not a positive " \
+            "integer" in err
+
+    def test_training_config_rejects_a_global_batch_below_1(self):
+        from repro.training import TrainingConfig
+        from repro.workloads import get_benchmark
+        with pytest.raises(ValueError, match="global_batch"):
+            TrainingConfig(get_benchmark("resnet50"), global_batch=0)
+
+    @pytest.mark.parametrize("interval", ["-1", "two"])
+    def test_fault_tolerance_interval_must_be_a_non_negative_integer(
+            self, capsys, interval):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fault-tolerance", "--interval", interval])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --interval: {interval!r} is not a non-negative " \
+            "integer" in err
+
+    def test_fault_tolerance_interval_0_disables_checkpoints(self):
+        args = build_parser().parse_args(["fault-tolerance", "--interval",
+                                          "0"])
+        assert args.interval == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command", [c for c in COMMANDS if _takes_jobs(c)])
+    def test_jobs_must_be_a_positive_integer(self, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, *_POSITIONALS.get(command, []), "--jobs", jobs])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --jobs: {jobs!r} is not a positive integer" in err
+
+    def test_every_jobs_command_is_checked(self):
+        takes = {c for c in COMMANDS if _takes_jobs(c)}
+        assert {"fig16", "fig16-opt", "fig10", "matrix"} <= takes
 
     def test_matrix_rejects_an_unknown_strategy(self, capsys):
         assert main(["matrix", "--models", "resnet50",
