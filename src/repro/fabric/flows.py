@@ -48,10 +48,12 @@ This captures the two congestion phenomena the paper observes:
 
 The work per event follows the rate changes, not the live flows.  A
 flow keeps ``(remaining, t0)`` and is re-anchored only when a solve
-moves its rate; its drain time then goes onto one heap, whose stale
-entries are dropped lazily.  The scheduler's timeline streams each flow
-into its segments' directional link counters as a slope: a counter
-(piecewise-linear, :class:`~repro.sim.CounterMonitor`) gains a
+moves its rate, which also sets its drain time ``due``.  The members
+of a route class share one rate, so the drain heap holds one entry per
+class, its earliest member's ``due``, and a re-rated class costs one
+pass over its members and one push.  The scheduler's timeline streams
+each flow into its segments' directional link counters as a slope: a
+counter (piecewise-linear, :class:`~repro.sim.CounterMonitor`) gains a
 breakpoint only when the aggregate rate on its direction changes, and
 its readers extrapolate along the live rate, so port ingress/egress
 rate series (paper Fig. 12) are exact for piecewise-constant rates,
@@ -83,14 +85,15 @@ _EPSILON_SECONDS = 1e-9
 #: ``_EPSILON_SECONDS`` ahead of its drain time, so such slow flows are
 #: checked at every retire rather than only from the heap.
 _SLOW_RATE = _EPSILON_BYTES / _EPSILON_SECONDS
-#: Heap entries due within this of now are checked against the drain
-#: rule: ``_EPSILON_SECONDS`` plus room for the rounding of
+#: Flows due within this of now are checked against the drain rule:
+#: ``_EPSILON_SECONDS`` plus room for the rounding of
 #: ``t0 + remaining / rate``.
 _HEAP_WINDOW = 2 * _EPSILON_SECONDS
-#: Stale drain-heap entries tolerated per live flow (plus
+#: Stale drain-heap entries tolerated per live class entry (plus
 #: ``_HEAP_FLOOR``) before the heap is compacted.
 _HEAP_SLACK = 2
 _HEAP_FLOOR = 64
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -130,13 +133,14 @@ class Flow:
 
     ``remaining`` is the byte count left at time ``t0``; between rate
     changes the flow streams at ``rate`` without being touched, and
-    :meth:`remaining_at` reads it at any later time.  ``done`` is the
-    completion handle of the timeline's owner: an ``Event`` or a heap
-    callback.
+    :meth:`remaining_at` reads it at any later time.  ``due`` is
+    ``t0 + remaining / rate`` at a positive rate, else ``inf``.
+    ``done`` is the completion handle of the timeline's owner: an
+    ``Event`` or a heap callback.
     """
 
     __slots__ = ("id", "segments", "nbytes", "remaining", "t0", "rate",
-                 "stamp", "done", "label")
+                 "due", "done", "label")
 
     def __init__(self, flow_id: int, segments: Sequence[Segment],
                  nbytes: float, done, t0: float, label: str = ""):
@@ -146,8 +150,7 @@ class Flow:
         self.remaining = float(nbytes)
         self.t0 = t0
         self.rate = 0.0
-        #: Bumped at every re-anchor; older drain-heap entries are stale.
-        self.stamp = 0
+        self.due = _INF
         self.done = done
         self.label = label
 
@@ -163,11 +166,14 @@ class Flow:
 
 def _drained(flow: Flow, now: float) -> bool:
     """The drain rule: within ``_EPSILON_BYTES`` of empty, or within
-    ``_EPSILON_SECONDS`` of it at a positive rate."""
+    ``_EPSILON_SECONDS`` of it at a positive rate.  An unbounded rate
+    (a route of unbounded links) drains at once."""
+    rate = flow.rate
+    if rate == _INF:
+        return True
     remaining = flow.remaining_at(now)
     return (remaining <= _EPSILON_BYTES
-            or (flow.rate > 0
-                and remaining / flow.rate <= _EPSILON_SECONDS))
+            or (rate > 0 and remaining / rate <= _EPSILON_SECONDS))
 
 
 class FluidTimeline:
@@ -182,12 +188,19 @@ class FluidTimeline:
     segments' link counters (Fig. 12 traffic).
 
     The work per event is proportional to the flows whose rate changes,
-    not to the live flows: a flow is re-anchored (``remaining`` and
-    ``t0`` brought up to the present) only when the solver moves its
-    rate, its drain time then goes onto one heap, and each link counter
-    it crosses changes slope.  Heap entries of re-anchored or finished
-    flows go stale and are dropped when they surface, or all at once
-    when they outnumber the live flows ``_HEAP_SLACK`` to one.
+    not to the live flows.  A flow is re-anchored (``remaining`` and
+    ``t0`` brought up to the present, ``due`` recomputed) only when the
+    solver moves its rate, and each link counter its class crosses
+    changes slope once.  The drain heap holds ``(earliest member due,
+    class id, class stamp)`` per route class: the members share one
+    rate, so the earliest ``due`` of a class is the earliest of its
+    members' drain times and the heap top is the next drain.  A class
+    is re-pushed when a solve moves a member's rate, or, at the next
+    :meth:`resolve`, when it lost its earliest member or was popped;
+    its older entries go stale and are dropped when they surface, or
+    all at once when they outnumber the live entries ``_HEAP_SLACK``
+    to one.  Every instant that retires must be closed by a
+    :meth:`resolve` before the clock moves on.
     """
 
     def __init__(self, now: float = 0.0, account: bool = False):
@@ -199,8 +212,15 @@ class FluidTimeline:
         self._account = account
         self._now = now
         self._generation = 0
-        #: ``(drain time, flow id, stamp)`` of the streaming flows.
+        #: ``(earliest member due, class id, stamp)`` per route class.
         self._drains: list = []
+        #: Class id -> its live drain-heap entry.
+        self._entries: dict[int, tuple] = {}
+        #: Class id -> entries pushed for it (the next entry's stamp).
+        self._stamps: dict[int, int] = {}
+        #: Classes popped, or short of their earliest member, since the
+        #: last resolve: their entries are placed again there.
+        self._recheck: set = set()
         #: Live flows below ``_SLOW_RATE``, checked at every retire.
         self._slow: dict[int, Flow] = {}
 
@@ -225,8 +245,12 @@ class FluidTimeline:
     def remove(self, flow: Flow) -> None:
         """Withdraw an active flow without draining it (a killed one)."""
         del self.flows[flow.id]
-        self.solver.remove(flow)
+        cid = self.solver.remove(flow)
         self._slow.pop(flow.id, None)
+        entry = self._entries.get(cid)
+        if entry is not None and flow.due <= entry[0]:
+            # The class's entry was this flow's drain time.
+            self._recheck.add(cid)
         if self._account:
             # A counter with no live flow left goes back to exactly 0.0.
             now = self._now
@@ -262,93 +286,130 @@ class FluidTimeline:
         return drained
 
     def resolve(self) -> Optional[tuple[int, float]]:
-        """Re-rate the affected components and re-anchor the flows whose
-        rate moved.  Returns the timer for the next drain, ``(generation,
-        seconds)``, current until the next :meth:`retire`; ``None`` when
-        no flow is streaming.
+        """Re-rate the affected components, re-anchor the flows whose
+        rate moved and place their classes' drain entries.  Returns the
+        timer for the next drain, ``(generation, seconds)``, current
+        until the next :meth:`retire`; ``None`` when no flow is
+        streaming.
         """
         now = self._now
-        changed: list = []
-        self.solver.solve(changed)
-        if changed:
-            self._reanchor(changed, now)
+        rerated: list = []
+        self.solver.solve(rerated)
+        if rerated:
+            self._rerate(rerated, now)
         heap = self._drains
+        entries = self._entries
+        if self._recheck:
+            members = self.solver.members
+            for cid in self._recheck:
+                flows = members(cid)
+                if flows or cid in entries:
+                    self._place(cid, min([flow.due for flow in flows],
+                                         default=_INF))
+            self._recheck.clear()
+        if len(heap) > (1 + _HEAP_SLACK) * len(entries) + _HEAP_FLOOR:
+            heap[:] = [entry for entry in heap
+                       if entries.get(entry[1]) is entry]
+            heapify(heap)
         while heap:
-            if self._live(heap[0]):
-                return self._generation, heap[0][0] - now
+            entry = heap[0]
+            if entries.get(entry[1]) is entry:
+                return self._generation, entry[0] - now
             heappop(heap)
         return None
 
     def _take_drained(self, now: float) -> list[Flow]:
-        """Pop the drained flows off the heap, in arrival order.
+        """Pop the due classes off the heap and retire their drained
+        members, with the slow flows, in arrival order.
 
         A flow at or above ``_SLOW_RATE`` that the rule drains is due
-        within ``_EPSILON_SECONDS`` (plus rounding), so only heap entries
-        inside ``_HEAP_WINDOW`` and the slow flows need the check.
+        within ``_EPSILON_SECONDS`` (plus rounding), so only the members
+        due inside ``_HEAP_WINDOW`` and the slow flows need the check.
+        A popped class stays off the heap until the instant's resolve
+        places it again.  Later retires of the instant need not look at
+        it: the rule reads only the flow, which no retire re-anchors,
+        and the clock, so a member it keeps now it keeps all instant.
         """
         heap = self._drains
-        flows = self.flows
+        entries = self._entries
+        due: dict[int, Flow] = {}
         limit = now + _HEAP_WINDOW
-        due: list = []
         while heap and heap[0][0] <= limit:
             entry = heappop(heap)
-            if self._live(entry):
-                due.append(entry)
+            cid = entry[1]
+            if entries.get(cid) is entry:
+                del entries[cid]
+                self._recheck.add(cid)
+                for flow in self.solver.members(cid):
+                    if flow.due <= limit:
+                        due[flow.id] = flow
         if not due and not self._slow:
             return []
-        candidates = {entry[1]: flows[entry[1]] for entry in due}
-        candidates.update(self._slow)
-        drained = [flow for _fid, flow in sorted(candidates.items())
-                   if _drained(flow, now)]
-        gone = {flow.id for flow in drained}
-        for entry in due:
-            if entry[1] not in gone:
-                heappush(heap, entry)
-        return drained
+        due.update(self._slow)
+        return [flow for _fid, flow in sorted(due.items())
+                if _drained(flow, now)]
 
-    def _reanchor(self, changed: list, now: float) -> None:
-        """Bring re-rated flows up to ``now`` under their old rates, push
-        their new drain times and move their counters' slopes.
+    def _rerate(self, rerated: list, now: float) -> None:
+        """Write each re-solved class's rate, re-anchor the members it
+        moves (under their old rates, up to ``now``), place the class's
+        drain entry and move its counters' slopes.
 
-        ``changed`` holds one list per route class (see
-        :meth:`MaxMinSolver.solve`).  The members of a class share their
-        new rate and cross the same counters, so each counter moves once
-        per class, by an exactly rounded sum that no member order sways.
+        ``rerated`` holds ``(class id, members, rate)`` per re-solved
+        class (see :meth:`MaxMinSolver.solve`).  The members of a class
+        cross the same counters, so each counter moves once per class,
+        by an exactly rounded sum that no member order sways.
         """
-        heap = self._drains
         slow = self._slow
-        for moved in changed:
-            rate = moved[0][0].rate
-            for flow, old in moved:
-                flow.remaining -= old * (now - flow.t0)
-                flow.t0 = now
-                flow.stamp += 1
-                if rate > 0:
-                    heappush(heap, (now + flow.remaining / rate, flow.id,
-                                    flow.stamp))
+        recheck = self._recheck
+        for cid, members, rate in rerated:
+            olds: list = []
+            earliest = _INF
+            for flow in members:
+                old = flow.rate
+                if old != rate:
+                    flow.rate = rate
+                    remaining = flow.remaining = (
+                        flow.remaining - old * (now - flow.t0))
+                    flow.t0 = now
+                    due = flow.due = (now + remaining / rate if rate > 0
+                                      else _INF)
+                    olds.append(old)
+                else:
+                    due = flow.due
+                if due < earliest:
+                    earliest = due
+            if not olds:
+                continue
+            self._place(cid, earliest)
+            recheck.discard(cid)
             if 0 < rate < _SLOW_RATE:
-                for flow, _old in moved:
+                for flow in members:
                     slow[flow.id] = flow
             elif slow:
-                for flow, _old in moved:
+                for flow in members:
                     slow.pop(flow.id, None)
             if self._account:
-                delta = rate * len(moved) - math.fsum(
-                    [old for _flow, old in moved])
+                delta = rate * len(olds) - math.fsum(olds)
                 if delta:
-                    for seg in moved[0][0].segments:
+                    for seg in next(iter(members)).segments:
                         counter = seg.counter
                         total = counter.rate + delta
                         counter.set_rate(now, total if total > 0.0 else 0.0)
-        if len(heap) > (1 + _HEAP_SLACK) * len(self.flows) + _HEAP_FLOOR:
-            heap[:] = [entry for entry in heap if self._live(entry)]
-            heapify(heap)
 
-    def _live(self, entry: tuple) -> Optional[Flow]:
-        """The flow of a drain-heap entry, or ``None`` if it is stale."""
-        flow = self.flows.get(entry[1])
-        return flow if flow is not None and flow.stamp == entry[2] \
-            else None
+    def _place(self, cid: int, earliest: float) -> None:
+        """Make ``earliest`` the drain entry of class ``cid``: push a
+        fresh entry unless the live one already says it, and keep none
+        for a class with nothing draining."""
+        entry = self._entries.get(cid)
+        if entry is not None and entry[0] == earliest:
+            return
+        if earliest == _INF:
+            if entry is not None:
+                del self._entries[cid]
+            return
+        stamp = self._stamps[cid] = self._stamps.get(cid, 0) + 1
+        entry = self._entries[cid] = (earliest, cid, stamp)
+        heappush(self._drains, entry)
 
     def current(self, generation: int) -> bool:
         """Whether the timer armed as ``generation`` is still the latest."""

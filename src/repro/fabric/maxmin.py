@@ -198,11 +198,12 @@ class MaxMinSolver:
         self._flow_class[flow] = cid
         self._dirty.update(keys)
 
-    def remove(self, flow) -> None:
-        """Unindex a flow; its links become dirty (no-op if unknown)."""
+    def remove(self, flow) -> Optional[int]:
+        """Unindex a flow; its links become dirty.  Returns its class id
+        (``None``, and a no-op, if the flow is unknown)."""
         cid = self._flow_class.pop(flow, None)
         if cid is None:
-            return
+            return None
         keys = self._keys[cid]
         members = self._members[cid]
         members.discard(flow)
@@ -213,6 +214,7 @@ class MaxMinSolver:
                 if not classes:
                     del self._classes_on[key]
         self._dirty.update(keys)
+        return cid
 
     def touch(self, *keys: tuple) -> None:
         """Mark directed-link capacities as changed (retrain/degrade)."""
@@ -225,6 +227,11 @@ class MaxMinSolver:
     def crosses(self, key: tuple) -> bool:
         """Whether any live flow crosses the directed-link ``key``."""
         return key in self._classes_on
+
+    def members(self, cid: int) -> Set:
+        """The live flows of route class ``cid`` (the solver's own set:
+        read it, do not change it)."""
+        return self._members[cid]
 
     def flows_on(self, *keys: tuple) -> set:
         """Union of flows crossing any of the directed-link keys."""
@@ -271,10 +278,15 @@ class MaxMinSolver:
         """Re-rate the dirty components; returns the flow count touched.
 
         Rates of flows outside the affected components are left exactly
-        as the previous solve assigned them.  ``changed``, when given,
-        receives one list per route class whose rate moved: the
-        ``(flow, old rate)`` pairs of its members that moved, in no
-        particular order.
+        as the previous solve assigned them.  Without ``changed`` the
+        solver writes every re-solved member's rate.  With it, the
+        solver writes none: ``changed`` receives ``(class id, members,
+        rate)`` for every re-solved route class, ``members`` being the
+        class's live set (see :meth:`members`), and the caller writes
+        ``rate`` to the members whose rate differs, in the same pass
+        that acts on the move.  Members of a class share one rate
+        except those added since their class was last solved, which
+        still hold their initial rate.
         """
         if not self._dirty and not self._dirty_all:
             return 0
@@ -310,15 +322,13 @@ class MaxMinSolver:
                     if len(fills) >= _MEMO_ENTRIES:
                         fills.clear()
                     fills[signature] = rates
-            for flows, rate in zip(classes, rates):
+            for cid, flows, rate in zip(component, classes, rates):
                 rerated += len(flows)
-                moved = [(flow, flow.rate) for flow in flows
-                         if flow.rate != rate]
-                if moved:
-                    for flow, _old in moved:
+                if changed is not None:
+                    changed.append((cid, flows, rate))
+                else:
+                    for flow in flows:
                         flow.rate = rate
-                    if changed is not None:
-                        changed.append(moved)
         return rerated
 
     def solve_full(self) -> int:

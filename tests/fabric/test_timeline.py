@@ -12,9 +12,11 @@ a re-anchor of each flow whose rate moved, and the horizon ``min`` of
 every event retires the drained flows, and the solve, the re-anchor and
 the timer come once per instant, after its last event, the timer in the
 heap slot of the instant's last retire.
-Random arrival and capacity-change scripts run through it and through a
+Random scripts of arrivals, bursts of arrivals on one route, capacity
+changes and kills (every live flow crossing a link withdrawn, as
+:meth:`FlowScheduler.kill_flows_on` does) run through it and through a
 :class:`FluidTimeline` run the same way; both must drain the same flows
-in the same order at ``==`` times.
+in the same order at ``==`` times, and kill the same flows.
 
 ``_SubtractionTimeline`` keeps the earlier arithmetic, which subtracted
 ``min(remaining, rate * dt)`` from every live flow at every event.  It
@@ -110,6 +112,9 @@ class _EventHeap:
             seconds, on_timer = timer
             self.schedule(now + seconds, on_timer, seq=self._slot)
 
+    def killed(self, label, now):
+        self.drains.append(("killed", label, now))
+
     def run(self, capacities, script):
         segments = {key: _Segment(key, cap) for key, cap in capacities}
         for label, (kind, time, target, value) in enumerate(script):
@@ -117,6 +122,14 @@ class _EventHeap:
                 route = tuple(segments[key] for key in target)
                 self.schedule(time, lambda t, r=route, n=value, l=label:
                               self.arrive(r, n, l, t))
+            elif kind == "burst":
+                # One arrival event per flow, all at one instant.
+                route = tuple(segments[key] for key in target)
+                for i, nbytes in enumerate(value):
+                    self.schedule(time, lambda t, r=route, n=nbytes,
+                                  l=(label, i): self.arrive(r, n, l, t))
+            elif kind == "kill":
+                self.schedule(time, lambda t, k=target: self.kill(k, t))
             else:
                 seg = segments[target]
                 self.schedule(time, lambda t, s=seg, c=value:
@@ -138,11 +151,21 @@ class _HeapTimeline(_EventHeap):
 
     def arrive(self, segments, nbytes, label, now, then=None):
         done = self.done(label, then)
-        flow = self.timeline.add(segments, nbytes, done, now)
+        flow = self.timeline.add(segments, nbytes, done, now, label)
         if flow is None:
             self.schedule(now, done)
             return
         self.retire(now)
+
+    def kill(self, key, now):
+        self.timeline.advance(now)
+        victims = sorted(self.timeline.solver.flows_on(key),
+                         key=lambda flow: flow.id)
+        for flow in victims:
+            self.timeline.remove(flow)
+            self.killed(flow.label, now)
+        if victims:
+            self.retire(now)
 
     def touch(self, segment, capacity, now):
         segment.capacity = capacity
@@ -169,14 +192,15 @@ class _HeapTimeline(_EventHeap):
 
 
 class _ReferenceFlow:
-    __slots__ = ("segments", "remaining", "t0", "rate", "on_done")
+    __slots__ = ("segments", "remaining", "t0", "rate", "on_done", "label")
 
-    def __init__(self, segments, nbytes, on_done, now):
+    def __init__(self, segments, nbytes, on_done, now, label):
         self.segments = segments
         self.remaining = float(nbytes)
         self.t0 = now
         self.rate = 0.0
         self.on_done = on_done
+        self.label = label
 
 
 class _ReferenceTimeline(_EventHeap):
@@ -195,12 +219,20 @@ class _ReferenceTimeline(_EventHeap):
             return
         self._flow_ids += 1
         self._flows[self._flow_ids] = _ReferenceFlow(segments, nbytes,
-                                                     on_done, now)
+                                                     on_done, now, label)
         self._retire(now)
 
     def touch(self, segment, capacity, now):
         segment.capacity = capacity
         self._retire(now)
+
+    def kill(self, key, now):
+        victims = [fid for fid, f in self._flows.items()
+                   if any(seg.key == key for seg in f.segments)]
+        for fid in victims:
+            self.killed(self._flows.pop(fid).label, now)
+        if victims:
+            self._retire(now)
 
     @staticmethod
     def _left(flow, now):
@@ -208,10 +240,11 @@ class _ReferenceTimeline(_EventHeap):
 
     def _retire(self, now):
         # Judged under the rates of the instant's last solve, whatever
-        # arrived or drained since.
+        # arrived or drained since.  An unbounded rate drains at once.
         self._generation += 1
         drained = [fid for fid, f in self._flows.items()
-                   if self._left(f, now) <= EPS_BYTES
+                   if f.rate == math.inf
+                   or self._left(f, now) <= EPS_BYTES
                    or (f.rate > 0
                        and self._left(f, now) / f.rate <= EPS_SECONDS)]
         for fid in drained:
@@ -322,11 +355,28 @@ TOUCH = st.tuples(st.just("touch"), TIMES,
                   st.sampled_from(CAPACITIES))
 
 
+#: 2 to 40 flows on one route at one instant, of distinct sizes.
+BURST = st.tuples(st.just("burst"), TIMES, st.sampled_from(PATHS),
+                  st.lists(SIZES, min_size=2, max_size=40, unique=True))
+#: Every live flow crossing one link withdrawn.
+KILL = st.tuples(st.just("kill"), TIMES,
+                 st.sampled_from(SHARED + DISJOINT), st.none())
+
+
 CAPACITY_MAPS = st.tuples(*(st.tuples(st.just(key),
                                        st.sampled_from(CAPACITIES))
                              for key in SHARED + DISJOINT))
 SCRIPTS = st.lists(st.one_of(ARRIVAL, ARRIVAL, ARRIVAL, TOUCH),
                    min_size=1, max_size=24)
+KILL_SCRIPTS = st.lists(st.one_of(ARRIVAL, ARRIVAL, ARRIVAL, TOUCH, KILL),
+                        min_size=1, max_size=24)
+BURST_SCRIPTS = st.lists(st.one_of(ARRIVAL, BURST, TOUCH, KILL),
+                         min_size=1, max_size=12)
+
+
+def _flow_count(script):
+    return sum(1 if event[0] == "arrive" else len(event[3])
+               for event in script if event[0] in ("arrive", "burst"))
 
 
 @settings(deadline=None)
@@ -336,6 +386,23 @@ def test_timeline_drains_like_the_reference(capacities, script):
     assert got == want
     arrivals = sum(1 for event in script if event[0] == "arrive")
     assert len(got) == arrivals
+
+
+@settings(deadline=None)
+@given(capacities=CAPACITY_MAPS, script=KILL_SCRIPTS)
+def test_timeline_with_kills_drains_like_the_reference(capacities, script):
+    got, want = _drains(capacities, script)
+    assert got == want
+    assert len(got) == _flow_count(script)
+
+
+@settings(deadline=None)
+@given(capacities=CAPACITY_MAPS, script=BURST_SCRIPTS)
+def test_timeline_with_bursts_drains_like_the_reference(capacities,
+                                                        script):
+    got, want = _drains(capacities, script)
+    assert got == want
+    assert len(got) == _flow_count(script)
 
 
 @settings(deadline=None)
@@ -462,27 +529,112 @@ def test_a_steady_flow_leaves_two_breakpoints_per_counter():
         assert counter.rate == 0.0
 
 
+def _live_entries(timeline):
+    """The drain-heap entries that are their class's current one."""
+    return [entry for entry in timeline._drains
+            if timeline._entries.get(entry[1]) is entry]
+
+
 def test_the_drain_heap_stays_bounded():
-    # A long flow shares one link with a stream of short ones.  Each
-    # arrival and drain re-rates it and pushes a fresh drain entry; the
-    # entries left behind whenever its rate rises drain far in the
-    # future, so without compaction they would pile up for its lifetime.
+    # A long flow shares one link with a stream of short ones on another
+    # route.  Each arrival and drain of a short flow re-rates the long
+    # flow's class and pushes a fresh entry for it; the entries it
+    # leaves behind drain far in the future, so without compaction they
+    # would pile up for its lifetime.
     harness = _HeapTimeline()
     timeline = harness.timeline
-    link = _Segment("s0", 200.0)
-    seen = {}
+    link, fast = _Segment("s0", 200.0), _Segment("s1", 1e4)
     longest = [0]
 
     def check(_now):
-        seen.update(timeline.flows)
         longest[0] = max(longest[0], len(timeline._drains))
         assert len(timeline._drains) <= 3 * len(timeline.flows) + 64
 
     harness.schedule(0.0, lambda t: harness.arrive((link,), 1e5, 0, t))
     for i in range(1, 1501):
         harness.schedule(i * 0.02, lambda t, n=0.5 + i % 5, label=i:
-                         harness.arrive((link,), n, label, t))
+                         harness.arrive((link, fast), n, label, t))
         harness.schedule(i * 0.02, check)
     assert [label for label, _t in harness.run((), ())][-1] == 0
     assert len(harness.drains) == 1501
-    assert seen[0].stamp > 10 * longest[0]
+    # Route classes are numbered in order of first arrival.
+    assert timeline._stamps[0] > 10 * longest[0]
+
+
+def test_a_burst_on_one_route_keeps_one_live_heap_entry():
+    # 200 flows of distinct sizes start on one link at one instant: one
+    # solve re-rates their class and pushes one entry for it, and as
+    # they drain one by one the class keeps exactly one live entry.
+    harness = _HeapTimeline()
+    timeline = harness.timeline
+    capacities = (("s0", 100.0),)
+    script = [("burst", 0.0, ("s0",), [1.0 + i for i in range(200)])]
+    heaps = []
+
+    def check(_now):
+        heaps.append(len(timeline._drains))
+        assert len(_live_entries(timeline)) == (1 if timeline.flows else 0)
+
+    for i in range(400):
+        harness.schedule(i * 0.5 + 0.25, check)
+    drains = harness.run(capacities, script)
+    assert [label for label, _t in drains] == [(0, i) for i in range(200)]
+    assert drains == _ReferenceTimeline().run(capacities, script)
+    # Before the first drain the heap holds the burst's one entry.
+    assert heaps[:4] == [1, 1, 1, 1]
+
+
+def test_killing_a_class_arms_no_timer_at_its_drain_time():
+    # Flows on d0 drain at t = 1 and 3 and one on d1 at t = 2.  Killing
+    # d0's flows at t = 0.5 takes the class with its earliest drain off
+    # the heap, with no solve to re-rate it: the next timer is the d1
+    # flow's, not the dead class's t = 1.
+    timeline = FluidTimeline()
+    early, late = _Segment("d0", 2.0), _Segment("d1", 1.0)
+    timeline.add((early,), 1.0, None, 0.0)
+    timeline.add((early,), 3.0, None, 0.0)
+    timeline.add((late,), 2.0, None, 0.0)
+    assert timeline.retire() == []
+    assert timeline.resolve()[1] == 1.0
+    timeline.advance(0.5)
+    for flow in sorted(timeline.solver.flows_on("d0"),
+                       key=lambda flow: flow.id):
+        timeline.remove(flow)
+    assert timeline.retire() == []
+    assert timeline.resolve()[1] == 1.5
+    assert len(_live_entries(timeline)) == 1
+
+
+def test_a_member_joins_a_class_at_rate_zero_and_drains_at_its_own_time():
+    # The s0 link is dead when the first flow starts and when the second
+    # joins its class: the class rate stays 0.0, so the joiner moves no
+    # rate.  When the link comes back both stream at 5 B/s; the joiner
+    # drains at t = 1.4, and the first flow then at 10 B/s by t = 1.7.
+    capacities = (("s0", 0.0),) + tuple((key, 10.0)
+                                        for key in SHARED[1:] + DISJOINT)
+    script = [("arrive", 0.0, ("s0",), 5.0), ("arrive", 0.5, ("s0",), 2.0),
+              ("touch", 1.0, "s0", 10.0)]
+    got, want = _drains(capacities, script)
+    assert got == want
+    assert [label for label, _t in got] == [1, 0]
+    assert got[0][1] == 1.4
+    assert math.isclose(got[1][1], 1.7)
+
+
+def test_a_member_joins_a_class_at_an_unbounded_rate_and_drains():
+    # A route of unbounded links streams at inf and drains at the
+    # instant its rate is set.  A flow that joins the class in that
+    # instant, before its timer fires, moves no class rate and drains at
+    # the next timer of the same instant.
+    timeline = FluidTimeline()
+    link = _Segment("s0", math.inf)
+    first = timeline.add((link,), 5.0, None, 0.0)
+    assert timeline.retire() == []
+    assert timeline.resolve()[1] == 0.0
+    joiner = timeline.add((link,), 2.0, None, 0.0)
+    assert timeline.retire() == [first]
+    assert timeline.resolve()[1] == 0.0
+    assert joiner.rate == math.inf
+    assert timeline.retire() == [joiner]
+    assert timeline.resolve() is None
+    assert not timeline.flows
