@@ -41,8 +41,10 @@ TRACE_BACKENDS = {
 
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     """``--jobs``/``--no-cache``/``--cache-dir`` for the sweep commands."""
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="run sweep cells across N worker processes")
+    parser.add_argument("--jobs", type=_positive_int, default=None,
+                        help="run sweep cells across N worker processes "
+                             "(default: the usable CPUs, at most 4, and "
+                             "never more than the cells to compute)")
     _add_cache_args(parser)
 
 

@@ -241,7 +241,7 @@ def run_matrix(models: Sequence[str] = MATRIX_MODELS,
                strategies: Optional[Sequence[str]] = None,
                configurations: Sequence[str] = MATRIX_CONFIGURATIONS,
                plan_passes: Optional[str] = None,
-               jobs: int = 1,
+               jobs: Optional[int] = 1,
                cache=None) -> MatrixReport:
     """Evaluate the strategy x model grid on each backend.
 

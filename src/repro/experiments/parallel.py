@@ -22,8 +22,8 @@ factors grid execution into three pieces:
   truncated entries read as misses and are recomputed.
 - **run_cells** — the fan-out engine: serves hits from the cache,
   executes misses either in-process or across a
-  ``concurrent.futures.ProcessPoolExecutor`` (``jobs > 1``), and stores
-  fresh results back.
+  ``concurrent.futures.ProcessPoolExecutor`` (:func:`worker_count`
+  workers, never more than the misses), and stores fresh results back.
 
 Figure studies build their grids as cells and call :func:`run_cells`;
 the CLI exposes ``--jobs N``, ``--no-cache``, and ``--cache-dir`` on
@@ -57,6 +57,7 @@ __all__ = [
     "record_to_value",
     "run_cells",
     "step_cell",
+    "worker_count",
 ]
 
 #: Environment override for the default on-disk cache location.
@@ -460,13 +461,31 @@ def _execute_cell(cell: dict) -> dict:
     raise ValueError(f"unknown cell kind {kind!r}")
 
 
-def run_cells(cells: list, jobs: int = 1, cache=None) -> list:
+#: Most worker processes a sweep starts when ``jobs`` is not given.
+MAX_DEFAULT_JOBS = 4
+
+
+def worker_count(jobs: Optional[int], misses: int) -> int:
+    """Worker processes for ``misses`` cells: ``jobs``, or by default
+    the CPUs this process may run on (at most :data:`MAX_DEFAULT_JOBS`),
+    never more than the misses.  1 means in-process, no pool."""
+    if jobs is None:
+        try:
+            usable = len(os.sched_getaffinity(0))
+        except AttributeError:  # not every platform has affinity masks
+            usable = os.cpu_count() or 1
+        jobs = min(usable, MAX_DEFAULT_JOBS)
+    return max(1, min(jobs, misses))
+
+
+def run_cells(cells: list, jobs: Optional[int] = 1, cache=None) -> list:
     """Evaluate cells, serving cached hits and fanning out the misses.
 
-    Returns values in cell order.  With ``jobs > 1`` misses execute on a
-    process pool; the parent stores their results, so the cache needs no
-    cross-process locking.  ``cache=None`` means no memoization (a
-    throwaway :class:`NullCache`).
+    Returns values in cell order.  Misses execute on a process pool of
+    :func:`worker_count` workers (``jobs=None`` picks the default), or
+    in-process when that is 1; the parent stores their results, so the
+    cache needs no cross-process locking.  ``cache=None`` means no
+    memoization (a throwaway :class:`NullCache`).
     """
     cache = cache if cache is not None else NullCache()
     results: list = [None] * len(cells)
@@ -478,9 +497,10 @@ def run_cells(cells: list, jobs: int = 1, cache=None) -> list:
         else:
             pending.append(index)
     if pending:
-        if jobs > 1:
+        workers = worker_count(jobs, len(pending))
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 fresh = list(pool.map(_execute_cell,
                                       [cells[i] for i in pending]))
         else:

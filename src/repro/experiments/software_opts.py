@@ -78,7 +78,7 @@ VARIANTS: tuple[OptVariant, ...] = (
 
 
 def software_optimization_study(configurations=("localGPUs", "falconGPUs"),
-                                jobs: int = 1, cache=None,
+                                jobs: Optional[int] = 1, cache=None,
                                 variants=None,
                                 ) -> dict[str, dict[str, float]]:
     """Per-configuration seconds-per-sample for every Fig. 16 variant.
@@ -183,7 +183,7 @@ def optimized_ddp_study(benchmark: str = "bert-large",
                         sim_steps: int = 6,
                         pipelines=OPT_PIPELINES,
                         trace_out: Optional[str] = None,
-                        jobs: int = 1, cache=None,
+                        jobs: Optional[int] = 1, cache=None,
                         ) -> OptimizedDDPStudy:
     """Measure the optimizing plan passes on the Falcon DDP gap.
 

@@ -40,7 +40,7 @@ STORAGE_CONFIGS: tuple[str, ...] = ("localGPUs", "localNVMe", "falconNVMe")
 def _sweep(configs: Iterable[str],
            benchmarks: Optional[Iterable[str]] = None,
            sim_steps: int = DEFAULT_SIM_STEPS,
-           jobs: int = 1, cache=None,
+           jobs: Optional[int] = 1, cache=None,
            ) -> dict[str, dict[str, ExperimentRecord]]:
     from .parallel import experiment_cell, record_from_value, run_cells
 
@@ -59,7 +59,7 @@ def _sweep(configs: Iterable[str],
 
 def gpu_config_sweep(benchmarks: Optional[Iterable[str]] = None,
                      sim_steps: int = DEFAULT_SIM_STEPS,
-                     jobs: int = 1, cache=None,
+                     jobs: Optional[int] = 1, cache=None,
                      ) -> dict[str, dict[str, ExperimentRecord]]:
     """Run the Figs. 10-14 sweep."""
     return _sweep(GPU_CONFIGS, benchmarks, sim_steps, jobs=jobs,
@@ -68,7 +68,7 @@ def gpu_config_sweep(benchmarks: Optional[Iterable[str]] = None,
 
 def storage_config_sweep(benchmarks: Optional[Iterable[str]] = None,
                          sim_steps: int = DEFAULT_SIM_STEPS,
-                         jobs: int = 1, cache=None,
+                         jobs: Optional[int] = 1, cache=None,
                          ) -> dict[str, dict[str, ExperimentRecord]]:
     """Run the Fig. 15 sweep."""
     return _sweep(STORAGE_CONFIGS, benchmarks, sim_steps, jobs=jobs,

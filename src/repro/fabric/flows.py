@@ -474,15 +474,17 @@ class FlowScheduler:
         return len(victims)
 
     def start_flow(self, segments: Iterable[Segment], nbytes: float,
-                   label: str = "") -> Event:
-        """Begin streaming ``nbytes`` over ``segments``; returns done event.
+                   label: str = "", done: Optional[Event] = None) -> Event:
+        """Begin streaming ``nbytes`` over ``segments``; returns the done
+        event: ``done`` if given (untriggered), else a fresh one.
 
         A zero-byte or zero-segment flow completes immediately (the caller
         is responsible for any fixed latency; see ``Topology.transfer``).
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        done = self.env.event()
+        if done is None:
+            done = Event(self.env)
         if self._timeline.add(tuple(segments), nbytes, done, self.env.now,
                               label) is None:
             done.succeed(nbytes)

@@ -11,8 +11,9 @@ Routing is latency-weighted Dijkstra with hop-count tie-breaking, cached
 and invalidated whenever the topology changes (devices can be attached and
 detached at runtime — the composability feature under study).
 
-:meth:`Topology.transfer` is the single entry point for data movement: it
-pays the path's fixed latency, then streams bytes through the
+:meth:`Topology.transfer` (or :meth:`Topology.transfer_route`, for a
+route already looked up) is the entry point for data movement: it pays
+the path's fixed latency, then streams bytes through the
 :class:`~repro.fabric.flows.FlowScheduler`, which accounts traffic on each
 link's directional counters.
 """
@@ -23,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..sim import Environment, Event, Process
+from ..sim import Environment, Event
 from .flows import FlowScheduler, Segment
 from .link import Link, LinkSpec, US
 
@@ -322,43 +323,68 @@ class Topology:
 
     # -- data movement ------------------------------------------------------
     def transfer(self, src: str, dst: str, nbytes: float,
-                 label: str = "") -> Process:
-        """Move ``nbytes`` from ``src`` to ``dst``; returns a process event.
+                 label: str = "") -> Event:
+        """Move ``nbytes`` from ``src`` to ``dst``; returns the flow's
+        done event, not a process (see :meth:`transfer_route`).  Its
+        value is the byte count, not the route taken.
 
-        The process pays the route's fixed latency plus the shared-
-        bandwidth streaming time, and returns the route taken.
+        Raises :class:`NoRouteError` at once when no route exists.
         """
-        route = self.route(src, dst)  # raises NoRouteError eagerly
-        return self.env.process(self._transfer(route, nbytes, label))
+        return self.transfer_route(self.route(src, dst), nbytes, label)
 
-    def _transfer(self, route: Route, nbytes: float, label: str):
+    def transfer_route(self, route: Route, nbytes: float,
+                       label: str = "") -> Event:
+        """Move ``nbytes`` over ``route``; returns the flow's done event.
+
+        The route's fixed latency (plus :attr:`transfer_overhead`) is a
+        timeout armed now; when it fires, the bytes stream through the
+        :class:`~repro.fabric.flows.FlowScheduler` on the returned
+        event, which fires when the last byte is delivered (value: the
+        byte count) or fails with the cause of a link failure.  That is
+        two kernel events per transfer, traced or not.
+        """
+        env = self.env
+        done = Event(env)
+        delay = self.transfer_overhead + route.latency
+        timer = env.timeout(delay)
         tracer = self.tracer
-        if tracer is None:
-            yield self.env.timeout(self.transfer_overhead + route.latency)
-            if nbytes > 0 and route.segments:
-                yield self.scheduler.start_flow(route.segments, nbytes,
-                                                label)
-            return route
-        # Traced path: one span per transfer on a pooled "fabric" lane.
-        # The stall attribute is the contention penalty — streaming time
-        # beyond what the uncontended bottleneck bandwidth would take.
+        if tracer is not None:
+            self._trace(route, nbytes, label, done, env.now + delay)
+        timer.callbacks.append(
+            lambda _timer: self._stream(route, nbytes, label, done))
+        return done
+
+    def _stream(self, route: Route, nbytes: float, label: str,
+                done: Event) -> None:
+        """The latency has passed: stream the bytes on ``done``."""
+        if nbytes > 0 and route.segments:
+            self.scheduler.start_flow(route.segments, nbytes, label, done)
+        else:
+            done.succeed(nbytes)
+
+    def _trace(self, route: Route, nbytes: float, label: str, done: Event,
+               stream_t0: float) -> None:
+        """Open one span per transfer on a pooled "fabric" lane and close
+        it when ``done`` fires.  The stall attribute is the contention
+        penalty: streaming time from ``stream_t0`` (the latency timer's
+        time) beyond what the uncontended bottleneck bandwidth would
+        take."""
         from ..telemetry.trace import Category
+        tracer = self.tracer
         nodes = route.nodes
         track = tracer.lane("fabric")
         span = tracer.span(label or "transfer", Category.FABRIC, track,
                            bytes=nbytes,
                            src=nodes[0] if nodes else "",
                            dst=nodes[-1] if nodes else "")
-        try:
-            yield self.env.timeout(self.transfer_overhead + route.latency)
-            stream_t0 = self.env.now
-            if nbytes > 0 and route.segments:
-                yield self.scheduler.start_flow(route.segments, nbytes,
-                                                label)
-            ideal = nbytes / route.bandwidth if route.segments else 0.0
-            stall = max(0.0, (self.env.now - stream_t0) - ideal)
-            span.close(stall_s=stall)
-        finally:
-            span.close()  # no-op if closed above; covers the fault path
+
+        def close(event: Event) -> None:
+            if event._ok:
+                ideal = nbytes / route.bandwidth if route.segments else 0.0
+                span.close(stall_s=max(0.0, (self.env.now - stream_t0)
+                                       - ideal))
+            else:
+                span.close()
             tracer.release_lane(track)
-        return route
+
+        done.callbacks.append(close)

@@ -429,7 +429,8 @@ class _Engine:
     # -- transfers (Topology.transfer mirror) ------------------------------
     def _launch_transfer(self, t: float, route, nbytes: float,
                          on_done) -> None:
-        """Mirror ``Topology._transfer``: fixed latency, then the flow."""
+        """Mirror ``Topology.transfer_route``: fixed latency, then the
+        flow, whose completion releases the waiter directly."""
         topo = self.ctx.topology
         arrival = t + (topo.transfer_overhead + route.latency)
         segments = route.segments

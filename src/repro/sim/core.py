@@ -136,7 +136,10 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        # _schedule inlined: succeed is on the kernel's hottest path.
+        env = self.env
+        env._eid = eid = env._eid + 1
+        heappush(env._queue, (env._now, 1, eid, self))  # NORMAL
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -178,11 +181,17 @@ class Timeout(Event):
                  eid: Optional[int] = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self._delay = delay
-        self._ok = True
+        # Event.__init__ and Environment._schedule inlined: a timeout
+        # is the kernel's most frequent allocation.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay, eid=eid)
+        self._ok = True
+        self.defused = False
+        self._delay = delay
+        if eid is None:
+            env._eid = eid = env._eid + 1
+        heappush(env._queue, (env._now + delay, 1, eid, self))  # NORMAL
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Timeout delay={self._delay}>"
@@ -488,7 +497,7 @@ class Environment:
 
         if isinstance(until, Event):
             stop = until
-            while not stop.processed:
+            while stop.callbacks is not None:  # not yet processed
                 if not queue:
                     raise SimulationError(
                         "simulation ended before the awaited event fired")

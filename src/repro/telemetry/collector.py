@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from ..sim import Environment, TimeSeries
 
 if TYPE_CHECKING:  # imports for annotations only — keeps repro.telemetry
@@ -146,27 +148,46 @@ class MetricsCollector:
         # (values apply forward in time) line up with reality.  A final
         # interval up to stop time plus a closing point ensure the last
         # value carries weight in time-weighted statistics.
-        times = list(self._sample_times)
-        if not times or self.env.now > times[-1]:
-            times.append(self.env.now)
-        prev = self._start_time if self._start_time is not None else 0.0
-        for now in times:
-            if now <= prev:
-                continue
-            for gpu in self._gpus:
-                self.gpu_util[gpu.name].record(
-                    prev, 100.0 * gpu.busy_fraction(prev, now))
-                self.gpu_mem_access[gpu.name].record(
-                    prev, 100.0 * gpu.mem_access_fraction(prev, now))
-            for cpu in self._cpus:
-                self.cpu_util[cpu.name].record(
-                    prev, 100.0 * cpu.utilization(prev, now))
-            prev = now
+        edges = [self._start_time]
+        for now in self._sample_times:
+            if now > edges[-1]:
+                edges.append(now)
+        if self.env.now > edges[-1]:
+            edges.append(self.env.now)
+        starts = edges[:-1]
+        spans = np.diff(edges)
+        for gpu in self._gpus:
+            for series, counter in ((self.gpu_util, gpu.busy),
+                                    (self.gpu_mem_access, gpu.mem_busy)):
+                self._record_all(series[gpu.name], starts,
+                                 self._fractions(counter, edges, spans))
+        for cpu in self._cpus:
+            self._record_all(self.cpu_util[cpu.name], starts,
+                             self._fractions(cpu.busy, edges,
+                                             spans * cpu.spec.cores))
+        prev = edges[-1]
         for series in (self.gpu_util, self.gpu_mem_access, self.cpu_util):
             for ts in series.values():
                 last = ts.last()
                 if last is not None and prev > ts.times[-1]:
                     ts.record(prev, last)
+
+    @staticmethod
+    def _fractions(counter, edges: list, spans: np.ndarray) -> list:
+        """``min(1, growth / span)`` per window from one interpolation
+        over every edge: the floats ``GPU.busy_fraction`` (and
+        ``mem_access_fraction``, ``CPU.utilization``) give window by
+        window.  Busy counters only lump time in (their rate stays 0.0),
+        so the curve is flat past its last breakpoint either way."""
+        times, totals = counter.breakpoints(edges[-1])
+        growth = np.diff(np.interp(edges, times, totals))
+        return np.minimum(1.0, growth / spans).tolist()
+
+    @staticmethod
+    def _record_all(series: TimeSeries, starts: list,
+                    fractions: list) -> None:
+        for start, fraction in zip(starts, fractions):
+            series.record(start, 100.0 * fraction)
 
     # -- aggregation ----------------------------------------------------------
     def mean_gpu_utilization(self, t0: Optional[float] = None,

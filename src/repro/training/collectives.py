@@ -381,9 +381,9 @@ class Communicator:
     def _send(self, src: str, dst: str, nbytes: float, label: str,
               chunk_bytes: Optional[float] = None):
         """One collective hop, inflated by the transport penalty."""
-        factor = self._transport_factor(self.topology.route(src, dst),
-                                        chunk_bytes)
-        return self.topology.transfer(src, dst, nbytes * factor, label)
+        route = self.topology.route(src, dst)
+        factor = self._transport_factor(route, chunk_bytes)
+        return self.topology.transfer_route(route, nbytes * factor, label)
 
     def _ring_phases(self, nbytes: float, phases: int,
                      track: Track = None,

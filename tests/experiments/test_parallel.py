@@ -22,9 +22,12 @@ from repro.experiments.parallel import (
     profile_report_cell,
     record_from_value,
     record_to_value,
+    MAX_DEFAULT_JOBS,
     run_cells,
     step_cell,
+    worker_count,
 )
+from repro.experiments import parallel as parallel_mod
 from repro.training import (
     STRATEGY_REGISTRY,
     DistributedDataParallel,
@@ -296,6 +299,35 @@ class TestRunCells:
         # Nothing was persisted anywhere a real cache would find it.
         disk = ResultCache(tmp_path)
         assert disk.load(cell) is None
+
+    @pytest.mark.parametrize("misses", [1, 2, 3, 8, 50])
+    @pytest.mark.parametrize("usable", [1, 2, 16])
+    def test_default_workers_never_exceed_the_misses(self, monkeypatch,
+                                                     usable, misses):
+        monkeypatch.setattr(parallel_mod.os, "sched_getaffinity",
+                            lambda pid: set(range(usable)), raising=False)
+        workers = worker_count(None, misses)
+        assert workers == min(usable, MAX_DEFAULT_JOBS, misses)
+        assert 1 <= workers <= misses
+        assert worker_count(1, misses) == 1
+        assert worker_count(4, misses) == min(4, misses)
+
+    @pytest.mark.parametrize("jobs", [None, 4])
+    def test_a_single_miss_runs_in_process_with_no_pool(self, tmp_path,
+                                                        monkeypatch, jobs):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_cells started a pool for one miss")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        cache = ResultCache(tmp_path)
+        cells = [cheap_cell(), cheap_cell(sim_steps=STEPS + 1)]
+        run_cells(cells[:1], cache=cache)
+        values = run_cells(cells, jobs=jobs, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert values == run_cells(cells, jobs=1)
 
     def test_values_round_trip_through_records(self):
         record = run_configuration("resnet50", "localGPUs",

@@ -139,3 +139,20 @@ def test_result_as_dict_round_trip():
         "trunk/falcon0/drawer0", "trunk/falcon0/drawer1",
         "trunk/falcon1/drawer0", "trunk/falcon1/drawer1",
     }
+
+
+#: Kernel event ids ``repro fleet --smoke`` takes.  Each transfer costs
+#: its latency timer and its flow's done event; at four events per
+#: transfer (a process per transfer) this read 11,550.
+SMOKE_KERNEL_EVENTS = 9842
+
+
+def test_fleet_smoke_kernel_events_stay_at_or_below_the_pin():
+    from repro.experiments.fleet import resolve_fleet_inputs
+
+    spec, jobs, interarrival, sim_steps = resolve_fleet_inputs(smoke=True)
+    fleet = ComposableFleet(spec)
+    ClusterScheduler(fleet).run(generate_trace(
+        jobs=jobs, seed=0, mean_interarrival=interarrival,
+        sim_steps=sim_steps))
+    assert fleet.env._eid <= SMOKE_KERNEL_EVENTS

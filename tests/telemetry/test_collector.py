@@ -153,3 +153,34 @@ class TestLifecycle:
         c.start()  # re-entrant start while running: no second loop
         env.run(until=0.5)
         c.stop()
+
+
+def test_finalize_records_the_devices_own_fractions():
+    """Every busy-derived sample is the device's own window reading at
+    ``==``, windows past a counter's last breakpoint included."""
+    from repro.core import ComposableSystem
+
+    system = ComposableSystem()
+    collector = MetricsCollector(system.env, sample_interval=0.05)
+    system.train("resnet50", "falconGPUs", "ddp", sim_steps=4,
+                 collector=collector)
+    readers = []
+    for gpu in collector._gpus:
+        readers.append((collector.gpu_util[gpu.name], gpu.busy_fraction,
+                        gpu.busy))
+        readers.append((collector.gpu_mem_access[gpu.name],
+                        gpu.mem_access_fraction, gpu.mem_busy))
+    for cpu in collector._cpus:
+        readers.append((collector.cpu_util[cpu.name], cpu.utilization,
+                        cpu.busy))
+    windows = past = 0
+    for series, fraction, counter in readers:
+        times, values = series._times, series._values
+        last_breakpoint = counter.breakpoints()[0][-1]
+        # The final sample is the closing point, not a window.
+        for i in range(len(times) - 1):
+            t0, t1 = times[i], times[i + 1]
+            assert values[i] == 100.0 * fraction(t0, t1), (series.name, i)
+            windows += 1
+            past += t0 >= last_breakpoint
+    assert windows > 500 and past > 0
