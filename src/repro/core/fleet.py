@@ -124,6 +124,10 @@ class ComposableFleet:
                 self.chassis_of[gpu.name] = c
             self.falcons.append(falcon)
             self.inventories.append(inventory)
+        #: chassis index -> its GPU names, sorted; ``None`` -> all of them.
+        self._names: dict[Optional[int], list[str]] = {None: sorted(self.gpus)}
+        for name in self._names[None]:
+            self._names.setdefault(self.chassis_of[name], []).append(name)
 
     # -- lookups -----------------------------------------------------------
     def host_by_name(self, name: str) -> HostServer:
@@ -146,14 +150,9 @@ class ComposableFleet:
 
     def free_gpus(self, chassis: Optional[int] = None) -> list[str]:
         """Unallocated chassis GPUs, in deterministic name order."""
-        out = []
-        for name in sorted(self.gpus):
-            if chassis is not None and self.chassis_of[name] != chassis:
-                continue
-            falcon = self.falcons[self.chassis_of[name]]
-            if falcon.owner_of(name) is None:
-                out.append(name)
-        return out
+        falcons, chassis_of = self.falcons, self.chassis_of
+        return [name for name in self._names.get(chassis, ())
+                if falcons[chassis_of[name]].owner_of(name) is None]
 
     # -- dynamic admission (visiting hosts) --------------------------------
     def admit(self, host_name: str, chassis: int, drawer: int) -> None:

@@ -163,6 +163,8 @@ class Falcon4016:
         ]
         #: port name -> (host id, drawer index)
         self.port_map: dict[str, tuple[str, int]] = {}
+        #: installed device node -> its slot.
+        self._slots: dict[str, Slot] = {}
 
     # -- events -----------------------------------------------------------
     def _emit(self, kind: str, **details: Any) -> None:
@@ -321,11 +323,13 @@ class Falcon4016:
             target = dr.slots[slot]
             if target.occupied:
                 raise FalconError(f"{target.label} is occupied")
-        for other in self.drawers:
-            if other.slot_of(device_node) is not None:
-                raise FalconError(
-                    f"{device_node!r} is already installed in {other.name}")
+        installed = self._slots.get(device_node)
+        if installed is not None:
+            raise FalconError(
+                f"{device_node!r} is already installed in "
+                f"{self.drawers[installed.drawer_index].name}")
         target.device = device_node
+        self._slots[device_node] = target
         target.link = dr.switch_for_slot(target.index).attach(device_node,
                                                               spec)
         self._emit("device_installed", device=device_node,
@@ -343,6 +347,7 @@ class Falcon4016:
         drawer.switch_for_slot(slot.index).detach(device_node)
         slot.device = None
         slot.link = None
+        del self._slots[device_node]
         self._emit("device_removed", device=device_node, slot=slot.label)
 
     # -- allocation -----------------------------------------------------------
@@ -529,11 +534,11 @@ class Falcon4016:
         return self.drawers[index]
 
     def _find_slot(self, device_node: str) -> Slot:
-        for drawer in self.drawers:
-            slot = drawer.slot_of(device_node)
-            if slot is not None:
-                return slot
-        raise FalconError(f"{device_node!r} is not installed in {self.name}")
+        slot = self._slots.get(device_node)
+        if slot is None:
+            raise FalconError(
+                f"{device_node!r} is not installed in {self.name}")
+        return slot
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         used = sum(1 for d in self.drawers for s in d.slots if s.occupied)

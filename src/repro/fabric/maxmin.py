@@ -9,11 +9,12 @@ water-filling arithmetic but makes it *incremental*:
 - :func:`water_fill` is the batch reference solver (the oracle): a pure
   function computing the max-min fair rate of each flow.
 - :class:`MaxMinSolver` maintains per-directed-link route-class indexes
-  plus a dirty set, and re-solves only the **connected components** of
-  the contention graph touched by a flow add/remove or a capacity
-  change.  A component of one route class is rated in closed form; one
-  whose shape it has filled before is not filled again: the stored
-  rates are replayed.
+  plus a set of marked classes, and re-solves only the **connected
+  components** of the contention graph that hold a class a flow
+  add/remove or a capacity change marked.  A class that shares no link
+  with another live class is rated in closed form without walking its
+  component; a component whose shape it has filled before is not
+  filled again: the stored rates are replayed.
 
 Why the component solve is exact
 --------------------------------
@@ -63,6 +64,30 @@ dead link gives 0.0, all-unbounded links give ``inf``.  Such components
 are nearly every solve on the e2e workloads, and they skip the
 signature and the memo.
 
+Why an isolated class skips the walk
+------------------------------------
+Every live class counts its (link, other live class) incidences: the
+sum over its links of the other live classes on each.  The count moves
+only when some class goes live (its first member arrives) or goes dead
+(its last member leaves), and both events update it exactly: the class
+that goes live counts the classes already on its links and adds one to
+each of them per link they share; the class that goes dead subtracts
+one from each per shared link and drops to 0.  Adding or removing a
+member of a class that stays live changes no incidence, and a capacity
+change changes none.  So a live class reads 0 exactly when no other
+live class crosses any of its links, that is, when it is a component on
+its own; a marked class at 0 is rated by the closed form above, and
+only the others start the walk.  The set of components re-solved is
+the one that walking from every changed link would find, so the
+re-rated flows and the ``changed`` report are the same.
+
+A flow's class is found by the identity of its ``segments`` object
+first: a route's segment tuple is shared by every flow over it, so an
+add hashes one integer instead of building the tuple of keys.  The
+solver holds each object it maps (up to :data:`_SEGMENT_ENTRIES`, then
+it starts over), so no other object can take its id while the entry
+lives.  A ``segments`` object must therefore never change.
+
 A flow object is anything with a ``segments`` sequence (each segment
 exposing ``key`` — the hashable directed-capacity identity — and
 ``capacity``) and a writable ``rate``, such as the
@@ -78,6 +103,8 @@ __all__ = ["MaxMinSolver", "water_fill", "apply_rates"]
 
 #: Component fills one solver remembers before it starts over.
 _MEMO_ENTRIES = 4096
+#: Segment objects one solver maps to their class before it starts over.
+_SEGMENT_ENTRIES = 4096
 _INF = float("inf")
 
 
@@ -142,34 +169,45 @@ def apply_rates(flows: Iterable) -> None:
 
 
 class MaxMinSolver:
-    """Route-class index + dirty-component incremental re-solver.
+    """Route-class index + dirty-class incremental re-solver.
 
     The owner registers every active flow (:meth:`add` / :meth:`remove`),
     reports capacity changes (:meth:`touch` / :meth:`touch_all`), and
-    calls :meth:`solve` once per instant.  Only flows in
-    contention-graph components reachable from a dirty link are re-rated;
-    all other flows keep their previously assigned rates.  Flows on the
-    same route form one class, and the index, the component walk and
-    the fill memo work on classes.
+    calls :meth:`solve` once per instant.  Flows on the same route form
+    one class, and the index, the dirty set, the component walk and the
+    fill memo work on classes.  Each mutation marks the classes whose
+    rate it can move: an add or a remove marks the flow's class, and a
+    remove that empties it marks the live classes that shared a link
+    with it; a touch marks the classes on the touched links.  Only the
+    contention-graph components holding a marked class are re-rated;
+    all other flows keep their previously assigned rates.  A marked
+    class that shares no link with another live class is its own
+    component and is rated in closed form without the walk.
     """
 
-    __slots__ = ("_class_of", "_keys", "_members", "_classes_on",
-                 "_flow_class", "_dirty", "_dirty_all", "_fills")
+    __slots__ = ("_class_of", "_by_segments", "_keys", "_members",
+                 "_shared", "_classes_on", "_flow_class", "_dirty",
+                 "_fills")
 
     def __init__(self) -> None:
         #: route (tuple of segment keys) -> class id, never forgotten.
         self._class_of: Dict[tuple, int] = {}
+        #: id of a flow's ``segments`` object -> (that object, class id).
+        #: Holding the object keeps its id from being reused.
+        self._by_segments: Dict[int, tuple] = {}
         #: class id -> the route's distinct directed-link keys.
         self._keys: List[tuple] = []
         #: class id -> its live flows.
         self._members: List[Set] = []
+        #: class id -> its (link, other live class) incidences while
+        #: live, else 0.  A live class at 0 is a component on its own.
+        self._shared: List[int] = []
         #: directed-link key -> ids of the live classes crossing it.
         self._classes_on: Dict[tuple, Set[int]] = {}
         #: live flow -> its class id.
         self._flow_class: dict = {}
-        #: link keys whose membership or capacity changed since solve().
-        self._dirty: Set[tuple] = set()
-        self._dirty_all = False
+        #: live classes marked since the last solve().
+        self._dirty: Set[int] = set()
         #: component signature -> one rate per class, in signature order.
         self._fills: dict = {}
 
@@ -181,48 +219,88 @@ class MaxMinSolver:
         return list(self._flow_class)
 
     # -- index maintenance -------------------------------------------------
-    def add(self, flow) -> None:
-        """Index a new flow; its links become dirty."""
-        route = _route(flow)
+    def _class(self, segments) -> int:
+        """The class id of a route, by the identity of its segments
+        object first (routes are shared), else by its keys."""
+        hit = self._by_segments.get(id(segments))
+        if hit is not None:
+            return hit[1]
+        route = tuple([seg.key for seg in segments])
         cid = self._class_of.get(route)
         if cid is None:
             cid = self._class_of[route] = len(self._keys)
             self._keys.append(tuple(dict.fromkeys(route)))
             self._members.append(set())
-        keys = self._keys[cid]
+            self._shared.append(0)
+        if len(self._by_segments) >= _SEGMENT_ENTRIES:
+            self._by_segments.clear()
+        self._by_segments[id(segments)] = (segments, cid)
+        return cid
+
+    def add(self, flow) -> None:
+        """Index a new flow and mark its class."""
+        cid = self._class(flow.segments)
         members = self._members[cid]
         if not members:
-            for key in keys:
-                self._classes_on.setdefault(key, set()).add(cid)
+            # The class goes live: count its incidences, and add one to
+            # every live class it meets per link they share.
+            shared = self._shared
+            classes_on = self._classes_on
+            count = 0
+            for key in self._keys[cid]:
+                classes = classes_on.get(key)
+                if classes is None:
+                    classes_on[key] = {cid}
+                    continue
+                for other in classes:
+                    shared[other] += 1
+                count += len(classes)
+                classes.add(cid)
+            shared[cid] = count
         members.add(flow)
         self._flow_class[flow] = cid
-        self._dirty.update(keys)
+        self._dirty.add(cid)
 
     def remove(self, flow) -> Optional[int]:
-        """Unindex a flow; its links become dirty.  Returns its class id
-        (``None``, and a no-op, if the flow is unknown)."""
+        """Unindex a flow and mark its class, or, when the class
+        empties, the live classes that shared a link with it.  Returns
+        its class id (``None``, and a no-op, if the flow is unknown)."""
         cid = self._flow_class.pop(flow, None)
         if cid is None:
             return None
-        keys = self._keys[cid]
         members = self._members[cid]
         members.discard(flow)
-        if not members:
-            for key in keys:
-                classes = self._classes_on[key]
-                classes.discard(cid)
-                if not classes:
-                    del self._classes_on[key]
-        self._dirty.update(keys)
+        if members:
+            self._dirty.add(cid)
+            return cid
+        shared = self._shared
+        dirty = self._dirty
+        classes_on = self._classes_on
+        dirty.discard(cid)
+        for key in self._keys[cid]:
+            classes = classes_on[key]
+            classes.discard(cid)
+            if classes:
+                for other in classes:
+                    shared[other] -= 1
+                dirty.update(classes)
+            else:
+                del classes_on[key]
+        shared[cid] = 0
         return cid
 
     def touch(self, *keys: tuple) -> None:
-        """Mark directed-link capacities as changed (retrain/degrade)."""
-        self._dirty.update(keys)
+        """Mark the classes on directed links whose capacity changed
+        (retrain/degrade)."""
+        for key in keys:
+            classes = self._classes_on.get(key)
+            if classes:
+                self._dirty.update(classes)
 
     def touch_all(self) -> None:
-        """Mark every link dirty (unknown capacity change)."""
-        self._dirty_all = True
+        """Mark every live class (unknown capacity change)."""
+        self._dirty.update(cid for cid, members in enumerate(self._members)
+                           if members)
 
     def crosses(self, key: tuple) -> bool:
         """Whether any live flow crosses the directed-link ``key``."""
@@ -242,40 +320,28 @@ class MaxMinSolver:
         return out
 
     # -- solving -----------------------------------------------------------
-    def _components(self) -> list:
-        """Class-id lists of the components reachable from dirty links."""
+    def _walk(self, start: int, seen: set, seen_keys: set) -> list:
+        """The class ids of ``start``'s component, ``start`` first."""
         keys_of = self._keys
         classes_on = self._classes_on
-        if self._dirty_all:
-            starts = [cid for cid, members in enumerate(self._members)
-                      if members]
-        else:
-            starts = [cid for key in self._dirty
-                      for cid in classes_on.get(key, ())]
-        seen: set = set()
-        seen_keys: set = set()
-        components = []
-        for start in starts:
-            if start in seen:
-                continue
-            seen.add(start)
-            component = [start]
-            frontier = [start]
-            while frontier:
-                for key in keys_of[frontier.pop()]:
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                    for cid in classes_on[key]:
-                        if cid not in seen:
-                            seen.add(cid)
-                            component.append(cid)
-                            frontier.append(cid)
-            components.append(component)
-        return components
+        seen.add(start)
+        component = [start]
+        frontier = [start]
+        while frontier:
+            for key in keys_of[frontier.pop()]:
+                if key in seen_keys:
+                    continue
+                seen_keys.add(key)
+                for cid in classes_on[key]:
+                    if cid not in seen:
+                        seen.add(cid)
+                        component.append(cid)
+                        frontier.append(cid)
+        return component
 
     def solve(self, changed: Optional[list] = None) -> int:
-        """Re-rate the dirty components; returns the flow count touched.
+        """Re-rate the components of the marked classes; returns the
+        flow count touched.
 
         Rates of flows outside the affected components are left exactly
         as the previous solve assigned them.  Without ``changed`` the
@@ -288,24 +354,30 @@ class MaxMinSolver:
         except those added since their class was last solved, which
         still hold their initial rate.
         """
-        if not self._dirty and not self._dirty_all:
+        dirty = self._dirty
+        if not dirty:
             return 0
-        components = self._components()
-        self._dirty.clear()
-        self._dirty_all = False
+        self._dirty = set()
         members = self._members
+        shared = self._shared
         fills = self._fills
+        seen: set = set()
+        seen_keys: set = set()
         rerated = 0
-        for component in components:
-            if len(component) == 1:
-                # One route class: the first bottleneck freezes every
-                # member at the smallest capacity over the member count.
-                flows = members[component[0]]
-                classes = (flows,)
+        for start in dirty:
+            if not shared[start]:
+                # One route class on its own: the first bottleneck
+                # freezes every member at the smallest capacity over
+                # the member count.
+                flows = members[start]
+                component, classes = (start,), (flows,)
                 rates = (min([seg.capacity
                               for seg in next(iter(flows)).segments],
                              default=_INF) / len(flows),)
+            elif start in seen:
+                continue
             else:
+                component = self._walk(start, seen, seen_keys)
                 component.sort()
                 classes = [members[cid] for cid in component]
                 firsts = [next(iter(flows)) for flows in classes]
@@ -334,7 +406,6 @@ class MaxMinSolver:
     def solve_full(self) -> int:
         """Batch-oracle mode: water-fill every indexed flow."""
         self._dirty.clear()
-        self._dirty_all = False
         apply_rates(self._flow_class)
         return len(self._flow_class)
 

@@ -153,10 +153,18 @@ def fastpath_support(plan: StepPlan, ctx: ExecutionContext
 # -- the engine --------------------------------------------------------------
 
 class _Group:
-    """One rendezvoused collective/barrier across its communicator."""
+    """One rendezvoused collective/barrier across its communicator.
+
+    ``legs`` holds the ``(route, bytes)`` of each pair's transfer,
+    resolved by the first phase and launched again by every later one:
+    the pairs do not change between phases, and the fast path never
+    mutates the fabric, so a route and its transport factor cannot go
+    stale within a collective.
+    """
 
     __slots__ = ("kind", "nbytes", "root", "chunk", "members", "arrived",
-                 "uids", "phase", "phases", "divisor", "pairs", "inflight")
+                 "uids", "phase", "phases", "divisor", "pairs", "legs",
+                 "inflight")
 
     def __init__(self, kind, nbytes, root, chunk, members):
         #: IR collective kind, or ``"barrier"``.
@@ -172,6 +180,8 @@ class _Group:
         self.phase = 0
         #: ``collective_schedule`` of a group that moves bytes.
         self.phases, self.divisor, self.pairs = 0, 1, ()
+        #: ``(route, bytes)`` per pair, from the first phase on.
+        self.legs = None
         self.inflight = 0
 
 
@@ -393,11 +403,10 @@ class _Engine:
         self._spawn_phase(group, t)
 
     def _spawn_phase(self, group: _Group, t: float) -> None:
-        comm = self.ctx.comm
-        ranks = comm.ranks
-        per_transfer = group.nbytes / group.divisor
-        pairs = group.pairs
-        group.inflight = len(pairs)
+        legs = group.legs
+        if legs is None:
+            legs = group.legs = self._legs(group)
+        group.inflight = len(legs)
 
         def flow_done(now, group=group):
             group.inflight -= 1
@@ -409,12 +418,22 @@ class _Engine:
             else:
                 self._spawn_phase(group, now)
 
+        for route, nbytes in legs:
+            self._launch_transfer(t, route, nbytes, flow_done)
+
+    def _legs(self, group: _Group) -> list:
+        """Each pair's route and bytes, inflated by the real
+        ``Communicator._transport_factor``."""
+        comm = self.ctx.comm
+        ranks = comm.ranks
         topo = comm.topology
-        for i, j in pairs:
+        per_transfer = group.nbytes / group.divisor
+        legs = []
+        for i, j in group.pairs:
             route = topo.route(ranks[i], ranks[j])
-            factor = comm._transport_factor(route, group.chunk)
-            self._launch_transfer(t, route, per_transfer * factor,
-                                  flow_done)
+            legs.append((route, per_transfer
+                         * comm._transport_factor(route, group.chunk)))
+        return legs
 
     def _group_done(self, group: _Group, t: float) -> None:
         watchdog = getattr(self.ctx.comm, "watchdog", None)

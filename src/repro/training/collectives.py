@@ -136,6 +136,8 @@ class Communicator:
         self._executing: set[_PendingOp] = set()
         self._closed = False
         self._subgroups: dict[tuple, "Communicator"] = {}
+        #: (src, dst, chunk_bytes) -> (route, its transport factor).
+        self._factors: dict[tuple, tuple[Route, float]] = {}
         #: Completed collective count (introspection).
         self.completed_ops = 0
 
@@ -380,9 +382,21 @@ class Communicator:
 
     def _send(self, src: str, dst: str, nbytes: float, label: str,
               chunk_bytes: Optional[float] = None):
-        """One collective hop, inflated by the transport penalty."""
+        """One collective hop, inflated by the transport penalty.
+
+        The route is looked up at every hop.  Its factor is computed
+        once per route object: the topology drops its cached routes on
+        every fail, restore or retrain, so a hop that reads the same
+        ``Route`` as before crosses links of unchanged specs.
+        """
         route = self.topology.route(src, dst)
-        factor = self._transport_factor(route, chunk_bytes)
+        key = (src, dst, chunk_bytes)
+        cached = self._factors.get(key)
+        if cached is not None and cached[0] is route:
+            factor = cached[1]
+        else:
+            factor = self._transport_factor(route, chunk_bytes)
+            self._factors[key] = (route, factor)
         return self.topology.transfer_route(route, nbytes * factor, label)
 
     def _ring_phases(self, nbytes: float, phases: int,

@@ -1,5 +1,7 @@
 """Unit tests for the multi-chassis ComposableFleet."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -88,6 +90,39 @@ class TestFleetConstruction:
             fleet.host_by_name("nope")
         with pytest.raises(KeyError):
             fleet.gpu("falcon9/gpu0")
+
+
+def _scan_free_gpus(fleet, chassis=None):
+    """The free GPUs by a full scan: every name in sorted order, its
+    owner read from the drawers' slots."""
+    owners = {slot.device: slot.owner for falcon in fleet.falcons
+              for drawer in falcon.drawers for slot in drawer.slots
+              if slot.device is not None}
+    return [name for name in sorted(fleet.gpus)
+            if (chassis is None or fleet.chassis_of[name] == chassis)
+            and owners[name] is None]
+
+
+class TestFreeGpus:
+    def test_free_gpus_match_a_scan_through_churn(self):
+        """Eleven chassis of twelve GPUs, so name order is not index
+        order ("falcon10" < "falcon2", "gpu10" < "gpu2")."""
+        fleet = ComposableFleet(FleetSpec(name="churn", chassis=11,
+                                          hosts=2, gpus_per_chassis=12))
+        rng = random.Random(3)
+        names = sorted(fleet.gpus)
+        for _ in range(300):
+            name = rng.choice(names)
+            chassis = fleet.chassis_of[name]
+            falcon = fleet.falcons[chassis]
+            if falcon.owner_of(name) is None:
+                falcon.allocate(name, fleet.home_host(chassis).name)
+            else:
+                falcon.deallocate(name)
+            assert fleet.free_gpus() == _scan_free_gpus(fleet)
+            for c in (chassis, rng.randrange(11)):
+                assert fleet.free_gpus(c) == _scan_free_gpus(fleet, c)
+        assert fleet.free_gpus(11) == []
 
 
 class TestAdmission:

@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -404,6 +405,36 @@ def test_property_one_class_scripts_leave_the_fill_memo_empty(ops):
         solver.solve()
         assert {f: f.rate for f in alive} == water_fill(alive)
         assert not solver._fills
+
+
+def _recount(solver):
+    """Each class's (link, other live class) incidences, recounted from
+    the per-link class index; 0 for a class that is not live."""
+    counts = [0] * len(solver._shared)
+    for classes in solver._classes_on.values():
+        for cid in classes:
+            counts[cid] += len(classes) - 1
+    return counts
+
+
+@settings(deadline=None)
+@given(shared=mutation_ops(),
+       disjoint=mutation_ops(st.sampled_from(DISJOINT_ROUTES),
+                             st.integers(0, 3), CLOSED_FORM_CAPACITIES))
+def test_property_isolation_counts_match_a_recount(shared, disjoint):
+    """After every add, remove or touch, each class's isolation count
+    equals a recount from the link index, and scripts whose classes
+    share no link rate every solve without the component walk.  A count
+    left too high keeps every rate right and only walks, so the rate
+    properties cannot see it."""
+    for solver, _alive in replay(shared):
+        assert solver._shared == _recount(solver)
+        solver.solve()
+    walk = mock.Mock(side_effect=AssertionError("entered the walk"))
+    with mock.patch.object(MaxMinSolver, "_walk", walk):
+        for solver, _alive in replay(disjoint, links=4):
+            assert solver._shared == _recount(solver)
+            solver.solve()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.fabric import GB, NVLINK2_X1, PCIE_GEN4_X16, Topology
+from repro.fabric import GB, NVLINK2_X1, PCIE_GEN4_X16, Protocol, Topology
 from repro.sim import Environment
 from repro.training import CollectiveError, Communicator
+from repro.training.collectives import TRANSPORT_PENALTY
 
 
 def ring_topology(env, n=4, spec=NVLINK2_X1):
@@ -196,3 +197,37 @@ class TestSemantics:
         t_pcie = env2.now
         # NVLink: higher bandwidth AND lower transport penalty.
         assert t_nv < t_pcie / 3
+
+
+class TestTransportFactor:
+    def test_a_hop_takes_the_factor_of_the_route_it_crosses(
+            self, monkeypatch):
+        """The factor is reused per route object: once the direct
+        NVLink fails, the ring's hops take the PCIe detour's penalty."""
+        env = Environment()
+        topo = Topology(env)
+        for name in ("g0", "g1"):
+            topo.add_node(name, kind="gpu")
+        topo.add_node("sw", kind="switch", transit=True)
+        direct = topo.add_link(NVLINK2_X1, "g0", "g1")
+        topo.add_link(PCIE_GEN4_X16, "g0", "sw")
+        topo.add_link(PCIE_GEN4_X16, "sw", "g1")
+        sent = []
+        original = Topology.transfer_route
+
+        def spy(self, route, nbytes, label=""):
+            sent.append((route.nodes, nbytes))
+            return original(self, route, nbytes, label)
+
+        monkeypatch.setattr(Topology, "transfer_route", spy)
+        comm = Communicator(env, topo, ["g0", "g1"])
+        chunk = 1 * GB / 2
+        run_collective(env, comm, "allreduce", 1 * GB)
+        hop = chunk * TRANSPORT_PENALTY[Protocol.NVLINK2]
+        assert sent == [(("g0", "g1"), hop), (("g1", "g0"), hop)] * 2
+        sent.clear()
+        topo.fail_link(direct)
+        run_collective(env, comm, "allreduce", 1 * GB)
+        hop = chunk * TRANSPORT_PENALTY[Protocol.PCIE4]
+        assert sent == [(("g0", "sw", "g1"), hop),
+                        (("g1", "sw", "g0"), hop)] * 2
