@@ -128,12 +128,6 @@ class Drawer:
             return slot
         return None
 
-    def slot_of(self, device: str) -> Optional[Slot]:
-        for slot in self.slots:
-            if slot.device == device:
-                return slot
-        return None
-
     def devices(self) -> list[str]:
         return [s.device for s in self.slots if s.device is not None]
 
@@ -393,6 +387,10 @@ class Falcon4016:
 
     def owner_of(self, device_node: str) -> Optional[str]:
         return self._find_slot(device_node).owner
+
+    def slot_of(self, device_node: str) -> Optional[Slot]:
+        """The slot seating ``device_node``, or None if not installed."""
+        return self._slots.get(device_node)
 
     def devices_of(self, host_id: str) -> list[str]:
         out: list[str] = []

@@ -361,8 +361,12 @@ class FluidTimeline:
         """
         slow = self._slow
         recheck = self._recheck
+        account = self._account
         for cid, members, rate in rerated:
+            # Only traffic accounting reads the moved members' old rates;
+            # the fast path just needs to know whether any member moved.
             olds: list = []
+            moved = False
             earliest = _INF
             for flow in members:
                 old = flow.rate
@@ -373,12 +377,14 @@ class FluidTimeline:
                     flow.t0 = now
                     due = flow.due = (now + remaining / rate if rate > 0
                                       else _INF)
-                    olds.append(old)
+                    moved = True
+                    if account:
+                        olds.append(old)
                 else:
                     due = flow.due
                 if due < earliest:
                     earliest = due
-            if not olds:
+            if not moved:
                 continue
             self._place(cid, earliest)
             recheck.discard(cid)
@@ -388,7 +394,7 @@ class FluidTimeline:
             elif slow:
                 for flow in members:
                     slow.pop(flow.id, None)
-            if self._account:
+            if account:
                 delta = rate * len(olds) - math.fsum(olds)
                 if delta:
                     for seg in next(iter(members)).segments:

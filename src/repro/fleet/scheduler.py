@@ -275,10 +275,10 @@ class ClusterScheduler:
                       key=lambda c: (0 if c % n_hosts == index else 1, c))
 
     def _drawer_of(self, chassis: int, gpu_name: str) -> int:
-        for drawer in self.fleet.falcons[chassis].drawers:
-            if drawer.slot_of(gpu_name) is not None:
-                return drawer.index
-        raise KeyError(f"{gpu_name!r} not installed in chassis {chassis}")
+        slot = self.fleet.falcons[chassis].slot_of(gpu_name)
+        if slot is None:
+            raise KeyError(f"{gpu_name!r} not installed in chassis {chassis}")
+        return slot.drawer_index
 
     def _try_place(self, req) -> Optional[tuple]:
         """(host, gpu names, admissions held) or None if nothing fits."""

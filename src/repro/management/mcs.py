@@ -221,9 +221,8 @@ class ManagementCenterServer:
 
     def _falcon_of(self, device_node: str) -> Falcon4016:
         for falcon in self.falcons.values():
-            for drawer in falcon.drawers:
-                if drawer.slot_of(device_node) is not None:
-                    return falcon
+            if falcon.slot_of(device_node) is not None:
+                return falcon
         raise KeyError(f"{device_node!r} is not installed in any chassis")
 
     def _named_falcon(self, name: str) -> Falcon4016:

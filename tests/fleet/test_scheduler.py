@@ -1,5 +1,7 @@
 """Tests for the FIFO cluster scheduler over a composable fleet."""
 
+import random
+
 import pytest
 
 from repro.core import ComposableFleet, FleetSpec
@@ -156,3 +158,43 @@ def test_fleet_smoke_kernel_events_stay_at_or_below_the_pin():
         jobs=jobs, seed=0, mean_interarrival=interarrival,
         sim_steps=sim_steps))
     assert fleet.env._eid <= SMOKE_KERNEL_EVENTS
+
+
+def _scan_drawer_of(fleet, chassis, name):
+    for drawer in fleet.falcons[chassis].drawers:
+        if any(slot.device == name for slot in drawer.slots):
+            return drawer.index
+    return None
+
+
+def test_drawer_of_matches_a_drawer_scan_through_churn():
+    """Allocate/deallocate churn, and GPUs moved between drawers, on
+    eleven chassis of twelve GPUs (name order is not index order)."""
+    fleet = ComposableFleet(FleetSpec(name="churn", chassis=11, hosts=2,
+                                      gpus_per_chassis=12))
+    scheduler = ClusterScheduler(fleet)
+    rng = random.Random(5)
+    names = sorted(fleet.gpus)
+    for _ in range(300):
+        name = rng.choice(names)
+        chassis = fleet.chassis_of[name]
+        falcon = fleet.falcons[chassis]
+        if falcon.owner_of(name) is not None:
+            falcon.deallocate(name)
+        elif rng.random() < 0.3:
+            other = 1 - falcon.slot_of(name).drawer_index
+            if falcon.drawers[other].free_slot() is not None:
+                falcon.remove_device(name)
+                falcon.install_device(name, other)
+        else:
+            falcon.allocate(name, fleet.home_host(chassis).name)
+        for n in (name, rng.choice(names)):
+            c = fleet.chassis_of[n]
+            assert scheduler._drawer_of(c, n) == _scan_drawer_of(fleet, c, n)
+    name = names[0]
+    chassis = fleet.chassis_of[name]
+    if fleet.falcons[chassis].owner_of(name) is not None:
+        fleet.falcons[chassis].deallocate(name)
+    fleet.falcons[chassis].remove_device(name)
+    with pytest.raises(KeyError, match="not installed"):
+        scheduler._drawer_of(chassis, name)

@@ -420,6 +420,9 @@ def test_profile_cell_replaces_the_throwaway_after_an_executor_run(
         builds.append(args)
         return real_job(self, *args, **kwargs)
 
+    # One usable CPU: the plan leg runs in this process, where the spies
+    # can see its calls.
+    monkeypatch.setattr(profiling, "worker_count", lambda jobs, misses: 1)
     monkeypatch.setattr(profiling, "what_if", spy)
     monkeypatch.setattr(ComposableSystem, "job", count_job)
     profile_cell("mobilenetv2", "localGPUs", "ddp", sim_steps=4)
