@@ -41,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 __all__ = ["FaultEvent", "FaultScenario", "ScenarioError", "ACTIONS"]
 
 #: Recognized fault actions.
@@ -162,6 +160,7 @@ class FaultScenario:
         for action in actions:
             if action not in ACTIONS:
                 raise ScenarioError(f"unknown action {action!r}")
+        import numpy as np
         rng = np.random.default_rng(seed)
         events: list[FaultEvent] = []
         for _ in range(count):

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core import ComposableSystem
 
 __all__ = ["DegradationResult", "degraded_uplink_study"]
@@ -76,6 +74,7 @@ def degraded_uplink_study(benchmark: str = "bert-large",
         # reusable by follow-on studies sharing this environment.
         system.topology.restore_link(h1_link, original_spec)
 
+    import numpy as np
     steps = np.asarray(job.step_times)
     healthy = float(np.mean(steps[1:half]))      # skip warmup step
     degraded = float(np.mean(steps[half + 1:]))  # skip the cut-over step

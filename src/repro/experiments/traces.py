@@ -16,12 +16,14 @@ is what makes the plateau smooth and the checkpoint dips sharp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..core import ComposableSystem
 from ..plan.fastpath import evaluate_plan
 from ..training import DistributedDataParallel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["UtilizationTrace", "gpu_utilization_trace", "count_dips"]
 
@@ -37,12 +39,14 @@ class UtilizationTrace:
     @property
     def mean(self) -> float:
         """Whole-run mean (checkpoint dips included)."""
+        import numpy as np
         return float(np.nanmean(self.utilization))
 
     @property
     def plateau_mean(self) -> float:
         """Mean of the high-utilization plateau (samples above half the
         peak) — the level the paper's Fig. 9 curves sit at between dips."""
+        import numpy as np
         values = self.utilization[~np.isnan(self.utilization)]
         if values.size == 0:
             return float("nan")
@@ -52,6 +56,7 @@ class UtilizationTrace:
 
     @property
     def peak(self) -> float:
+        import numpy as np
         return float(np.nanmax(self.utilization))
 
 
@@ -83,6 +88,7 @@ def gpu_utilization_trace(benchmark: str, configuration: str = "localGPUs",
         sim_checkpoints=sim_checkpoints,
         sample_interval=sample_interval,
     )
+    import numpy as np
     series = list(result.collector.gpu_util.values())
     grid = series[0].times
     stacked = np.vstack([ts.resample(grid) for ts in series])
@@ -98,6 +104,7 @@ def count_dips(trace: UtilizationTrace, drop_below: float = 40.0,
     A dip is a fall below ``drop_below`` percent after having been above
     ``recover_above`` (hysteresis avoids double-counting noise).
     """
+    import numpy as np
     dips = 0
     armed = False
     for value in trace.utilization:

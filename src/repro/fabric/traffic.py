@@ -9,12 +9,13 @@ egress rates, and rate time-series suitable for plotting (Fig. 12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .link import GB, Link
 from .topology import Topology
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["NodeTraffic", "node_traffic", "node_rate_series",
            "total_bytes_moved"]
@@ -68,6 +69,7 @@ def node_rate_series(topology: Topology, node: str, width: float,
     Rates are averaged per fixed-width window, the same presentation the
     paper uses for per-second PCIe traffic.
     """
+    import numpy as np
     links = topology.links_of(node)
     hi = t_end if t_end is not None else topology.env.now
     if hi <= 0 or not links:

@@ -12,15 +12,18 @@ Two collector styles are provided:
 Both are plain-Python with NumPy-backed summarization so that recording
 during a simulation stays cheap (append to a list) and analysis is
 vectorized afterwards — per the hpc-parallel guidance, we avoid per-sample
-NumPy work in the hot path and batch it at summary time.
+NumPy work in the hot path and batch it at summary time.  Only the
+readers import NumPy, so a process that records but never reads a
+series does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TimeSeries", "CounterMonitor", "SummaryStats"]
 
@@ -81,10 +84,12 @@ class TimeSeries:
 
     @property
     def times(self) -> np.ndarray:
+        import numpy as np
         return np.asarray(self._times, dtype=float)
 
     @property
     def values(self) -> np.ndarray:
+        import numpy as np
         return np.asarray(self._values, dtype=float)
 
     def last(self) -> Optional[float]:
@@ -95,6 +100,7 @@ class TimeSeries:
         """Statistics over ``[t_start, t_end]`` (defaults: whole series)."""
         if not self._times:
             return _EMPTY
+        import numpy as np
         t = self.times
         v = self.values
         if t_start is not None or t_end is not None:
@@ -120,6 +126,7 @@ class TimeSeries:
     def _time_weighted_mean(t: np.ndarray, v: np.ndarray) -> float:
         if t.size < 2:
             return float(v[-1]) if v.size else float("nan")
+        import numpy as np
         dt = np.diff(t)
         total = dt.sum()
         if total <= 0:
@@ -129,6 +136,7 @@ class TimeSeries:
 
     def resample(self, t_grid: Sequence[float]) -> np.ndarray:
         """Sample-and-hold values on an arbitrary time grid."""
+        import numpy as np
         grid = np.asarray(t_grid, dtype=float)
         if not self._times:
             return np.full(grid.shape, np.nan)
@@ -142,6 +150,7 @@ class TimeSeries:
         """Mean value per fixed-width window; returns (window_starts, means)."""
         if width <= 0:
             raise ValueError("window width must be positive")
+        import numpy as np
         if not self._times:
             return np.array([]), np.array([])
         t = self.times
@@ -214,6 +223,7 @@ class CounterMonitor:
         extrapolated along the live rate, so the curve covers
         ``[0, until]``.
         """
+        import numpy as np
         times, totals = self._times, self._totals
         last = times[-1]
         if until is not None and until > last:
@@ -225,6 +235,7 @@ class CounterMonitor:
         """Counter growth over [t0, t1], linearly interpolated."""
         if t1 < t0:
             raise ValueError("t1 must be >= t0")
+        import numpy as np
         t, c = self.breakpoints(t1)
         v0, v1 = np.interp([t0, t1], t, c)
         return float(v1 - v0)
@@ -250,6 +261,7 @@ class CounterMonitor:
         """
         if width <= 0:
             raise ValueError("window width must be positive")
+        import numpy as np
         t, c = self.breakpoints(t_end)
         hi = t_end if t_end is not None else t[-1]
         if hi <= 0:

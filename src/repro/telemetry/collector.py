@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from ..sim import Environment, TimeSeries
 
 if TYPE_CHECKING:  # imports for annotations only — keeps repro.telemetry
     # importable from the device/fabric layers without a cycle.
+    import numpy as np
+
     from ..devices.cpu import CPU
     from ..devices.gpu import GPU
     from ..devices.host import HostServer
@@ -143,6 +143,7 @@ class MetricsCollector:
             self._finalized = True
             return
         self._finalized = True
+        import numpy as np
         # Each sample describes the interval [prev, now]; record it at the
         # interval *start* so the TimeSeries' sample-and-hold semantics
         # (values apply forward in time) line up with reality.  A final
@@ -179,6 +180,7 @@ class MetricsCollector:
         ``mem_access_fraction``, ``CPU.utilization``) give window by
         window.  Busy counters only lump time in (their rate stays 0.0),
         so the curve is flat past its last breakpoint either way."""
+        import numpy as np
         times, totals = counter.breakpoints(edges[-1])
         growth = np.diff(np.interp(edges, times, totals))
         return np.minimum(1.0, growth / spans).tolist()

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..devices.gpu import GPU
 from ..devices.host import HostServer
 from ..devices.storage import StorageDevice
@@ -578,6 +576,7 @@ class TrainingJob:
         if getattr(self, "_done", None) is None or not self._done.processed:
             raise RuntimeError("job has not finished; run() or env.run() "
                                "past the event returned by start()")
+        import numpy as np
         steady = self._step_times[WARMUP_STEPS:] or self._step_times
         step_mean = float(np.mean(steady))
         step_std = float(np.std(steady))

@@ -42,8 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
 from ..devices.gpu import GPU
 from ..devices.host import HostServer
 from ..devices.storage import StorageDevice
@@ -222,6 +220,7 @@ class FaultTolerantTrainingJob:
         #: Held constant across ring shrinks (global batch scales).
         self.batch_per_gpu = global_batch // world
         self._model = config.benchmark.build()
+        import numpy as np
         self._rng = np.random.default_rng(self.resilience.jitter_seed)
         #: Reshard plan spliced into the next attempt's first step.
         self._pending_prologue = None
@@ -368,6 +367,7 @@ class FaultTolerantTrainingJob:
             samples += remaining * cfg.resolved_global_batch()
             completed = True
 
+        import numpy as np
         wall = self.env.now - wall_t0
         return FaultTolerantResult(
             completed=completed,

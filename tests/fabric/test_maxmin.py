@@ -10,6 +10,7 @@ byte conservation: every byte a completed flow delivered is accounted
 on the directional counters of the links it crossed.
 """
 
+import gc
 import itertools
 import math
 import random
@@ -257,6 +258,9 @@ def _churn(full, flows=1000, links=64, churn_ops=100, seed=7):
 
     Returns ``(seconds, solver)``; ``full`` refills every flow on each
     solve (the batch oracle) instead of re-solving touched components.
+    The loop runs with the garbage collector held off, as :mod:`timeit`
+    times: one collection over the rest of the suite's heap is longer
+    than the whole incremental leg.
     """
     caps = dict.fromkeys(range(links), 10e9)
     solver = MaxMinSolver()
@@ -266,14 +270,20 @@ def _churn(full, flows=1000, links=64, churn_ops=100, seed=7):
     solve = solver.solve_full if full else solver.solve
     solve()
     rng = random.Random(seed)
-    t0 = time.perf_counter()
-    for serial in range(flows, flows + churn_ops):
-        solver.remove(population.pop(rng.randrange(len(population))))
-        fresh = _churn_flow(serial, caps, links)
-        population.append(fresh)
-        solver.add(fresh)
-        solve()
-    return time.perf_counter() - t0, solver
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for serial in range(flows, flows + churn_ops):
+            solver.remove(population.pop(rng.randrange(len(population))))
+            fresh = _churn_flow(serial, caps, links)
+            population.append(fresh)
+            solver.add(fresh)
+            solve()
+        return time.perf_counter() - t0, solver
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_churn_incremental_solve_is_5x_faster_than_batch_refill():
