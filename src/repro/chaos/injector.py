@@ -132,9 +132,6 @@ class FaultInjector:
             self._bmc_error(link, correctable=False)
         self._pulled.setdefault(event.target, []).extend(links)
 
-    def _do_nvme_fail(self, event: FaultEvent) -> None:
-        self._do_gpu_drop(event)
-
     # -- target resolution ----------------------------------------------------
     def _target_links(self, target: str,
                       allow_missing: bool = False) -> list[Link]:

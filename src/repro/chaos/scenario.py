@@ -3,9 +3,7 @@
 A scenario is an ordered list of :class:`FaultEvent` records — *when*
 (simulated seconds), *what* (action name), *where* (a target string) and
 action parameters.  The same format serves scripted experiment
-scenarios, test fixtures, and seeded random scenarios; round-tripping
-through :meth:`FaultScenario.to_dict` / :meth:`FaultScenario.from_dict`
-makes scenarios portable as plain JSON-able data.
+scenarios, test fixtures, and seeded random scenarios.
 
 Target syntax
 -------------
@@ -32,8 +30,6 @@ Actions
     Fail *every* link of the target node with a
     :class:`~repro.fabric.topology.DeviceFailure` (device fell off the
     fabric).
-``nvme_fail``
-    Same as ``gpu_drop``, for storage targets.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ ACTIONS = (
     "reseat_cable",
     "port_flap",
     "gpu_drop",
-    "nvme_fail",
 )
 
 
@@ -79,19 +74,6 @@ class FaultEvent:
                 f"target {self.target!r} must be 'kind:name' "
                 "(e.g. 'port:H1', 'node:falcon0/gpu3')")
 
-    def to_dict(self) -> dict:
-        return {"at": self.at, "action": self.action,
-                "target": self.target, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
-        try:
-            return cls(at=float(data["at"]), action=data["action"],
-                       target=data["target"],
-                       params=dict(data.get("params", {})))
-        except KeyError as exc:
-            raise ScenarioError(f"event missing field {exc}") from exc
-
 
 class FaultScenario:
     """A named, ordered fault schedule."""
@@ -103,40 +85,8 @@ class FaultScenario:
         #: The seed a randomized scenario was drawn from (provenance).
         self.seed = seed
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __iter__(self):
         return iter(self.events)
-
-    @property
-    def duration(self) -> float:
-        return self.events[-1].at if self.events else 0.0
-
-    def shifted(self, offset: float) -> "FaultScenario":
-        """The same scenario, every event delayed by ``offset``."""
-        return FaultScenario(
-            self.name,
-            [FaultEvent(e.at + offset, e.action, e.target, dict(e.params))
-             for e in self.events],
-            seed=self.seed)
-
-    # -- serialization ------------------------------------------------------
-    def to_dict(self) -> dict:
-        out = {"name": self.name,
-               "events": [e.to_dict() for e in self.events]}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultScenario":
-        try:
-            name = data["name"]
-        except KeyError as exc:
-            raise ScenarioError("scenario missing 'name'") from exc
-        events = [FaultEvent.from_dict(e) for e in data.get("events", [])]
-        return cls(name, events, seed=data.get("seed"))
 
     # -- randomized scenarios ------------------------------------------------
     @classmethod
@@ -179,5 +129,4 @@ class FaultScenario:
         return cls(name or f"random-{seed}", events, seed=seed)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<FaultScenario {self.name!r} events={len(self.events)} "
-                f"duration={self.duration:.3g}s>")
+        return f"<FaultScenario {self.name!r} events={len(self.events)}>"

@@ -203,7 +203,7 @@ def _add_profile_args(profile: argparse.ArgumentParser) -> None:
                          help="override the benchmark's native global "
                               "batch (memory-hungry strategies may "
                               "need a smaller one)")
-    profile.add_argument("--accumulation", type=int, default=1,
+    profile.add_argument("--accumulation", type=_positive_int, default=1,
                          help="gradient accumulation steps "
                               "(default: 1)")
     profile.add_argument("--format", default="text",
@@ -270,7 +270,7 @@ def _add_plan_args(plan: argparse.ArgumentParser) -> None:
                       choices=CONFIGURATION_ORDER)
     plan.add_argument("--global-batch", type=_positive_int, default=None,
                       help="override the benchmark's default global batch")
-    plan.add_argument("--accumulation", type=int, default=1,
+    plan.add_argument("--accumulation", type=_positive_int, default=1,
                       help="gradient-accumulation micro-steps (shrinks "
                            "the micro-batch, e.g. to fit tp/2d plans)")
     plan.add_argument("--validate", action="store_true",

@@ -16,7 +16,7 @@ and implements the paper's future-work experiments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..devices import (
@@ -107,8 +107,6 @@ class ComposableCluster:
                                    spec=PCIE_GEN4_X4)
 
     # -- device management --------------------------------------------------
-    def host(self, index: int) -> HostServer:
-        return self.hosts[index]
 
     def gpu_by_name(self, name: str) -> GPU:
         for gpu in self.falcon_gpus:

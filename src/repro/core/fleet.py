@@ -130,11 +130,6 @@ class ComposableFleet:
             self._names.setdefault(self.chassis_of[name], []).append(name)
 
     # -- lookups -----------------------------------------------------------
-    def host_by_name(self, name: str) -> HostServer:
-        for host in self.hosts:
-            if host.name == name:
-                return host
-        raise KeyError(f"unknown host {name!r}")
 
     def gpu(self, name: str) -> GPU:
         try:
@@ -144,9 +139,6 @@ class ComposableFleet:
 
     def inventory_of(self, gpu_name: str) -> Inventory:
         return self.inventories[self.chassis_of[gpu_name]]
-
-    def home_host(self, chassis: int) -> HostServer:
-        return self.hosts[chassis % len(self.hosts)]
 
     def free_gpus(self, chassis: Optional[int] = None) -> list[str]:
         """Unallocated chassis GPUs, in deterministic name order."""

@@ -20,7 +20,7 @@ traffic counters and telemetry start clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..devices import (
@@ -127,8 +127,6 @@ class ComposableSystem:
         return gpu
 
     # -- configurations -----------------------------------------------------
-    def configuration_names(self) -> tuple[str, ...]:
-        return CONFIGURATION_ORDER
 
     def configure(self, name: str) -> ActiveConfiguration:
         """Resolve a Table III configuration to concrete devices."""

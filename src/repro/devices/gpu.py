@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from ..sim import Container, CounterMonitor, Environment, Resource
 from ..fabric.link import GB, GIB
@@ -144,9 +143,6 @@ class GPU:
         self.kernels_launched = 0
 
     # -- memory ------------------------------------------------------------
-    @property
-    def memory_used(self) -> float:
-        return self.memory.level
 
     @property
     def memory_utilization(self) -> float:

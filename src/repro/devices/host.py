@@ -19,7 +19,7 @@ can reproduce the paper's Fig. 14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..sim import Container, Environment
@@ -135,17 +135,7 @@ class HostServer:
     def rc_node(self) -> str:
         return self.rc.name
 
-    @property
-    def gpu_names(self) -> list[str]:
-        return [g.name for g in self.gpus]
-
-    def gpu(self, index: int) -> GPU:
-        return self.gpus[index]
-
     # -- memory ---------------------------------------------------------------
-    @property
-    def memory_used(self) -> float:
-        return self.memory.level
 
     @property
     def memory_utilization(self) -> float:
@@ -169,14 +159,6 @@ class HostServer:
         self.rc.attach(drive.name, PCIE_GEN3_X4_NVME)
         self.nvme = drive
         return drive
-
-    def detach_nvme(self) -> None:
-        if self.nvme is None:
-            raise ValueError(f"{self.name} has no local NVMe")
-        self.rc.detach(self.nvme.name)
-        self.topology.remove_node(self.nvme.media_node)
-        self.topology.remove_node(self.nvme.name)
-        self.nvme = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<HostServer {self.name} gpus={len(self.gpus)} "

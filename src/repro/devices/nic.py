@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim import CounterMonitor, Environment
+from ..sim import Environment
 from ..fabric.link import ETH_10G, GB, LinkSpec
 from ..fabric.topology import Topology
 
@@ -44,18 +44,6 @@ class NIC:
         self.name = name
         self.spec = spec
         topology.add_node(name, kind="nic", transit=False)
-        self.bytes_sent = CounterMonitor(f"{name}:tx")
-        self.bytes_received = CounterMonitor(f"{name}:rx")
-
-    def send(self, nbytes: float):
-        """Model an egress transmission (pure serialization time)."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        return self.env.process(self._send(nbytes))
-
-    def _send(self, nbytes: float):
-        yield self.env.timeout(nbytes / self.spec.port_bandwidth)
-        self.bytes_sent.add(self.env.now, nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<NIC {self.name} ({self.spec.name})>"

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..sim import CounterMonitor, Environment, Process, Resource
-from ..fabric.link import GB, LinkSpec, Protocol, SATA3, US
+from ..fabric.link import GB, LinkSpec, Protocol, US
 from ..fabric.topology import Topology
 from ..telemetry.trace import NULL_TRACER, Category
 
@@ -96,23 +96,6 @@ class StorageDevice:
         self.commands = Resource(env, capacity=spec.queue_depth)
         self.bytes_read = CounterMonitor(f"{name}:read")
         self.bytes_written = CounterMonitor(f"{name}:written")
-        self._stored_bytes = 0.0
-
-    @property
-    def used_bytes(self) -> float:
-        return self._stored_bytes
-
-    def store(self, nbytes: float) -> None:
-        """Account dataset/checkpoint residency (capacity bookkeeping)."""
-        if self._stored_bytes + nbytes > self.spec.capacity_bytes:
-            raise IOError(
-                f"{self.name}: {nbytes / TB:.2f} TB does not fit "
-                f"({self._stored_bytes / TB:.2f}/"
-                f"{self.spec.capacity_bytes / TB:.2f} TB used)")
-        self._stored_bytes += nbytes
-
-    def evict(self, nbytes: float) -> None:
-        self._stored_bytes = max(0.0, self._stored_bytes - nbytes)
 
     def read_to(self, destination: str, nbytes: float) -> Process:
         """Stream ``nbytes`` from the media to ``destination`` node."""

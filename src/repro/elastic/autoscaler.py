@@ -28,14 +28,11 @@ __all__ = ["AutoscalePolicy", "EagerGrowPolicy", "HysteresisPolicy"]
 
 
 class AutoscalePolicy:
-    """Interface: one observation per safe point, maybe a verdict."""
+    """Interface: one observation per safe point, maybe a verdict.
 
-    name = "static"
-
-    def observe(self, now: float, step: int, world: int,
-                spare_count: int) -> Optional[str]:
-        """Return ``"grow"`` to request a resize, or None to hold."""
-        return None
+    ``observe(now, step, world, spare_count)`` returns ``"grow"`` to
+    request a resize, or None to hold.
+    """
 
 
 class EagerGrowPolicy(AutoscalePolicy):

@@ -107,10 +107,6 @@ class ElasticTrainingJob(FaultTolerantTrainingJob):
         self.on_attempt.append(self._install_elastic_hooks)
 
     # -- public control surface -------------------------------------------
-    @property
-    def effective_global_batch(self) -> int:
-        """The batch every optimizer step trains, at any world size."""
-        return self.virtual_batch.global_batch
 
     def request_resize(self, kind: str, targets: Sequence[str] = (),
                        reason: str = "") -> None:

@@ -71,12 +71,6 @@ class VirtualBatchSpec:
         """Samples per virtual node per optimizer step (invariant)."""
         return self.global_batch // self.virtual_nodes
 
-    @property
-    def micro_batch(self) -> int:
-        """Samples per micro-step — invariant across world sizes, so
-        kernel shapes and activation memory never change on resize."""
-        return self.per_vnode_batch // self.base_accumulation
-
     def feasible_world(self, available: int) -> int:
         """Largest world size ``<= available`` that divides ``V``.
 
@@ -105,10 +99,3 @@ class VirtualBatchSpec:
             "accumulation_steps":
                 self.base_accumulation * (self.virtual_nodes // world),
         }
-
-    @classmethod
-    def for_config(cls, config, virtual_nodes: int,
-                   base_accumulation: int = 1) -> "VirtualBatchSpec":
-        """Spec matching a training config's resolved global batch."""
-        return cls(virtual_nodes, config.resolved_global_batch(),
-                   base_accumulation)

@@ -65,7 +65,6 @@ from .scaling_laws import (
     ScalingPoint,
     overhead_vs_batch,
     overhead_vs_model_size,
-    overhead_vs_width,
 )
 from .recommender import (
     Recommendation,
@@ -83,9 +82,7 @@ from .matrix import (
 )
 from .autotune import (
     candidate_pipelines,
-    load_tuning_table,
     run_autotune,
-    tuned_passes,
     write_tuning_table,
 )
 from .parallel import (
@@ -110,7 +107,6 @@ from .sharing import (
     ring_placement_study,
     tenancy_isolation_study,
 )
-from .stragglers import StragglerPoint, straggler_amplification_study
 from .software_opts import (
     OptVariant,
     VARIANTS,
@@ -143,8 +139,6 @@ __all__ = [
     "candidate_pipelines",
     "run_autotune",
     "write_tuning_table",
-    "load_tuning_table",
-    "tuned_passes",
     "fleet_study",
     "SMOKE_SPEC",
     "profile_cell",
@@ -201,10 +195,7 @@ __all__ = [
     "ScalingPoint",
     "BatchPoint",
     "overhead_vs_model_size",
-    "overhead_vs_width",
     "overhead_vs_batch",
-    "StragglerPoint",
-    "straggler_amplification_study",
     "record_to_dict",
     "records_to_json",
     "records_to_csv",

@@ -20,9 +20,8 @@ This module searches that knob space per grid cell:
   each candidate's step plan once on the fast path
   (:func:`~repro.plan.batched.evaluate_batch`).
 - :func:`run_autotune` sweeps the grid and assembles the
-  tuned-vs-default frontier plus a reusable tuning table, written as
-  ``TUNING.json`` by :func:`write_tuning_table` and consumed by
-  :func:`load_tuning_table` / :func:`tuned_passes`.
+  tuned-vs-default frontier plus a tuning table, written as
+  ``TUNING.json`` by :func:`write_tuning_table`.
 
 Each tuned cell also reports what-if ceilings (what the
 tuned plan's makespan would be with compute or communication made free),
@@ -43,8 +42,6 @@ __all__ = [
     "autotune_cell",
     "run_autotune",
     "write_tuning_table",
-    "load_tuning_table",
-    "tuned_passes",
 ]
 
 #: Filename of the reusable tuning table at the repo/CI root.
@@ -244,36 +241,3 @@ def write_tuning_table(report: dict,
         fh.write("\n")
     return path
 
-
-def load_tuning_table(path: Optional[str] = None) -> dict:
-    """Read a tuning report written by :func:`write_tuning_table`.
-
-    ``path`` defaults to ``TUNING.json`` in the current directory.
-    Raises ``FileNotFoundError``/``ValueError`` on missing or malformed
-    tables — a corrupt table should never silently de-tune a run.
-    """
-    where = Path(path) if path else Path.cwd() / TUNING_BASENAME
-    with open(where, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    if not isinstance(report, dict) or "table" not in report:
-        raise ValueError(f"{where} is not a tuning table "
-                         f"(missing 'table')")
-    return report
-
-
-def tuned_passes(report: dict, benchmark: str, configuration: str,
-                 variant: str):
-    """Rebuilt pass instances for one cell, or ``None`` if untuned.
-
-    The return value plugs straight into ``TrainingConfig.plan_passes``
-    (or any ``plan_passes=`` keyword): pass *instances* carrying the
-    tuned knob values.  Missing cells return ``None`` so callers fall
-    back to their own default pipeline.
-    """
-    from ..plan.passes import passes_from_spec
-
-    entry = report["table"].get(
-        _cell_key(benchmark, configuration, variant))
-    if entry is None:
-        return None
-    return passes_from_spec(entry["passes"])

@@ -4,13 +4,6 @@ The paper's workflow logged every run to wandb; the reproduction's
 equivalent is flat files an analysis notebook can ingest.  Exporters are
 deliberately dependency-free (``csv``/``json`` from the standard
 library) and record enough metadata to regenerate any figure offline.
-
-Records can optionally embed per-run *event summaries* (the management
-plane's :class:`~repro.management.events.EventLog`) and *trace
-summaries* (a :class:`~repro.telemetry.Tracer`'s span statistics) so a
-sweep export carries its own observability context instead of dropping
-it.  JSON embeds them natively; CSV encodes them as JSON strings in
-``events`` / ``trace`` columns.
 """
 
 from __future__ import annotations
@@ -18,14 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Union
 
 from .runner import ExperimentRecord
 
 __all__ = ["record_to_dict", "records_to_json", "records_to_csv",
-           "write_records", "summarize_events", "summarize_trace"]
+           "write_records"]
 
 #: Columns exported for every record (order matters for CSV).
 _EXPORT_FIELDS = [
@@ -37,110 +29,35 @@ _EXPORT_FIELDS = [
 ]
 
 
-def summarize_events(log, limit: int = 50) -> dict:
-    """Compact JSON-able summary of an EventLog (counts + recent tail)."""
-    events = log.query() if hasattr(log, "query") else list(log)
-    by_kind: dict[str, int] = {}
-    for event in events:
-        by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
-    tail = [{"time": e.time, "kind": e.kind, "actor": e.actor}
-            for e in events[-limit:]]
-    return {"count": len(events), "by_kind": by_kind, "tail": tail}
-
-
-def summarize_trace(tracer) -> dict:
-    """Compact JSON-able summary of a Tracer (per-category span totals)."""
-    totals: dict[str, dict] = {}
-    for span in tracer.spans:
-        if span.end is None:
-            continue
-        key = span.category.value
-        row = totals.setdefault(key, {"count": 0, "total_s": 0.0})
-        row["count"] += 1
-        row["total_s"] += span.duration
-    return {"spans": len(tracer.spans), "instants": len(tracer.instants),
-            "by_category": totals}
-
-
-def record_to_dict(record: ExperimentRecord, events: Optional[dict] = None,
-                   trace: Optional[dict] = None) -> dict:
-    """Flatten one record to exportable scalars (no live objects).
-
-    ``events``/``trace`` are pre-computed summaries (see
-    :func:`summarize_events` / :func:`summarize_trace`) embedded as-is.
-    """
-    out = {name: getattr(record, name) for name in _EXPORT_FIELDS}
-    if events is not None:
-        out["events"] = events
-    if trace is not None:
-        out["trace"] = trace
-    return out
-
-
-def _paired(records, events, traces):
-    records = list(records)
-    events = list(events) if events is not None else [None] * len(records)
-    traces = list(traces) if traces is not None else [None] * len(records)
-    if len(events) != len(records) or len(traces) != len(records):
-        raise ValueError("events/traces must align 1:1 with records")
-    return records, events, traces
+def record_to_dict(record: ExperimentRecord) -> dict:
+    """Flatten one record to exportable scalars (no live objects)."""
+    return {name: getattr(record, name) for name in _EXPORT_FIELDS}
 
 
 def records_to_json(records: Iterable[ExperimentRecord],
-                    indent: int = 2,
-                    events: Optional[Sequence[dict]] = None,
-                    traces: Optional[Sequence[dict]] = None) -> str:
-    """Serialize records as a JSON array (optionally with summaries)."""
-    records, events, traces = _paired(records, events, traces)
-    return json.dumps([record_to_dict(r, e, t)
-                       for r, e, t in zip(records, events, traces)],
-                      indent=indent)
+                    indent: int = 2) -> str:
+    """Serialize records as a JSON array."""
+    return json.dumps([record_to_dict(r) for r in records], indent=indent)
 
 
-def records_to_csv(records: Iterable[ExperimentRecord],
-                   events: Optional[Sequence[dict]] = None,
-                   traces: Optional[Sequence[dict]] = None) -> str:
-    """Serialize records as CSV with a header row.
-
-    Event/trace summaries, when given, ride along as JSON-encoded
-    ``events``/``trace`` columns.
-    """
-    records, events, traces = _paired(records, events, traces)
-    extra = []
-    if any(e is not None for e in events):
-        extra.append("events")
-    if any(t is not None for t in traces):
-        extra.append("trace")
+def records_to_csv(records: Iterable[ExperimentRecord]) -> str:
+    """Serialize records as CSV with a header row."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_EXPORT_FIELDS + extra)
+    writer = csv.DictWriter(buffer, fieldnames=_EXPORT_FIELDS)
     writer.writeheader()
-    for record, event, trace in zip(records, events, traces):
-        row = {name: getattr(record, name) for name in _EXPORT_FIELDS}
-        if "events" in extra:
-            row["events"] = json.dumps(event) if event is not None else ""
-        if "trace" in extra:
-            row["trace"] = json.dumps(trace) if trace is not None else ""
-        writer.writerow(row)
+    for record in records:
+        writer.writerow(record_to_dict(record))
     return buffer.getvalue()
 
 
 def write_records(records: Iterable[ExperimentRecord],
-                  path: Union[str, Path], *,
-                  events: Optional[Sequence[dict]] = None,
-                  traces: Optional[Sequence[dict]] = None) -> Path:
-    """Write records to ``path``; format chosen by suffix (.json/.csv).
-
-    ``events``/``traces`` are optional per-record summary dicts (aligned
-    1:1 with ``records``) embedded alongside the scalar columns.
-    """
+                  path: Union[str, Path]) -> Path:
+    """Write records to ``path``; format chosen by suffix (.json/.csv)."""
     path = Path(path)
-    records = list(records)
     if path.suffix == ".json":
-        path.write_text(records_to_json(records, events=events,
-                                        traces=traces))
+        path.write_text(records_to_json(records))
     elif path.suffix == ".csv":
-        path.write_text(records_to_csv(records, events=events,
-                                       traces=traces))
+        path.write_text(records_to_csv(records))
     else:
         raise ValueError(
             f"unsupported export suffix {path.suffix!r} (use .json/.csv)")

@@ -6,10 +6,9 @@ benchmarks; these sweeps make the relationship parametric — and sharpen
 it.  The overhead actually tracks the **communication-to-compute ratio**,
 not raw parameter count:
 
-- :func:`overhead_vs_model_size` sweeps encoder *depth* and
-  :func:`overhead_vs_width` sweeps hidden *width*, both at a fixed
+- :func:`overhead_vs_model_size` sweeps encoder *depth* at a fixed
   per-GPU batch.  Counter-intuitively the overhead mildly *falls* with
-  size along both axes: the fixed-vocabulary embedding table contributes
+  size: the fixed-vocabulary embedding table contributes
   gradient traffic but almost no FLOPs, so the small members of each
   family are relatively more communication-bound.
 - :func:`overhead_vs_batch` sweeps the per-GPU batch on BERT-large and
@@ -31,7 +30,7 @@ from ..workloads import SQUAD_V11, bert
 from ..workloads.registry import Benchmark
 
 __all__ = ["ScalingPoint", "BatchPoint", "overhead_vs_model_size",
-           "overhead_vs_width", "overhead_vs_batch"]
+           "overhead_vs_batch"]
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,3 @@ def overhead_vs_batch(batches=(2, 4, 6), benchmark_key: str = "bert-large",
                 accumulation_steps=2 if per_gpu in accumulation_for else 1))
             for per_gpu in batches]
 
-
-def overhead_vs_width(widths=(256, 512, 768, 1024),
-                      num_layers: int = 12) -> list[ScalingPoint]:
-    """Sweep hidden *width* at fixed depth (the BERT-base -> BERT-large
-    axis); overhead grows with width as GEMM parameters dilute the
-    attention FLOPs."""
-    return [_family_point(num_layers, hidden, max(4, hidden // 64))
-            for hidden in widths]

@@ -5,9 +5,8 @@ This package models everything between devices: link specifications
 (:mod:`~repro.fabric.flows`), a routable topology graph with dynamic
 attach/detach (:mod:`~repro.fabric.topology`), the DGX-1V NVLink hybrid
 cube mesh (:mod:`~repro.fabric.nvlink`), PCIe switches and root complexes
-(:mod:`~repro.fabric.pcie`), the Falcon 4016 composable chassis
-(:mod:`~repro.fabric.falcon`), and traffic aggregation helpers
-(:mod:`~repro.fabric.traffic`).
+(:mod:`~repro.fabric.pcie`), and the Falcon 4016 composable chassis
+(:mod:`~repro.fabric.falcon`).
 """
 
 from .falcon import Drawer, Falcon4016, FalconError, FalconMode, Slot
@@ -41,7 +40,6 @@ from .topology import (
     Route,
     Topology,
 )
-from .traffic import NodeTraffic, node_rate_series, node_traffic
 
 __all__ = [
     "Link",
@@ -81,7 +79,4 @@ __all__ = [
     "HYBRID_CUBE_MESH_EDGES",
     "RING_ORDER",
     "build_hybrid_cube_mesh",
-    "NodeTraffic",
-    "node_traffic",
-    "node_rate_series",
 ]

@@ -445,20 +445,16 @@ class FlowScheduler:
     def active_flows(self) -> list[Flow]:
         return list(self._timeline.flows.values())
 
-    def poke(self, link: Optional[Link] = None) -> None:
+    def poke(self, link: Link) -> None:
         """Force an immediate rate recomputation.
 
-        Call after mutating link capacities (retrain/degradation) so
+        Call after mutating ``link``'s capacity (retrain/degradation) so
         in-flight flows adopt the new rates without waiting for the next
-        natural arrival/completion event.  Passing the changed ``link``
-        confines the re-solve to its contention component; with no
-        argument every component is re-solved (unknown change).
+        natural arrival/completion event.  The re-solve is confined to
+        the link's contention component.
         """
         self._timeline.advance(self.env.now)
-        if link is None:
-            self._timeline.solver.touch_all()
-        else:
-            self._timeline.solver.touch(*_link_keys(link))
+        self._timeline.solver.touch(*_link_keys(link))
         self._settle()
 
     def kill_flows_on(self, link: Link, cause: Exception) -> int:

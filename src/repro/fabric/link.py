@@ -16,7 +16,7 @@ Table IV (L-L 72.37 GB/s, F-L 19.64 GB/s, F-F 24.47 GB/s bidirectional).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -240,10 +240,6 @@ class Link:
             (b, a): CounterMonitor(f"{self.name}:{b}->{a}"),
         }
 
-    @property
-    def endpoints(self) -> tuple[str, str]:
-        return (self.a, self.b)
-
     def other(self, node: str) -> str:
         """The endpoint opposite ``node``."""
         if node == self.a:
@@ -258,10 +254,6 @@ class Link:
             raise ValueError(
                 f"({src!r}, {dst!r}) is not a direction of {self.name}")
         return (src, dst)
-
-    def account(self, time: float, src: str, dst: str, nbytes: float) -> None:
-        """Record ``nbytes`` transferred ``src -> dst`` at ``time``."""
-        self.counters[self.direction(src, dst)].add(time, nbytes)
 
     def bytes_moved(self, src: str, dst: str) -> float:
         """Bytes moved in the given direction up to the counter's last

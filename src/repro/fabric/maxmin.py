@@ -172,7 +172,7 @@ class MaxMinSolver:
     """Route-class index + dirty-class incremental re-solver.
 
     The owner registers every active flow (:meth:`add` / :meth:`remove`),
-    reports capacity changes (:meth:`touch` / :meth:`touch_all`), and
+    reports capacity changes (:meth:`touch`), and
     calls :meth:`solve` once per instant.  Flows on the same route form
     one class, and the index, the dirty set, the component walk and the
     fill memo work on classes.  Each mutation marks the classes whose
@@ -296,11 +296,6 @@ class MaxMinSolver:
             classes = self._classes_on.get(key)
             if classes:
                 self._dirty.update(classes)
-
-    def touch_all(self) -> None:
-        """Mark every live class (unknown capacity change)."""
-        self._dirty.update(cid for cid, members in enumerate(self._members)
-                           if members)
 
     def crosses(self, key: tuple) -> bool:
         """Whether any live flow crosses the directed-link ``key``."""

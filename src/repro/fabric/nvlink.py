@@ -32,8 +32,7 @@ from typing import Sequence
 from .link import Link, NVLINK2_X1, NVLINK2_X2
 from .topology import Topology
 
-__all__ = ["HYBRID_CUBE_MESH_EDGES", "RING_ORDER", "build_hybrid_cube_mesh",
-           "adjacent_pairs"]
+__all__ = ["HYBRID_CUBE_MESH_EDGES", "RING_ORDER", "build_hybrid_cube_mesh"]
 
 #: (gpu_a, gpu_b, link_count) edges of the DGX-1V hybrid cube mesh.
 HYBRID_CUBE_MESH_EDGES: tuple[tuple[int, int, int], ...] = (
@@ -73,7 +72,3 @@ def build_hybrid_cube_mesh(topology: Topology,
         links.append(topology.add_link(spec, gpu_nodes[a], gpu_nodes[b]))
     return links
 
-
-def adjacent_pairs() -> list[tuple[int, int, int]]:
-    """All NVLink-adjacent GPU index pairs with their link counts."""
-    return [(a, b, count) for a, b, count in HYBRID_CUBE_MESH_EDGES]

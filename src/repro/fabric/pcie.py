@@ -42,10 +42,6 @@ class RootComplex:
             raise ValueError(f"{device_node!r} is not attached to {self.name}")
         self.topology.remove_link(link)
 
-    @property
-    def children(self) -> list[str]:
-        return list(self._children)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<RootComplex {self.name} children={len(self._children)}>"
 
@@ -68,10 +64,6 @@ class PCIeSwitch:
     @property
     def free_ports(self) -> int:
         return self.ports - len(self._downstream)
-
-    @property
-    def downstream(self) -> list[str]:
-        return list(self._downstream)
 
     @property
     def upstream(self) -> list[str]:
@@ -113,9 +105,6 @@ class PCIeSwitch:
         if link is None:
             raise ValueError(f"{device_node!r} is not on {self.name}")
         self.topology.remove_link(link)
-
-    def link_to(self, device_node: str) -> Link:
-        return self._downstream[device_node]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<PCIeSwitch {self.name} "

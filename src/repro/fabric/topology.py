@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..sim import Environment, Event
 from .flows import FlowScheduler, Segment
@@ -211,27 +211,12 @@ class Topology:
         """Links that were hard-failed and not yet re-seated."""
         return list(self._failed_links)
 
-    def remove_node(self, name: str) -> None:
-        """Remove a node and all its links."""
-        if name not in self._nodes:
-            raise KeyError(f"unknown node {name!r}")
-        for link in list(self._adjacency[name]):
-            self.remove_link(link)
-        del self._adjacency[name]
-        del self._nodes[name]
-        self._route_cache.clear()
-
     # -- inspection -------------------------------------------------------
     def has_node(self, name: str) -> bool:
         return name in self._nodes
 
     def node(self, name: str) -> Node:
         return self._nodes[name]
-
-    def nodes(self, kind: Optional[str] = None) -> list[Node]:
-        if kind is None:
-            return list(self._nodes.values())
-        return [n for n in self._nodes.values() if n.kind == kind]
 
     def links_of(self, name: str) -> list[Link]:
         return list(self._adjacency[name])

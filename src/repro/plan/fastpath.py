@@ -103,12 +103,6 @@ class PlanTiming:
     #: Completion time of the last op.
     makespan: float = 0.0
 
-    def rank_end(self, plan: StepPlan, rank: int) -> float:
-        """Finish time of ``rank``'s program."""
-        ends = [self.op_times[op.uid][1] for op in plan.by_rank(rank)
-                if op.uid in self.op_times]
-        return max(ends) if ends else 0.0
-
 
 def _jitter_is_deterministic(jitter: Callable[[], float]) -> bool:
     """Whether the context's jitter sampler always returns exactly 1.0.

@@ -365,10 +365,6 @@ class StepPlan:
             out[op.kind] = out.get(op.kind, 0) + 1
         return out
 
-    def critical_path_bytes(self) -> float:
-        """Total bytes annotated across the plan (all ranks)."""
-        return sum(op.bytes for op in self.ops)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<StepPlan {self.name!r} world={self.world_size} "
                 f"ops={len(self.ops)}>")

@@ -68,10 +68,6 @@ class PlanPass:
     def run(self, plan: StepPlan, ctx: PassContext) -> StepPlan:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """Short parameterization summary for plan meta / CLI output."""
-        return self.name
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__}>"
 

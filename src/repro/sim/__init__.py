@@ -17,7 +17,6 @@ from .core import (
     Interrupt,
     Process,
     SimulationError,
-    StopProcess,
     Timeout,
 )
 from .monitor import CounterMonitor, SummaryStats, TimeSeries
@@ -36,7 +35,6 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
-    "StopProcess",
     "Resource",
     "Container",
     "Store",

@@ -39,7 +39,6 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
-    "StopProcess",
 ]
 
 
@@ -63,18 +62,6 @@ class Interrupt(Exception):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Interrupt(cause={self.cause!r})"
-
-
-class StopProcess(Exception):
-    """Raised by :meth:`Environment.exit` to return a value from a process.
-
-    Plain ``return value`` inside a generator works too (and is the
-    preferred spelling); this exists for parity with older SimPy code.
-    """
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
 
 
 # Event lifecycle sentinels.
@@ -152,19 +139,6 @@ class Event:
         self._value = exception
         self.env._schedule(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env._schedule(self)
-
-    # -- composition ---------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else (
@@ -262,7 +236,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or failure) of ``event``."""
-        self.env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -273,17 +246,10 @@ class Process(Event):
                     next_event = self._generator.throw(exc)
             except StopIteration as exc:
                 self._target = None
-                self.env._active_process = None
-                self.succeed(exc.value)
-                return
-            except StopProcess as exc:
-                self._target = None
-                self.env._active_process = None
                 self.succeed(exc.value)
                 return
             except BaseException as exc:
                 self._target = None
-                self.env._active_process = None
                 self.fail(exc)
                 return
 
@@ -297,7 +263,6 @@ class Process(Event):
                 # Event not yet processed: register and suspend.
                 next_event.callbacks.append(self._resume)
                 self._target = next_event
-                self.env._active_process = None
                 return
             # Event already processed: feed its value straight back in.
             event = next_event
@@ -325,9 +290,6 @@ class _Condition(Event):
                 event.callbacks.append(self._check)
         if not self._events and not self.triggered:
             self.succeed(ConditionValue({}))
-
-    def _evaluate(self) -> bool:
-        raise NotImplementedError
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -358,9 +320,6 @@ class ConditionValue(dict):
 
     def __init__(self, mapping: dict):
         super().__init__(mapping)
-
-    def values_list(self) -> list:
-        return list(self.values())
 
 
 class AllOf(_Condition):
@@ -394,18 +353,12 @@ class Environment:
         # entries.  A plain int beats itertools.count() here — no
         # iterator-protocol dispatch on the hottest call in the kernel.
         self._eid = 0
-        self._active_process: Optional[Process] = None
 
     # -- clock ----------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between events)."""
-        return self._active_process
 
     # -- event factories -------------------------------------------------
     def event(self) -> Event:
@@ -439,10 +392,6 @@ class Environment:
         event._value = None
         event.callbacks.append(callback)
         self._schedule(event, priority=Environment.LAST)
-
-    def exit(self, value: Any = None) -> None:
-        """Return ``value`` from the active process (legacy spelling)."""
-        raise StopProcess(value)
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, priority: int = NORMAL,

@@ -19,7 +19,7 @@ series does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -146,26 +146,6 @@ class TimeSeries:
         out = np.where(idx >= 0, v[np.clip(idx, 0, v.size - 1)], np.nan)
         return out
 
-    def windows(self, width: float) -> tuple[np.ndarray, np.ndarray]:
-        """Mean value per fixed-width window; returns (window_starts, means)."""
-        if width <= 0:
-            raise ValueError("window width must be positive")
-        import numpy as np
-        if not self._times:
-            return np.array([]), np.array([])
-        t = self.times
-        v = self.values
-        start = t[0]
-        bins = np.floor((t - start) / width).astype(int)
-        n = bins[-1] + 1
-        sums = np.zeros(n)
-        counts = np.zeros(n)
-        np.add.at(sums, bins, v)
-        np.add.at(counts, bins, 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means = sums / counts
-        return start + width * np.arange(n), means
-
 
 class CounterMonitor:
     """A monotonically increasing counter (e.g. bytes through a port).
@@ -251,22 +231,3 @@ class CounterMonitor:
         if t1 == t0:
             return float("nan")
         return self.total_between(t0, t1) / (t1 - t0)
-
-    def rate_series(self, width: float,
-                    t_end: Optional[float] = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-window average rates; returns (window_starts, rates).
-
-        ``t_end`` defaults to the last breakpoint.
-        """
-        if width <= 0:
-            raise ValueError("window width must be positive")
-        import numpy as np
-        t, c = self.breakpoints(t_end)
-        hi = t_end if t_end is not None else t[-1]
-        if hi <= 0:
-            return np.array([]), np.array([])
-        edges = np.arange(0.0, hi + width, width)
-        at_edges = np.interp(edges, t, c)
-        rates = np.diff(at_edges) / width
-        return edges[:-1], rates

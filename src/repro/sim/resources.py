@@ -60,11 +60,6 @@ class Resource:
         self.users: list[Request] = []
         self.queue: deque[Request] = deque()
 
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
-
     def request(self) -> Request:
         return Request(self)
 
@@ -213,9 +208,6 @@ class Store:
         self.items: deque = deque()
         self._put_queue: deque[StorePut] = deque()
         self._get_queue: deque[StoreGet] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
 
     def put(self, item: Any) -> StorePut:
         return StorePut(self, item)

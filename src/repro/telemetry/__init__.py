@@ -22,7 +22,6 @@ from .export import (
     render_ascii_timeline,
     render_flame_summary,
     to_chrome_trace,
-    to_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "render_flame_summary",
     "render_ascii_timeline",
     "to_chrome_trace",
-    "to_jsonl",
     "validate_chrome_trace",
     "write_chrome_trace",
 ]

@@ -1,6 +1,6 @@
 """Trace exporters and span summaries.
 
-Three export formats for :class:`~repro.telemetry.trace.Tracer` data:
+Two export formats for :class:`~repro.telemetry.trace.Tracer` data:
 
 - **Chrome/Perfetto** ``trace_event`` JSON (:func:`to_chrome_trace`):
   one pid per track process (host, ``comm``, ``fabric``, ``storage``,
@@ -8,8 +8,6 @@ Three export formats for :class:`~repro.telemetry.trace.Tracer` data:
   lane).  Spans become ``"X"`` complete events, instants become ``"i"``,
   and ``"M"`` metadata events carry the human-readable names — the file
   opens directly in https://ui.perfetto.dev or ``chrome://tracing``.
-- **flat JSONL** (:func:`to_jsonl`): one span/instant per line for ad-hoc
-  ``jq``/pandas analysis.
 - **text flame summary** (:func:`render_flame_summary`): aggregate time
   per (category, name), the "where did the step go" view.
 
@@ -29,7 +27,6 @@ from .trace import Category, Span, Tracer, Track
 __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
-    "to_jsonl",
     "validate_chrome_trace",
     "flame_rows",
     "render_flame_summary",
@@ -121,37 +118,6 @@ def write_chrome_trace(tracer: Tracer, path: Union[str, Path]) -> Path:
     path = Path(path)
     path.write_text(json.dumps(to_chrome_trace(tracer)))
     return path
-
-
-def to_jsonl(tracer: Tracer, close_open: bool = True) -> str:
-    """One JSON object per line: spans then instants, time-ordered."""
-    if close_open:
-        tracer.finish()
-    rows: list[dict] = []
-    for span in tracer.spans:
-        rows.append({
-            "type": "span",
-            "name": span.name,
-            "category": span.category.value,
-            "process": span.track.process,
-            "thread": span.track.thread,
-            "start": span.start,
-            "end": span.end,
-            "duration": span.duration,
-            "attrs": _json_safe(span.attrs),
-        })
-    for instant in tracer.instants:
-        rows.append({
-            "type": "instant",
-            "name": instant.name,
-            "category": instant.category.value,
-            "process": instant.track.process,
-            "thread": instant.track.thread,
-            "time": instant.time,
-            "attrs": _json_safe(instant.attrs),
-        })
-    rows.sort(key=lambda r: r.get("start", r.get("time", 0.0)))
-    return "\n".join(json.dumps(r) for r in rows) + ("\n" if rows else "")
 
 
 def _json_safe(attrs: dict) -> dict:

@@ -41,7 +41,6 @@ fabric) and attributing the measured excess to queueing/sharing.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Optional
@@ -467,10 +466,6 @@ class Attribution:
     @property
     def total(self) -> float:
         return sum(self.seconds.values())
-
-    def share(self, category: str) -> float:
-        wall = self.wall
-        return self.seconds.get(category, 0.0) / wall if wall else 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -1245,11 +1240,6 @@ class BottleneckReport:
         return out
 
     # -- rendering --------------------------------------------------------
-    def render_text(self) -> str:
-        return render_report_text(self.to_json())
-
-    def render_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent, sort_keys=True)
 
 
 def render_report_text(report: dict) -> str:

@@ -115,11 +115,6 @@ class Span:
         """Span length in simulated seconds (0.0 while still open)."""
         return 0.0 if self.end is None else self.end - self.start
 
-    def annotate(self, **attrs: Any) -> "Span":
-        """Attach (or overwrite) attributes on an open or closed span."""
-        self.attrs.update(attrs)
-        return self
-
     def close(self, at: Optional[float] = None, **attrs: Any) -> "Span":
         """End the span (idempotent); optional attrs are merged in."""
         if attrs:
@@ -146,9 +141,6 @@ class _NullSpan:
     __slots__ = ()
     closed = True
     duration = 0.0
-
-    def annotate(self, **attrs: Any) -> "_NullSpan":
-        return self
 
     def close(self, at: Optional[float] = None, **attrs: Any) -> "_NullSpan":
         return self
@@ -312,9 +304,6 @@ class Tracer:
         log.subscribe(mirror)
 
     # -- lifecycle ---------------------------------------------------------
-    def open_spans(self) -> list[Span]:
-        """Spans not yet closed (mostly useful for debugging/tests)."""
-        return [s for s in self.spans if not s.closed]
 
     def finish(self, at: Optional[float] = None) -> None:
         """Close every still-open span (e.g. after a faulted teardown)."""
@@ -325,14 +314,6 @@ class Tracer:
             while stack:
                 span = stack.pop()
                 span.end = max(end, span.start)
-
-    def clear(self) -> None:
-        """Drop all recorded data (lane pools included)."""
-        self.spans.clear()
-        self.instants.clear()
-        self._open.clear()
-        self._free_lanes.clear()
-        self._lane_high.clear()
 
     def __len__(self) -> int:
         return len(self.spans) + len(self.instants)

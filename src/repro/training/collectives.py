@@ -21,7 +21,6 @@ local GPUs callers should pass the hybrid-cube-mesh Hamiltonian order
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional

@@ -528,16 +528,6 @@ class TrainingJob:
         """Per-step wall times measured so far (rank 0's view)."""
         return list(self._step_times)
 
-    @property
-    def steps_completed(self) -> int:
-        """Optimizer steps completed so far (rank 0's view)."""
-        return self._steps_completed
-
-    @property
-    def last_checkpoint_step(self) -> Optional[int]:
-        """Step index of the last checkpoint that hit storage, or None."""
-        return self._last_checkpoint_step
-
     def add_step_listener(self, fn) -> None:
         """Call ``fn(steps_completed, time)`` after each optimizer step.
 

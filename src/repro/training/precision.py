@@ -34,16 +34,6 @@ class PrecisionPolicy:
     def gradient_bytes(self, model: ModelGraph) -> float:
         return model.gradient_bytes(self.communication)
 
-    def weight_bytes(self, model: ModelGraph) -> float:
-        """Resident model weights (including the FP32 master copy)."""
-        base = model.weight_bytes(self.compute)
-        if self.master_weights and self.compute is Precision.FP16:
-            base += model.weight_bytes(Precision.FP32)
-        return base
-
-    def activation_bytes(self, model: ModelGraph) -> float:
-        return model.activation_bytes_per_sample(self.compute)
-
 
 #: Plain FP32 training.
 FP32_POLICY = PrecisionPolicy(

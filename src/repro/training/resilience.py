@@ -158,29 +158,6 @@ class FaultTolerantResult:
     def resizes(self) -> int:
         return len(self.resize_log)
 
-    @property
-    def goodput_fraction(self) -> Optional[float]:
-        """Goodput as a fraction of fault-free throughput."""
-        if not self.raw_throughput:
-            return None
-        return self.goodput / self.raw_throughput
-
-    def summary(self) -> dict:
-        return {
-            "completed": self.completed,
-            "attempts": self.attempts,
-            "faults": self.faults,
-            "resizes": self.resizes,
-            "lost_steps": self.lost_steps,
-            "wall_time_s": self.wall_time,
-            "mttr_s": self.mttr,
-            "goodput_samples_s": self.goodput,
-            "raw_throughput_samples_s": self.raw_throughput,
-            "final_world_size": self.final_world_size,
-            "interrupted_reason": self.interrupted_reason,
-            "recovery_actions": [a.kind for a in self.recovery_log],
-        }
-
 
 class FaultTolerantTrainingJob:
     """Checkpoint-restart training with elastic ring repair."""

@@ -13,7 +13,6 @@ from .layers import (
     activation,
     batchnorm2d,
     conv2d,
-    depthwise_conv2d,
     embedding,
     layernorm,
     linear,
@@ -28,7 +27,6 @@ __all__ = [
     "Layer",
     "ModelGraph",
     "conv2d",
-    "depthwise_conv2d",
     "batchnorm2d",
     "linear",
     "layernorm",

@@ -12,14 +12,14 @@ Each :class:`Layer` records, per sample:
   convention used by e.g. ResNet-50 = 50).
 
 A :class:`ModelGraph` is an ordered collection of layers with aggregate
-accessors used by the training engine: step FLOPs (forward + backward),
-gradient bytes for allreduce, weight and activation memory, and the
+accessors used by the training engine: forward FLOPs, gradient bytes
+for allreduce, weight and activation memory, and the
 per-sample HBM traffic estimate that drives the roofline kernel model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..devices.gpu import Precision
@@ -28,7 +28,6 @@ __all__ = [
     "Layer",
     "ModelGraph",
     "conv2d",
-    "depthwise_conv2d",
     "batchnorm2d",
     "linear",
     "layernorm",
@@ -38,8 +37,6 @@ __all__ = [
     "activation",
 ]
 
-#: Backward pass costs ~2x the forward pass (grad wrt inputs + weights).
-BACKWARD_FLOP_MULTIPLIER = 2.0
 #: Bytes per element at FP32.
 FP32_BYTES = 4
 FP16_BYTES = 2
@@ -83,12 +80,6 @@ def conv2d(name: str, in_ch: int, out_ch: int, kernel: int,
         forward_flops=2.0 * macs,
         activation_bytes=float(out_ch * h * w * FP32_BYTES),
     )
-
-
-def depthwise_conv2d(name: str, channels: int, kernel: int,
-                     out_hw: tuple[int, int]) -> Layer:
-    """Depthwise convolution (groups == channels)."""
-    return conv2d(name, channels, channels, kernel, out_hw, groups=channels)
 
 
 def batchnorm2d(name: str, channels: int, out_hw: tuple[int, int]) -> Layer:
@@ -202,13 +193,6 @@ class ModelGraph:
         self._layers.append(layer)
         return self
 
-    def extend(self, layers: Iterable[Layer]) -> "ModelGraph":
-        self._layers.extend(layers)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._layers)
-
     @property
     def layers(self) -> tuple[Layer, ...]:
         return tuple(self._layers)
@@ -228,12 +212,6 @@ class ModelGraph:
     def forward_flops_per_sample(self) -> float:
         return sum(l.forward_flops for l in self._layers)
 
-    @property
-    def train_flops_per_sample(self) -> float:
-        """Forward + backward FLOPs for one training sample."""
-        return (1.0 + BACKWARD_FLOP_MULTIPLIER) \
-            * self.forward_flops_per_sample
-
     def activation_bytes_per_sample(
             self, precision: Precision = Precision.FP32) -> float:
         scale = FP16_BYTES / FP32_BYTES \
@@ -249,17 +227,6 @@ class ModelGraph:
         per = FP16_BYTES if precision is Precision.FP16 else FP32_BYTES
         return float(self.params * per)
 
-    def optimizer_state_bytes(self, sharded: bool = False,
-                              world_size: int = 1) -> float:
-        """Adam-style optimizer state (fp32 master + 2 moments).
-
-        With ZeRO-style sharding the state is partitioned across replicas.
-        """
-        total = float(self.params * 3 * FP32_BYTES)
-        if sharded and world_size > 1:
-            return total / world_size
-        return total
-
     def hbm_bytes_per_sample(self, precision: Precision = Precision.FP32
                              ) -> float:
         """Approximate HBM traffic per sample for the roofline model.
@@ -271,17 +238,6 @@ class ModelGraph:
         act = self.activation_bytes_per_sample(precision)
         weights = self.weight_bytes(precision)
         return 2.0 * (2.0 * act + weights)
-
-    def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "family": self.family,
-            "layers": len(self._layers),
-            "depth": self.depth,
-            "params": self.params,
-            "forward_gflops_per_sample":
-                self.forward_flops_per_sample / 1e9,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<ModelGraph {self.name} params={self.params / 1e6:.1f}M "

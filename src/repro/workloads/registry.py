@@ -17,7 +17,7 @@ at sequence length 384.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..devices.gpu import Precision
@@ -64,10 +64,6 @@ class Benchmark:
     def build(self) -> ModelGraph:
         """Construct the model graph."""
         return self.model_builder()
-
-    @property
-    def steps_per_epoch(self) -> int:
-        return self.dataset.steps_per_epoch(self.global_batch)
 
 
 BENCHMARKS: dict[str, Benchmark] = {

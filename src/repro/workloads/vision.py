@@ -24,7 +24,6 @@ from .layers import (
     activation,
     batchnorm2d,
     conv2d,
-    depthwise_conv2d,
     linear,
     pooling,
 )

@@ -53,13 +53,9 @@ class TestFleetConstruction:
     def test_hosts_are_gpu_less(self, fleet):
         assert all(host.gpus == [] for host in fleet.hosts)
 
-    def test_home_host_round_robin(self, fleet):
-        assert fleet.home_host(0) is fleet.hosts[0]
-        assert fleet.home_host(1) is fleet.hosts[1]
-
     def test_home_hosts_admitted_at_build(self, fleet):
         for c in range(2):
-            home = fleet.home_host(c)
+            home = fleet.hosts[c]
             assert fleet.is_admitted(home.name, c, 0)
             assert fleet.is_admitted(home.name, c, 1)
 
@@ -86,8 +82,6 @@ class TestFleetConstruction:
         assert bw(over) == pytest.approx(bw(flat) / 2.0)
 
     def test_lookup_errors(self, fleet):
-        with pytest.raises(KeyError):
-            fleet.host_by_name("nope")
         with pytest.raises(KeyError):
             fleet.gpu("falcon9/gpu0")
 
@@ -116,7 +110,7 @@ class TestFreeGpus:
             chassis = fleet.chassis_of[name]
             falcon = fleet.falcons[chassis]
             if falcon.owner_of(name) is None:
-                falcon.allocate(name, fleet.home_host(chassis).name)
+                falcon.allocate(name, fleet.hosts[chassis % 2].name)
             else:
                 falcon.deallocate(name)
             assert fleet.free_gpus() == _scan_free_gpus(fleet)
@@ -141,7 +135,7 @@ class TestAdmission:
         assert not fleet.is_admitted("host0", 1, 0)
 
     def test_home_admission_survives_release(self, fleet):
-        home = fleet.home_host(0).name
+        home = fleet.hosts[0].name
         fleet.admit(home, 0, 0)      # scheduler takes a ref on home turf
         fleet.release(home, 0, 0)
         fleet.release(home, 0, 0)    # over-release must not uncable home

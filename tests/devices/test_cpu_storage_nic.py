@@ -1,11 +1,10 @@
-"""Unit tests for CPU, StorageDevice, and NIC models."""
+"""Unit tests for the CPU and StorageDevice models."""
 
 import pytest
 
 from repro.devices import (
     CPU,
     LOCAL_SCRATCH,
-    NIC,
     SSDPEDKX040T7,
     StorageDevice,
     XEON_GOLD_6148_DUAL,
@@ -140,15 +139,6 @@ class TestStorage:
         assert times["write"] > t_read
         assert drive.bytes_written.total == pytest.approx(1 * GB)
 
-    def test_capacity_bookkeeping(self, env, topo):
-        drive = StorageDevice(env, topo, "nvme", SSDPEDKX040T7)
-        drive.store(3e12)
-        assert drive.used_bytes == 3e12
-        with pytest.raises(IOError):
-            drive.store(2e12)
-        drive.evict(3e12)
-        assert drive.used_bytes == 0.0
-
     def test_negative_read_rejected(self, env, topo):
         drive = StorageDevice(env, topo, "nvme")
         with pytest.raises(ValueError):
@@ -171,21 +161,3 @@ class TestStorage:
             env.process(go())
         env.run()
         assert max(finish) == pytest.approx(16.0, rel=0.05)
-
-
-class TestNIC:
-    def test_send_serialization_time(self, env, topo):
-        nic = NIC(env, topo, "nic0")
-
-        def go():
-            yield nic.send(1.15 * GB)
-
-        env.process(go())
-        env.run()
-        assert env.now == pytest.approx(1.0)
-        assert nic.bytes_sent.total == pytest.approx(1.15 * GB)
-
-    def test_negative_send_rejected(self, env, topo):
-        nic = NIC(env, topo, "nic0")
-        with pytest.raises(ValueError):
-            nic.send(-1.0)

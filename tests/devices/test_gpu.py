@@ -108,12 +108,12 @@ class TestMemory:
     def test_alloc_free(self, env, gpu):
         def work():
             yield gpu.alloc(4 * GIB)
-            assert gpu.memory_used == 4 * GIB
+            assert gpu.memory.level == 4 * GIB
             assert gpu.memory_utilization == pytest.approx(0.25)
             yield gpu.free(4 * GIB)
 
         env.run(until=env.process(work()))
-        assert gpu.memory_used == 0.0
+        assert gpu.memory.level == 0.0
 
     def test_oversize_allocation_raises(self, gpu):
         with pytest.raises(MemoryError):

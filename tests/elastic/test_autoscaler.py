@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.elastic import AutoscalePolicy, EagerGrowPolicy, HysteresisPolicy
+from repro.elastic import EagerGrowPolicy, HysteresisPolicy
 
 
 def observe_series(policy, spares):
     return [policy.observe(float(i), i, 2, s)
             for i, s in enumerate(spares)]
-
-
-def test_static_policy_never_grows():
-    assert observe_series(AutoscalePolicy(), [0, 1, 5, 1]) == [None] * 4
 
 
 def test_eager_fires_the_moment_a_spare_appears():

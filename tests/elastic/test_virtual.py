@@ -3,8 +3,6 @@
 import pytest
 
 from repro.elastic import VirtualBatchSpec
-from repro.training import TrainingConfig
-from repro.workloads import get_benchmark
 
 
 class TestValidation:
@@ -38,7 +36,7 @@ class TestInvariants:
         for world in (1, 2, 4, 8):
             ov = spec.config_overrides(world)
             micro = ov["global_batch"] // (world * ov["accumulation_steps"])
-            assert micro == spec.micro_batch == 4
+            assert micro == 4
 
     def test_accumulation_scales_inversely_with_world(self):
         spec = VirtualBatchSpec(4, 8)
@@ -59,11 +57,3 @@ class TestFeasibleWorld:
     def test_overrides_reject_a_non_divisor_world(self):
         with pytest.raises(ValueError, match="feasible_world"):
             VirtualBatchSpec(4, 8).config_overrides(3)
-
-
-def test_for_config_matches_the_resolved_global_batch():
-    config = TrainingConfig(benchmark=get_benchmark("resnet50"),
-                            global_batch=8)
-    spec = VirtualBatchSpec.for_config(config, virtual_nodes=4)
-    assert spec.global_batch == config.resolved_global_batch()
-    assert spec.virtual_nodes == 4

@@ -6,7 +6,6 @@ from repro.core import ComposableSystem
 from repro.experiments import (
     overhead_vs_batch,
     overhead_vs_model_size,
-    overhead_vs_width,
 )
 from repro.experiments.scaling_laws import (
     BACKENDS,
@@ -50,13 +49,6 @@ class TestDepthSweep:
         """Fixed-vocabulary embeddings carry gradient bytes but no FLOPs,
         so the shallow family member is *more* communication-bound."""
         assert points[0].overhead_pct > points[1].overhead_pct
-
-
-class TestWidthSweep:
-    def test_width_sweep_runs(self):
-        points = overhead_vs_width(widths=(256, 1024))
-        assert points[0].params_m < points[1].params_m
-        assert all(p.overhead_pct > 50.0 for p in points)
 
 
 class TestBatchSweep:

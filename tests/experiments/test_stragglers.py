@@ -1,9 +1,8 @@
-"""Tests for kernel jitter and straggler amplification."""
+"""Tests for kernel jitter, the simulator's straggler model."""
 
 import pytest
 
 from repro import ComposableSystem
-from repro.experiments import straggler_amplification_study
 from repro.training import AMP_POLICY, StepCosts
 from repro.workloads import get_benchmark
 
@@ -51,15 +50,3 @@ class TestJitteredTraining:
         system = ComposableSystem()
         jit = system.train("bert-base", sim_steps=6, kernel_jitter=0.15)
         assert jit.step_time_std > det.step_time_std
-
-
-class TestAmplification:
-    def test_amplification_grows_with_world_size(self):
-        points = straggler_amplification_study(world_sizes=(1, 8),
-                                               jitter=0.10, sim_steps=8)
-        assert points[1].amplification_pct > \
-            points[0].amplification_pct + 2.0
-
-    def test_requires_positive_jitter(self):
-        with pytest.raises(ValueError):
-            straggler_amplification_study(jitter=0.0)

@@ -12,13 +12,7 @@ import json
 import pytest
 
 from repro.experiments import overhead_split, traced_run
-from repro.experiments.export import (
-    records_to_csv,
-    records_to_json,
-    summarize_events,
-    summarize_trace,
-    write_records,
-)
+from repro.experiments.export import records_to_json
 from repro.experiments.profiling import profile_cell
 from repro.telemetry import (
     ATTRIBUTION_CATEGORIES,
@@ -124,47 +118,6 @@ class TestOverheadSplit:
 
 
 class TestSummaryEmbedding:
-    def test_summarize_trace(self, local_run):
-        summary = summarize_trace(local_run.tracer)
-        assert summary["spans"] == len(local_run.tracer.spans)
-        assert "compute" in summary["by_category"]
-        json.dumps(summary)
-
-    def test_summarize_events(self, local_run):
-        log = local_run.system.mcs.log
-        summary = summarize_events(log)
-        assert summary["count"] == len(log)
-        json.dumps(summary)
-
-    def test_json_embeds_summaries(self, local_run):
-        trace_summary = summarize_trace(local_run.tracer)
-        events_summary = summarize_events(local_run.system.mcs.log)
-        blob = records_to_json([local_run.record],
-                               events=[events_summary],
-                               traces=[trace_summary])
-        (row,) = json.loads(blob)
-        assert row["trace"]["spans"] > 0
-        assert row["events"]["count"] > 0
-
-    def test_csv_embeds_summaries_as_json_columns(self, local_run):
-        trace_summary = summarize_trace(local_run.tracer)
-        text = records_to_csv([local_run.record], traces=[trace_summary])
-        header, row = text.strip().split("\r\n")
-        assert header.endswith(",trace")
-        assert "events" not in header  # none supplied -> no column
-
-    def test_write_records_with_summaries(self, local_run, tmp_path):
-        path = write_records(
-            [local_run.record], tmp_path / "out.json",
-            events=[summarize_events(local_run.system.mcs.log)],
-            traces=[summarize_trace(local_run.tracer)])
-        (row,) = json.loads(path.read_text())
-        assert "events" in row and "trace" in row
-
-    def test_misaligned_summaries_rejected(self, local_run):
-        with pytest.raises(ValueError):
-            records_to_json([local_run.record], traces=[{}, {}])
-
     def test_plain_export_unchanged(self, local_run):
         (row,) = json.loads(records_to_json([local_run.record]))
         assert "events" not in row and "trace" not in row

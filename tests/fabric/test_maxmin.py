@@ -184,21 +184,6 @@ def test_solver_touch_picks_up_capacity_change():
     solver.assert_equivalent()
 
 
-def test_solver_touch_all_rerates_everything():
-    caps = {"a": 6.0, "b": 6.0}
-    solver = MaxMinSolver()
-    flows = [FakeFlow(0, ["a"], caps), FakeFlow(1, ["b"], caps)]
-    for f in flows:
-        solver.add(f)
-    solver.solve()
-    caps["a"] = 2.0
-    caps["b"] = 3.0
-    solver.touch_all()
-    assert solver.solve() == 2
-    assert flows[0].rate == pytest.approx(2.0)
-    assert flows[1].rate == pytest.approx(3.0)
-
-
 def test_solver_flows_on_union():
     caps = {"a": 1.0, "b": 1.0}
     fa = FakeFlow("a", ["a"], caps)

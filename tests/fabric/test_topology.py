@@ -108,15 +108,6 @@ def test_route_cache_invalidated_on_change(topo):
     assert topo.route("a", "b").hops == 2
 
 
-def test_remove_node_removes_links(topo):
-    topo.add_node("a")
-    topo.add_node("b")
-    topo.add_link(PCIE_GEN4_X16, "a", "b")
-    topo.remove_node("b")
-    assert not topo.has_node("b")
-    assert topo.links_of("a") == []
-
-
 def test_remove_foreign_link_rejected(topo):
     topo.add_node("a")
     topo.add_node("b")
@@ -124,14 +115,6 @@ def test_remove_foreign_link_rejected(topo):
     topo.remove_link(link)
     with pytest.raises(ValueError):
         topo.remove_link(link)
-
-
-def test_nodes_by_kind(topo):
-    topo.add_node("g0", kind="gpu")
-    topo.add_node("g1", kind="gpu")
-    topo.add_node("sw", kind="switch")
-    assert {n.name for n in topo.nodes("gpu")} == {"g0", "g1"}
-    assert len(topo.nodes()) == 3
 
 
 def test_transfer_time_includes_latency_and_streaming(env, topo):

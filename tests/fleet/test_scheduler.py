@@ -187,7 +187,7 @@ def test_drawer_of_matches_a_drawer_scan_through_churn():
                 falcon.remove_device(name)
                 falcon.install_device(name, other)
         else:
-            falcon.allocate(name, fleet.home_host(chassis).name)
+            falcon.allocate(name, fleet.hosts[chassis % len(fleet.hosts)].name)
         for n in (name, rng.choice(names)):
             c = fleet.chassis_of[n]
             assert scheduler._drawer_of(c, n) == _scan_drawer_of(fleet, c, n)

@@ -8,7 +8,6 @@ from repro.core import ComposableSystem
 from repro.devices.gpu import Precision
 from repro.devices.storage import StorageDevice
 from repro.fabric.link import SATA3
-from repro.fabric.traffic import total_bytes_moved
 from repro.plan import (
     ExecutionContext,
     FastPathUnsupported,
@@ -146,13 +145,6 @@ class TestEquivalence:
         ctx = make_ctx()
         ctx.tracer = Tracer(ctx.env)
         assert evaluate_plan(taxonomy_plan(), ctx).mode == "executor"
-
-    def test_rank_end(self):
-        plan = taxonomy_plan()
-        timing = fastpath_schedule(plan, make_ctx())
-        # Both ranks rejoin at the final barrier.
-        assert timing.rank_end(plan, 0) == timing.rank_end(plan, 1)
-        assert timing.rank_end(plan, 0) == timing.makespan
 
     def test_delay_elapsed_fraction(self):
         ctx = make_ctx(world=1)
@@ -363,7 +355,8 @@ def test_fastpath_leaves_a_live_falcon_system_untouched():
     topo = system.topology
 
     def state():
-        return (total_bytes_moved(topo.links()),
+        return (sum(counter.total for link in topo.links()
+                    for counter in link.counters.values()),
                 topo.scheduler.active_flows, system.env.now)
 
     before = state()

@@ -94,7 +94,6 @@ class TestStepPlan:
     def test_counts_and_bytes(self):
         plan = self._plan()
         assert plan.counts() == {"compute": 4, "collective": 2}
-        assert plan.critical_path_bytes() == pytest.approx(2e6)
 
     def test_topo_order_respects_deps(self):
         order = [op.uid for op in self._plan().topo_order()]

@@ -76,17 +76,6 @@ def test_process_return_value():
     assert env.now == 2.0
 
 
-def test_env_exit_legacy_spelling():
-    env = Environment()
-
-    def child():
-        yield env.timeout(1.0)
-        env.exit("done")
-
-    result = env.run(until=env.process(child()))
-    assert result == "done"
-
-
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
 
@@ -196,7 +185,7 @@ def test_all_of_waits_for_all():
         a = env.process(worker(1.0, "a"))
         b = env.process(worker(3.0, "b"))
         results = yield env.all_of([a, b])
-        return sorted(results.values_list())
+        return sorted(results.values())
 
     result = env.run(until=env.process(parent()))
     assert result == ["a", "b"]
@@ -214,27 +203,11 @@ def test_any_of_fires_on_first():
         a = env.process(worker(1.0, "fast"))
         b = env.process(worker(9.0, "slow"))
         results = yield env.any_of([a, b])
-        return list(results.values_list())
+        return list(results.values())
 
     result = env.run(until=env.process(parent()))
     assert result == ["fast"]
     assert env.now == 1.0
-
-
-def test_and_or_operators():
-    env = Environment()
-
-    def parent():
-        t1 = env.timeout(1.0, value="x")
-        t2 = env.timeout(2.0, value="y")
-        yield t1 & t2
-        assert env.now == 2.0
-        t3 = env.timeout(1.0, value="p")
-        t4 = env.timeout(5.0, value="q")
-        yield t3 | t4
-        assert env.now == 3.0
-
-    env.run(until=env.process(parent()))
 
 
 def test_all_of_empty_fires_immediately():
@@ -338,20 +311,6 @@ def test_is_alive_lifecycle():
     env.run()
     assert not p.is_alive
     assert p.ok
-
-
-def test_active_process_tracking():
-    env = Environment()
-    observed = []
-
-    def proc():
-        observed.append(env.active_process)
-        yield env.timeout(1.0)
-
-    p = env.process(proc())
-    env.run()
-    assert observed == [p]
-    assert env.active_process is None
 
 
 def test_run_until_event_never_fires():

@@ -92,7 +92,7 @@ class TestResourceProperties:
         total = sum(holds)
         assert env.now >= total / capacity - 1e-9
         assert env.now <= total + 1e-9
-        assert res.count == 0
+        assert len(res.users) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(items=st.lists(st.integers(), min_size=1, max_size=30))

@@ -63,19 +63,6 @@ class TestTimeSeries:
         out = ts.resample([0.0, 1.0])
         assert np.isnan(out[0]) and out[1] == 7.0
 
-    def test_windows_means(self):
-        ts = TimeSeries()
-        for t in range(6):
-            ts.record(float(t), float(t))
-        starts, means = ts.windows(2.0)
-        np.testing.assert_allclose(starts, [0.0, 2.0, 4.0])
-        np.testing.assert_allclose(means, [0.5, 2.5, 4.5])
-
-    def test_windows_bad_width(self):
-        ts = TimeSeries()
-        with pytest.raises(ValueError):
-            ts.windows(0.0)
-
     def test_last(self):
         ts = TimeSeries()
         assert ts.last() is None
@@ -139,14 +126,6 @@ class TestCounterMonitor:
         c.add(10.0, 100.0)
         assert c.total_between(0.0, 5.0) == pytest.approx(50.0)
 
-    def test_rate_series(self):
-        c = CounterMonitor()
-        c.add(1.0, 100.0)
-        c.add(2.0, 100.0)
-        c.add(3.0, 100.0)
-        starts, rates = c.rate_series(1.0, t_end=3.0)
-        assert len(starts) == 3
-        np.testing.assert_allclose(rates, [100.0, 100.0, 100.0])
 
     @given(st.lists(
         st.tuples(st.floats(min_value=0.001, max_value=1.0),
@@ -183,8 +162,6 @@ class TestCounterSlope:
         assert totals.tolist() == [0.0, 0.0, 10.0]
         assert c.total_between(0.0, 3.0) == 10.0
         assert c.mean_rate(2.0, 3.0) == 5.0
-        _starts, rates = c.rate_series(1.0, t_end=3.0)
-        np.testing.assert_allclose(rates, [0.0, 5.0, 5.0])
         # The stored curve ends at the last breakpoint.
         assert c.breakpoints()[0].tolist() == [0.0, 1.0]
 

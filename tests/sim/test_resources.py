@@ -59,12 +59,12 @@ def test_resource_count_tracks_usage():
     def user():
         with res.request() as req:
             yield req
-            assert res.count >= 1
+            assert len(res.users) >= 1
             yield env.timeout(1.0)
 
     env.process(user())
     env.run()
-    assert res.count == 0
+    assert len(res.users) == 0
 
 
 def test_release_without_holding_raises():
@@ -101,7 +101,7 @@ def test_request_cancel_removes_from_queue():
     def impatient():
         yield env.timeout(1.0)
         req = res.request()
-        result = yield req | env.timeout(2.0)
+        result = yield env.any_of([req, env.timeout(2.0)])
         if req not in result:
             req.cancel()
             got.append("gave up")
@@ -248,4 +248,4 @@ def test_store_len():
         yield store.put("b")
 
     env.run(until=env.process(fill()))
-    assert len(store) == 2
+    assert len(store.items) == 2

@@ -11,7 +11,6 @@ from repro.telemetry import (
     render_ascii_timeline,
     render_flame_summary,
     to_chrome_trace,
-    to_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -99,13 +98,6 @@ class TestChromeTrace:
         path = write_chrome_trace(tracer, tmp_path / "t.json")
         loaded = json.loads(path.read_text())
         assert validate_chrome_trace(loaded) == []
-
-    def test_jsonl_one_object_per_line(self):
-        _, tracer = build_simple_trace()
-        lines = to_jsonl(tracer).strip().split("\n")
-        rows = [json.loads(line) for line in lines]
-        assert len(rows) == len(tracer.spans) + len(tracer.instants)
-        assert all("name" in r for r in rows)
 
     def test_validator_flags_overlap(self):
         trace = {"traceEvents": [

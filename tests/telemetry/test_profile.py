@@ -20,6 +20,7 @@ from repro.telemetry.profile import (
     profile_plan,
     profile_run,
     relaxation_is_exact,
+    render_report_text,
     scale_plan,
     utilization,
     what_if,
@@ -311,11 +312,11 @@ class TestAcceptanceCell:
                 w.evaluated_makespan, rel=0.01), w.bucket
 
     def test_report_serializes(self, report):
-        payload = json.loads(report.render_json())
+        payload = json.loads(json.dumps(report.to_json(), sort_keys=True))
         assert payload["label"] == "comm-bound"
         assert payload["run"]["reconciliation_rel_err"] <= 1e-9
         assert len(payload["what_ifs"]) == len(SCALE_BUCKETS)
-        text = report.render_text()
+        text = render_report_text(report.to_json())
         assert "comm-bound" in text and "what-if" in text
 
 

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.sim import CounterMonitor, TimeSeries
+from repro.fabric import GB, PCIE_GEN4_X16, Topology
+from repro.sim import CounterMonitor, Environment, TimeSeries
 from repro.telemetry import MetricError, MetricsRegistry
 
 
@@ -151,3 +152,41 @@ class TestCollectorIntegration:
         for name in names:
             value = registry.value(name, 0.0, 1.0)
             assert value == value or math.isnan(value)
+
+
+class TestMidRunReadings:
+    def test_a_reading_at_now_counts_the_bytes_delivered_so_far(self):
+        # No event falls between the flow's start and the probe, so the
+        # counters hold no breakpoint for the bytes streamed meanwhile:
+        # every reader must extrapolate along the live rate.
+        env = Environment()
+        topo = Topology(env)
+        topo.add_node("sw", kind="sw", transit=True)
+        for n in ("a", "b"):
+            topo.add_node(n, kind="gpu")
+            topo.add_link(PCIE_GEN4_X16, "sw", n)
+        registry = MetricsRegistry()
+        (link,) = topo.links_of("a")
+        link.register_metrics(registry, "fabric/a")
+        readings = {}
+
+        def probe():
+            yield env.timeout(0.3)
+            now = env.now
+            (flow,) = topo.scheduler.active_flows
+            summary = registry.summary("fabric/a/a->sw", 0.0, now)
+            readings.update(
+                delivered=flow.nbytes - flow.remaining_at(now),
+                counter=link.counters[("a", "sw")].total_between(0.0, now),
+                total=summary["total"], window=summary["window_total"])
+
+        def transfer():
+            yield topo.transfer("a", "b", 10 * GB)
+
+        env.process(probe())
+        env.process(transfer())
+        env.run()
+        delivered = readings.pop("delivered")
+        assert 0 < delivered < 10 * GB
+        for reader, value in readings.items():
+            assert value == pytest.approx(delivered, rel=1e-12), reader

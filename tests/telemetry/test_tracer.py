@@ -126,7 +126,7 @@ class TestNesting:
         tracer.span("b", Category.OTHER, Track("host0", "gpu1"))
         clock.now = 7.0
         tracer.finish()
-        assert not tracer.open_spans()
+        assert all(s.closed for s in tracer.spans)
         assert all(s.end == 7.0 for s in tracer.spans)
 
 
@@ -178,7 +178,7 @@ class TestNullTracer:
         span = NULL_TRACER.span("x", Category.COMPUTE, TRACK)
         with span:
             pass
-        span.close().annotate(a=1)
+        span.close()
         NULL_TRACER.instant("x")
         track = NULL_TRACER.lane("comm")
         NULL_TRACER.release_lane(track)

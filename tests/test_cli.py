@@ -660,6 +660,19 @@ class TestBadArguments:
         assert f"argument --global-batch: {batch!r} is not a positive " \
             "integer" in err
 
+    @pytest.mark.parametrize("accumulation", ["0", "-2", "two"])
+    @pytest.mark.parametrize("command", ["plan", "profile"])
+    def test_accumulation_must_be_a_positive_integer(self, capsys, command,
+                                                     accumulation):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "resnet50", "--accumulation", accumulation])
+        assert exc_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = [l for l in err.splitlines() if "error:" in l]
+        assert line.endswith(f"argument --accumulation: {accumulation!r} "
+                             "is not a positive integer")
+
     def test_training_config_rejects_a_global_batch_below_1(self):
         from repro.training import TrainingConfig
         from repro.workloads import get_benchmark

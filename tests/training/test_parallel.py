@@ -22,14 +22,6 @@ class TestPrecisionPolicy:
         assert AMP_POLICY.gradient_bytes(model) == pytest.approx(
             FP32_POLICY.gradient_bytes(model) / 2)
 
-    def test_amp_keeps_master_weights(self):
-        model = bert_large()
-        # FP16 weights + FP32 master = 6 bytes/param.
-        assert AMP_POLICY.weight_bytes(model) == pytest.approx(
-            model.params * 6.0)
-        assert FP32_POLICY.weight_bytes(model) == pytest.approx(
-            model.params * 4.0)
-
     def test_amp_has_step_overhead(self):
         assert AMP_POLICY.step_overhead > 0
         assert FP32_POLICY.step_overhead == 0

@@ -9,7 +9,6 @@ from repro.workloads import (
     ModelGraph,
     batchnorm2d,
     conv2d,
-    depthwise_conv2d,
     embedding,
     layernorm,
     linear,
@@ -36,10 +35,6 @@ class TestConv2d:
     def test_groups_must_divide(self):
         with pytest.raises(ValueError):
             conv2d("c", 15, 32, 3, (10, 10), groups=4)
-
-    def test_depthwise(self):
-        layer = depthwise_conv2d("dw", 32, 3, (10, 10))
-        assert layer.params == 3 * 3 * 32
 
     def test_activation_bytes(self):
         layer = conv2d("c", 3, 8, 3, (5, 5))
@@ -109,12 +104,6 @@ class TestModelGraph:
         g = self.make_graph()
         assert g.params == (3 * 3 * 3 * 8) + 16 + 8010
         assert g.depth == 2  # conv + linear (bn unweighted)
-        assert len(g) == 3
-
-    def test_train_flops_is_3x_forward(self):
-        g = self.make_graph()
-        assert g.train_flops_per_sample == pytest.approx(
-            3 * g.forward_flops_per_sample)
 
     def test_precision_halves_bytes(self):
         g = self.make_graph()
@@ -125,18 +114,6 @@ class TestModelGraph:
         assert g.activation_bytes_per_sample(Precision.FP16) == \
             pytest.approx(g.activation_bytes_per_sample(Precision.FP32) / 2)
 
-    def test_optimizer_state_sharding(self):
-        g = self.make_graph()
-        full = g.optimizer_state_bytes()
-        assert full == g.params * 12
-        assert g.optimizer_state_bytes(sharded=True, world_size=8) == \
-            pytest.approx(full / 8)
-        assert g.optimizer_state_bytes(sharded=True, world_size=1) == full
-
-    def test_summary_keys(self):
-        s = self.make_graph().summary()
-        assert {"name", "params", "depth", "layers",
-                "forward_gflops_per_sample"} <= set(s)
 
     @given(st.integers(min_value=1, max_value=64),
            st.integers(min_value=1, max_value=64))
